@@ -16,12 +16,10 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The wide-window selection and batched-sweep benchmarks: bitset vs tombstone
-# queue vs full scan on a 16-wide/512-entry window, and the scalar-vs-lockstep
-# end-to-end sweep comparison (docs/PERFORMANCE.md quotes these numbers).
+# The wide-window benchmarks: whole simulations and the per-cycle loop on a
+# 16-wide/512-entry window (docs/PERFORMANCE.md quotes these numbers).
 bench-wide:
 	$(GO) test -run '^$$' -bench '^(BenchmarkReadyQueueWide|BenchmarkBitsetSelect)$$' -benchmem ./internal/cpu
-	$(GO) test -run '^$$' -bench '^BenchmarkLockstepSweep$$' -benchmem ./internal/harness
 
 # The benchmark regression gate: pinned benchmarks vs BENCH_BASELINE.json,
 # failing on >15% slowdown. Refresh the baseline with

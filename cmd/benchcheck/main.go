@@ -2,8 +2,10 @@
 // benchmarks with -benchmem, takes the minimum ns/op and allocs/op over
 // -count repetitions (the least noisy point estimates), and compares against
 // the checked-in baseline. Any benchmark more than -tolerance slower than its
-// baseline ns/op, or allocating beyond its allocs/op budget, fails the gate;
-// -update reruns the suite and rewrites the baseline instead.
+// baseline ns/op, or allocating beyond its allocs/op budget, fails the gate,
+// and so does a baseline entry the run did not measure or a measured
+// benchmark with no baseline entry. -update reruns the suite and rewrites the
+// baseline's numbers instead, keeping its note.
 //
 // Allocation budgets make the zero-allocation steady state enforceable: a
 // budget of 0 (e.g. BenchmarkPipelineSteadyState) fails on the first heap
@@ -22,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -34,14 +37,13 @@ import (
 // benchmarks don't silently join the gate without a baseline entry.
 var targets = []struct{ pkg, pattern string }{
 	{"./internal/cpu", "^(BenchmarkEmitNilObserver|BenchmarkWakeup|BenchmarkPipelineSteadyState|BenchmarkReplayRequeue|BenchmarkReadyQueueWide|BenchmarkBitsetSelect|BenchmarkIntervalSampler)$"},
-	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkLockstepSweep)$"},
+	{"./internal/harness", "^BenchmarkSimulateAllCached$"},
 	// The jobs benchmarks are disk-bound (atomic file writes), so their
 	// checked-in ns/op baselines are hand-slackened above any observed run —
 	// a gross-regression gate; their allocation budgets are the tight gate.
 	// BenchmarkJournalGroupCommit gates the batched journal's concurrent
-	// submit path; BenchmarkJournalPerJobFsync pins the one-file-per-
-	// transition baseline it replaced, keeping the comparison honest.
-	{"./internal/jobs", "^(BenchmarkJobStorePutGet|BenchmarkQueueSubmitDrain|BenchmarkJournalGroupCommit|BenchmarkJournalPerJobFsync)$"},
+	// submit path.
+	{"./internal/jobs", "^(BenchmarkJobStorePutGet|BenchmarkQueueSubmitDrain|BenchmarkJournalGroupCommit)$"},
 	// BenchmarkLoadRecorder gates the soak harness's concurrent latency
 	// histogram: one lock-free Observe per recorded sample, zero allocations.
 	{"./internal/load", "^BenchmarkLoadRecorder$"},
@@ -91,77 +93,111 @@ func main() {
 	}
 
 	if *update {
-		b := baseline{
-			Note:        "minimum ns/op and allocs/op budgets over repeated runs; regenerate with `go run ./cmd/benchcheck -update`",
-			NsPerOp:     make(map[string]float64, len(got)),
-			AllocsPerOp: make(map[string]float64, len(got)),
-		}
-		for name, m := range got {
-			b.NsPerOp[name] = m.ns
-			b.AllocsPerOp[name] = m.allocs
-		}
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*path, append(data, '\n'), 0o644); err != nil {
+		if err := writeBaseline(*path, got); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d benchmarks)\n", *path, len(got))
 		return
 	}
-
-	data, err := os.ReadFile(*path)
+	base, err := readBaseline(*path)
 	if err != nil {
 		log.Fatalf("%v (run `go run ./cmd/benchcheck -update` to create the baseline)", err)
 	}
-	var base baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		log.Fatalf("parsing %s: %v", *path, err)
+	if !compare(os.Stdout, base, got, *tolerance) {
+		log.Fatalf("benchmark regression beyond %.0f%%, or the gate and the baseline disagree on which benchmarks exist", 100**tolerance)
 	}
+	fmt.Println("benchcheck: all pinned benchmarks within tolerance and allocation budgets")
+}
 
+// defaultNote is the note of a baseline written without a previous one.
+const defaultNote = "minimum ns/op and allocs/op budgets over repeated runs; regenerate with `go run ./cmd/benchcheck -update`"
+
+// readBaseline loads the baseline file at path.
+func readBaseline(path string) (baseline, error) {
+	var b baseline
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return b, err
+	}
+	if err := json.Unmarshal(data, &b); err != nil {
+		return b, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return b, nil
+}
+
+// writeBaseline rewrites the baseline at path from the measurements got. It
+// keeps the note of the baseline it replaces, which records how entries were
+// hand-slackened.
+func writeBaseline(path string, got map[string]measurement) error {
+	b := baseline{
+		Note:        defaultNote,
+		NsPerOp:     make(map[string]float64, len(got)),
+		AllocsPerOp: make(map[string]float64, len(got)),
+	}
+	if prev, err := readBaseline(path); err == nil && prev.Note != "" {
+		b.Note = prev.Note
+	}
+	for name, m := range got {
+		b.NsPerOp[name] = m.ns
+		b.AllocsPerOp[name] = m.allocs
+	}
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// compare reports each measurement in got against the baseline on w and
+// returns whether the gate passes: every baseline entry was measured, every
+// measurement has a baseline entry, none is more than tolerance slower, and
+// none allocates beyond its budget.
+func compare(w io.Writer, base baseline, got map[string]measurement, tolerance float64) bool {
 	names := make([]string, 0, len(base.NsPerOp))
 	for name := range base.NsPerOp {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	failed := false
+	ok := true
 	for _, name := range names {
 		want := base.NsPerOp[name]
-		have, ok := got[name]
-		if !ok {
-			fmt.Printf("FAIL %-45s missing from this run\n", name)
-			failed = true
+		have, measured := got[name]
+		if !measured {
+			fmt.Fprintf(w, "FAIL %-45s missing from this run\n", name)
+			ok = false
 			continue
 		}
 		ratio := have.ns / want
 		status := "ok  "
-		if ratio > 1+*tolerance {
+		if ratio > 1+tolerance {
 			status = "FAIL"
-			failed = true
+			ok = false
 		}
-		fmt.Printf("%s %-45s %12.0f ns/op  baseline %12.0f  (%+.1f%%)\n",
+		fmt.Fprintf(w, "%s %-45s %12.0f ns/op  baseline %12.0f  (%+.1f%%)\n",
 			status, name, have.ns, want, 100*(ratio-1))
-		if budget, ok := base.AllocsPerOp[name]; ok {
-			if have.allocs > budget*(1+*tolerance) {
-				fmt.Printf("FAIL %-45s %12.0f allocs/op exceeds budget %.0f\n",
+		if budget, hasBudget := base.AllocsPerOp[name]; hasBudget {
+			if have.allocs > budget*(1+tolerance) {
+				fmt.Fprintf(w, "FAIL %-45s %12.0f allocs/op exceeds budget %.0f\n",
 					name, have.allocs, budget)
-				failed = true
+				ok = false
 			} else if have.allocs > budget {
-				fmt.Printf("note %-45s %12.0f allocs/op above budget %.0f (within tolerance)\n",
+				fmt.Fprintf(w, "note %-45s %12.0f allocs/op above budget %.0f (within tolerance)\n",
 					name, have.allocs, budget)
 			}
 		}
 	}
+	var extra []string
 	for name := range got {
-		if _, ok := base.NsPerOp[name]; !ok {
-			fmt.Printf("note %-45s not in baseline; add with -update\n", name)
+		if _, inBase := base.NsPerOp[name]; !inBase {
+			extra = append(extra, name)
 		}
 	}
-	if failed {
-		log.Fatalf("benchmark regression beyond %.0f%%", 100**tolerance)
+	sort.Strings(extra)
+	for _, name := range extra {
+		fmt.Fprintf(w, "FAIL %-45s not in baseline; add it with -update or rename its entry\n", name)
+		ok = false
 	}
-	fmt.Println("benchcheck: all pinned benchmarks within tolerance and allocation budgets")
+	return ok
 }
 
 // runBench executes one `go test -bench` invocation and folds the minimum

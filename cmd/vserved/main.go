@@ -63,7 +63,6 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job execution timeout (0 = unbounded; a request's timeout_seconds overrides)")
 		maxRetries  = flag.Int("max-retries", 2, "re-queues of a failing job before it fails for good")
 		cacheBudget = flag.Int64("trace-cache-budget", 0, "byte budget of the shared trace cache (0 = unbounded)")
-		lockstep    = flag.Int("lockstep", 0, "advance up to K same-trace specs in lockstep per batch worker (0 or 1 = one spec per worker); results are byte-identical")
 		traceSpans  = flag.Int("trace-spans", obs.DefaultTracerSpans, "span-ring capacity for job tracing (0 disables tracing)")
 		tracePhases = flag.Bool("trace-phases", false, "record per-pipeline-phase wall time on every run span (adds per-cycle clock reads)")
 		telemetry   = flag.Bool("telemetry", false, "attach a per-spec interval sampler to every executed spec and store its snapshot (pipeline series + speculation-outcome breakdown) with the results")
@@ -97,7 +96,6 @@ func main() {
 			id:          *workerID,
 			capacity:    *capacity,
 			jobTimeout:  *jobTimeout,
-			lockstep:    *lockstep,
 			telemetry:   *telemetry,
 			telemetryIv: *telemetryIv,
 			logger:      logger,
@@ -123,7 +121,6 @@ func main() {
 		TracePhases:       *tracePhases,
 		Telemetry:         *telemetry,
 		TelemetryInterval: *telemetryIv,
-		LockstepK:         *lockstep,
 	})
 	if err != nil {
 		logger.Error("opening job service", "err", err)

@@ -17,7 +17,6 @@ type workerOptions struct {
 	id          string
 	capacity    int
 	jobTimeout  time.Duration
-	lockstep    int
 	telemetry   bool
 	telemetryIv int64
 	logger      *slog.Logger
@@ -34,7 +33,6 @@ func runWorker(ctx context.Context, o workerOptions) {
 		ID:                o.id,
 		Capacity:          o.capacity,
 		JobTimeout:        o.jobTimeout,
-		LockstepK:         o.lockstep,
 		Telemetry:         o.telemetry,
 		TelemetryInterval: o.telemetryIv,
 		Metrics:           obs.NewSharedRegistry(),

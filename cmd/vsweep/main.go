@@ -68,7 +68,6 @@ func main() {
 		all          = flag.Bool("all", false, "run everything")
 		quick        = flag.Bool("quick", false, "restrict sweeps to the 8/48 configuration")
 		noTraceCache = flag.Bool("no-trace-cache", false, "re-emulate every workload per spec instead of replaying cached traces")
-		lockstep     = flag.Int("lockstep", 0, "advance up to K same-trace specs in lockstep per worker (0 or 1 = one spec per worker); results are byte-identical")
 		submitURL    = flag.String("submit", "", "run -fig3/-fig4 on a vserved daemon at this URL (e.g. http://127.0.0.1:9090) instead of simulating locally")
 		shard        = flag.Int("shard", 0, "with -submit, split each batch into N jobs submitted concurrently, so a fleet of workers drains them in parallel; results are reassembled in order and stay byte-identical")
 		serveAddr    = flag.String("serve", "", "serve live observability on this address for the duration of the run, e.g. 127.0.0.1:9090 (port 0 picks a free one): Prometheus /metrics, /progress JSON + SSE stream, /series, /dash, /healthz, /readyz, /debug/pprof/")
@@ -82,9 +81,6 @@ func main() {
 	flag.Parse()
 	if *noTraceCache {
 		harness.SetTraceCaching(false)
-	}
-	if *lockstep > 1 {
-		harness.SetLockstep(*lockstep)
 	}
 	if *submitURL != "" {
 		// Remote execution covers the figure sweeps; the ablations aggregate

@@ -135,13 +135,11 @@ type entry struct {
 	// it does not push the hot header and operands onto later cache lines.
 	rec trace.Record
 
-	// Event-driven wakeup bookkeeping. cons lists the ring indices of
-	// entries registered as consumers of this entry's output (register
-	// operands at dispatch, store-forwarded data at access time); stale
-	// registrations are filtered at use by re-checking the dependence.
-	// inQ tracks membership in the pipeline's ready queue.
+	// cons lists the ring indices of entries registered as consumers of
+	// this entry's output (register operands at dispatch, store-forwarded
+	// data at access time); stale registrations are filtered at use by
+	// re-checking the dependence.
 	cons []int
-	inQ  bool
 }
 
 func (e *entry) writesReg() bool { return isa.WritesReg(e.rec.Instr.Op) }
@@ -194,7 +192,6 @@ func (e *entry) reset() {
 	e.specResolve = false
 	e.retireAt = never
 	e.cons = e.cons[:0] // keep the consumer-list allocation across reuse
-	e.inQ = false
 }
 
 // nullify voids the effects of previous executions so the entry can wake up

@@ -19,18 +19,6 @@ type eqEvent struct {
 	match bool  // equality matched (verification) or not (invalidation)
 }
 
-// qent is one ready-queue element. Removal tombstones the element in place
-// (idx becomes qTomb) instead of closing the gap; the age key is kept so the
-// queue stays sorted and binary-searchable, and a later insertion of the same
-// age reclaims the slot (see qInsert).
-type qent struct {
-	age int64
-	idx int32
-}
-
-// qTomb marks a removed ready-queue element.
-const qTomb int32 = -1
-
 // Pipeline simulates one program on one processor configuration under one
 // speculative-execution model. Create with New, drive with Run.
 type Pipeline struct {
@@ -63,18 +51,12 @@ type Pipeline struct {
 	fetchResume int64 // earliest cycle fetch may proceed
 	blockingAge int64 // age of the unresolved mispredicted branch, never if none
 
-	// Event scheduling. The timing wheels are the shipped path: slot c&mask
-	// holds the events for cycle c, slot slices are recycled in place, and
-	// the ring grows when a model latency exceeds the nominal horizon.
-	// mapEvents switches scheduling back to the cycle-keyed maps (the
-	// test-only reference implementation the event property tests compare
-	// the wheels against).
+	// Event scheduling on timing wheels (wheel.go): slot c&mask holds the
+	// events for cycle c, slot slices are recycled in place, and the ring
+	// grows when a model latency exceeds the nominal horizon.
 	eqWheel   wheel[eqEvent]
 	waveWheel wheel[*waveSet]
 	wbWheel   wheel[wbEvent]
-	mapEvents bool
-	eqMap     map[int64][]eqEvent
-	waveMap   map[int64][]*waveSet
 
 	// Invalidation-wave state. waveAges guards bitset membership against
 	// ring-slot reuse (see waveSet); wavePool recycles the sets; waveMark,
@@ -87,16 +69,10 @@ type Pipeline struct {
 
 	waveSetReuses int64 // wave sets served from the pool
 
-	// Wakeup/selection state. The shipped path is the struct-of-arrays
-	// window core in soa.go: occupancy, readiness and settledness as bitset
-	// words plus slotAge/slotCls mirrors of the hot per-slot fields, scanned
+	// Wakeup/selection state: the struct-of-arrays window core in soa.go.
+	// Occupancy, readiness and settledness are bitset words, and
+	// slotAge/slotCls mirror the hot per-slot fields; the stages scan them
 	// with bits.TrailingZeros64 in ring (= age) order.
-	//
-	// Two reference implementations stay intact for the differential
-	// property tests and benchmarks: queueWakeup switches selection to the
-	// tombstoned, binary-searched ready queue (the previous shipped path),
-	// and scanWakeup switches issue and invalidation all the way back to
-	// the original full-window scans.
 	occBits     []uint64  // slot holds a live entry
 	readyBits   []uint64  // wakeup candidates: used && !issued && !inFlight
 	settledBits []uint64  // sweep work provably a no-op until nullify/reuse
@@ -107,14 +83,6 @@ type Pipeline struct {
 	slotCls     []uint8   // entries[i].cls mirror (written at dispatch)
 	outViews    []outView // entries[i] broadcast-header mirror (see pubOut)
 	slotNextTry []int64   // issue-recheck gate per slot (see checkIssue)
-	queueWakeup bool
-	scanWakeup  bool
-
-	// Tombstoned ready queue (the queueWakeup reference): the ring indices
-	// of every unissued entry in age order, with removals tombstoned in
-	// place and compacted lazily.
-	readyQ []qent
-	qDead  int
 
 	// Per-cycle selection scratch: issue candidates split into the two
 	// priority groups (branches/loads, then the rest), reused across cycles.
@@ -164,8 +132,6 @@ func New(cfg Config, spec *SpecOptions, src trace.Source) (*Pipeline, error) {
 		eqWheel:     newWheel[eqEvent](wheelNominalSlots),
 		waveWheel:   newWheel[*waveSet](wheelNominalSlots),
 		wbWheel:     newWheel[wbEvent](wheelNominalSlots),
-		eqMap:       make(map[int64][]eqEvent),
-		waveMap:     make(map[int64][]*waveSet),
 		waveAges:    make([]int64, cfg.WindowSize),
 		occBits:     make([]uint64, words),
 		readyBits:   make([]uint64, words),
@@ -177,7 +143,6 @@ func New(cfg Config, spec *SpecOptions, src trace.Source) (*Pipeline, error) {
 		slotCls:     make([]uint8, cfg.WindowSize),
 		outViews:    make([]outView, cfg.WindowSize),
 		slotNextTry: make([]int64, cfg.WindowSize),
-		readyQ:      make([]qent, 0, cfg.WindowSize),
 		waveMark:    make([]bool, cfg.WindowSize),
 	}
 	for i := range p.regProd {
@@ -220,119 +185,11 @@ func (p *Pipeline) slot(i int) int {
 }
 
 // ---------------------------------------------------------------------------
-// Ready queue and consumer lists (event-driven wakeup)
+// Consumer lists
 //
-// readyQ mirrors the invariant "used && !issued && !inFlight" — exactly the
-// entries the selection logic can consider — sorted by age, so wakeup visits
-// candidates instead of scanning the whole window every cycle. Entries join
-// at dispatch and when nullified, and leave at issue and when squashed.
-// Consumer lists (entry.cons) invert the regProd dependence edges so an
-// invalidation wave walks only the registered consumers of the wrong
-// producers instead of rescanning the window.
-
-// qPos returns the position in readyQ of the element with the given age, or
-// the position it would be inserted at. Ages are unique, tombstones keep
-// their age keys, and readyQ is sorted ascending, so this is an exact locate
-// for members.
-func (p *Pipeline) qPos(age int64) int {
-	lo, hi := 0, len(p.readyQ)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if p.readyQ[m].age < age {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// qInsert adds e to the ready queue (no-op if already queued). Dispatch
-// inserts are always at the tail (ages are issued in dispatch order); a
-// nullified entry re-enters mid-queue, where it almost always reclaims the
-// tombstone its issue left behind, so the O(n) shifting insert is the cold
-// fallback.
-func (p *Pipeline) qInsert(e *entry) {
-	if e.inQ {
-		return
-	}
-	e.inQ = true
-	ent := qent{age: e.age, idx: int32(e.idx)}
-	pos := p.qPos(e.age)
-	switch {
-	case pos == len(p.readyQ):
-		p.readyQ = append(p.readyQ, ent)
-	case p.readyQ[pos].idx == qTomb:
-		// Rewriting a tombstone's age key keeps the order: the left
-		// neighbor is older than e (binary search) and the right neighbor
-		// is younger than the tombstone's key, which is at least e's age.
-		p.readyQ[pos] = ent
-		p.qDead--
-	case pos > 0 && p.readyQ[pos-1].idx == qTomb:
-		p.readyQ[pos-1] = ent
-		p.qDead--
-	default:
-		p.readyQ = append(p.readyQ, qent{})
-		copy(p.readyQ[pos+1:], p.readyQ[pos:])
-		p.readyQ[pos] = ent
-	}
-}
-
-// qRemove drops e from the ready queue (no-op if not queued) by tombstoning
-// its element in place.
-func (p *Pipeline) qRemove(e *entry) {
-	if !e.inQ {
-		return
-	}
-	e.inQ = false
-	p.readyQ[p.qPos(e.age)].idx = qTomb
-	p.qDead++
-}
-
-// qCompact squeezes tombstones out when they outnumber the live elements.
-// Called only from cycle-level code, never while a selection pass is
-// iterating the queue.
-func (p *Pipeline) qCompact() {
-	if p.qDead*2 <= len(p.readyQ) || p.qDead < 16 {
-		return
-	}
-	live := p.readyQ[:0]
-	for _, ent := range p.readyQ {
-		if ent.idx != qTomb {
-			live = append(live, ent)
-		}
-	}
-	p.readyQ = live
-	p.qDead = 0
-}
-
-// wakeAdd marks e a wakeup candidate (no-op if already marked): a ready bit
-// on the shipped bitset path, a queue insertion under queueWakeup. e.inQ
-// tracks membership in whichever structure is active.
-func (p *Pipeline) wakeAdd(e *entry) {
-	if p.queueWakeup {
-		p.qInsert(e)
-		return
-	}
-	if e.inQ {
-		return
-	}
-	e.inQ = true
-	p.readyBits[e.idx>>6] |= 1 << (uint(e.idx) & 63)
-}
-
-// wakeRemove withdraws e from wakeup (no-op if not a candidate).
-func (p *Pipeline) wakeRemove(e *entry) {
-	if p.queueWakeup {
-		p.qRemove(e)
-		return
-	}
-	if !e.inQ {
-		return
-	}
-	e.inQ = false
-	p.readyBits[e.idx>>6] &^= 1 << (uint(e.idx) & 63)
-}
+// entry.cons inverts the regProd dependence edges so an invalidation wave
+// walks only the registered consumers of the wrong producers instead of
+// rescanning the window.
 
 // addConsumer registers the entry at ring index idx as a consumer of the
 // producer at ring index prodIdx. Registrations may go stale (the consumer
@@ -351,7 +208,7 @@ func (p *Pipeline) addConsumer(prodIdx, idx int) {
 // gatherConsumers collects the registered consumers of the producer entries
 // at prodIdxs — transitively when transitive is set (flattened invalidation
 // closes within the cycle) — deduplicated and sorted by age, so the caller
-// visits them in the same order the reference full-window scan would.
+// visits them in the same order a full-window walk would.
 func (p *Pipeline) gatherConsumers(prodIdxs []int, transitive bool) []int {
 	cand := p.waveCand[:0]
 	frontier := append(p.waveFrontier[:0], prodIdxs...)
@@ -499,16 +356,11 @@ const (
 	wbWake              // dormant-sweep retry of a time-gated refreshOutput
 )
 
-// writeback finishes the executions and memory accesses due at cycle c. The
-// event-driven path drains the writeback wheel instead of scanning the whole
-// window; the scan visits entries in age order with execution completion
-// before access completion per entry, so the drained events are insertion-
-// sorted by (age, kind) to replicate that order exactly.
+// writeback finishes the executions and memory accesses due at cycle c by
+// draining the writeback wheel. Completions take effect in age order, with
+// execution completion before access completion per entry, so the drained
+// events are insertion-sorted by (age, kind).
 func (p *Pipeline) writeback(c int64) {
-	if p.scanWakeup {
-		p.writebackScan(c)
-		return
-	}
 	evs := p.wbWheel.take(c)
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
@@ -536,25 +388,6 @@ func (p *Pipeline) writeback(c int64) {
 				p.completeExec(e, c)
 			}
 		} else if e.cls == isa.ClassLoad && e.memStarted && !e.memDone && e.memDoneAt == c-1 {
-			p.completeLoad(e, c)
-		}
-	}
-}
-
-// writebackScan is the original O(window) writeback pass, kept as the
-// reference implementation the property tests compare the event-driven
-// drain against (enabled via scanWakeup).
-func (p *Pipeline) writebackScan(c int64) {
-	n := len(p.entries)
-	for i, s := 0, p.head; i < p.count; i++ {
-		e := &p.entries[s]
-		if s++; s == n {
-			s = 0
-		}
-		if e.inFlight && e.inFlightDone == c-1 {
-			p.completeExec(e, c)
-		}
-		if e.cls == isa.ClassLoad && e.memStarted && !e.memDone && e.memDoneAt == c-1 {
 			p.completeLoad(e, c)
 		}
 	}
@@ -609,25 +442,6 @@ func (p *Pipeline) completeLoad(e *entry, c int64) {
 	p.broadcast(e, c)
 }
 
-// scheduleEq files the equality outcome ev for cycle at (the current cycle
-// is c; at >= c always, since the equality latencies are non-negative).
-func (p *Pipeline) scheduleEq(c, at int64, ev eqEvent) {
-	if p.mapEvents {
-		p.eqMap[at] = append(p.eqMap[at], ev)
-		return
-	}
-	p.eqWheel.schedule(c, at, ev)
-}
-
-// scheduleWave files the wave continuation w for cycle at.
-func (p *Pipeline) scheduleWave(c, at int64, w *waveSet) {
-	if p.mapEvents {
-		p.waveMap[at] = append(p.waveMap[at], w)
-		return
-	}
-	p.waveWheel.schedule(c, at, w)
-}
-
 // broadcast publishes e's computed result to consumers at cycle c and, for
 // speculated predictions, schedules the equality outcome.
 func (p *Pipeline) broadcast(e *entry, c int64) {
@@ -642,7 +456,7 @@ func (p *Pipeline) broadcast(e *entry, c int64) {
 			lat = int64(p.model.Lat.ExecEqInvalidate)
 		}
 		e.eqReady = c + lat
-		p.scheduleEq(c, e.eqReady,
+		p.eqWheel.schedule(c, e.eqReady,
 			eqEvent{idx: e.idx, age: e.age, token: e.execToken, match: match})
 		return
 	}
@@ -695,35 +509,28 @@ func (p *Pipeline) resolveBranch(e *entry, c int64) {
 // ---------------------------------------------------------------------------
 // Equality events and invalidation waves
 
+// runEvents applies the events due at cycle c: first the hierarchical wave
+// continuations filed last cycle, then the equality outcomes, whose
+// mispredictions seed this cycle's root wave.
 func (p *Pipeline) runEvents(c int64) {
-	var waves []*waveSet
-	if p.mapEvents {
-		if ws, ok := p.waveMap[c]; ok {
-			delete(p.waveMap, c)
-			waves = ws
-		}
-	} else {
-		waves = p.waveWheel.take(c)
-	}
-	for _, w := range waves {
+	for _, w := range p.waveWheel.take(c) {
 		p.waveStep(w, c)
 		p.putWaveSet(w)
 	}
-
-	var evs []eqEvent
-	if p.mapEvents {
-		var ok bool
-		if evs, ok = p.eqMap[c]; !ok {
-			return
-		}
-		delete(p.eqMap, c)
-	} else {
-		if evs = p.eqWheel.take(c); len(evs) == 0 {
-			return
-		}
+	if roots := p.equalityOutcomes(c); roots != nil {
+		p.waveStep(roots, c)
+		p.putWaveSet(roots)
 	}
+}
+
+// equalityOutcomes applies the equality outcomes due at cycle c. A match
+// verifies the prediction; a mismatch kills it, and either squashes the
+// younger work (complete invalidation) or joins the returned root wave set,
+// which is nil when no wave starts this cycle.
+func (p *Pipeline) equalityOutcomes(c int64) *waveSet {
 	complete := p.model.Invalidation == core.InvalidateComplete
 	var roots *waveSet
+	evs := p.eqWheel.take(c)
 	for i := range evs {
 		ev := &evs[i]
 		e := &p.entries[ev.idx]
@@ -767,29 +574,25 @@ func (p *Pipeline) runEvents(c int64) {
 		}
 		p.mark(roots, e)
 	}
-	if roots != nil {
-		p.waveStep(roots, c)
-		p.putWaveSet(roots)
-	}
+	return roots
 }
 
-// waveStep nullifies the consumers of the producers in the wave set w. For
-// parallel (flattened) invalidation the wave closes transitively within the
-// cycle; for hierarchical invalidation each dependence level costs a cycle,
-// so the newly nullified entries seed a continuation event at c+1.
-//
-// Instead of rescanning the whole window, the event-driven path walks the
-// producers' registered consumer lists: gatherConsumers returns the (for
-// flattened waves, transitive) consumers in age order, which is exactly the
-// order the reference scan would test them in, so emitted events, statistics
-// and nullification outcomes are identical.
+// waveStep nullifies the consumers of the producers in the wave set w. It
+// walks the producers' registered consumer lists instead of the whole
+// window: gatherConsumers returns the (for flattened waves, transitive)
+// consumers in age order, the order a full-window walk would test them in.
 func (p *Pipeline) waveStep(w *waveSet, c int64) {
-	if p.scanWakeup {
-		p.waveStepScan(w, c)
-		return
-	}
 	hier := p.model.Invalidation == core.InvalidateHierarchical
-	cand := p.gatherConsumers(w.idxs, !hier)
+	p.nullifyWave(w, p.gatherConsumers(w.idxs, !hier), c)
+}
+
+// nullifyWave tests the candidate ring slots cand, in age order, against the
+// wave set w and nullifies every entry the wave hits. For parallel
+// (flattened) invalidation each hit joins w, so the wave closes transitively
+// within the cycle; for hierarchical invalidation each dependence level costs
+// a cycle, so the hits seed a continuation event at c+1.
+func (p *Pipeline) nullifyWave(w *waveSet, cand []int, c int64) {
+	hier := p.model.Invalidation == core.InvalidateHierarchical
 	var next *waveSet
 	reissue := int64(p.model.Lat.InvalidateReissue)
 	nulled := int64(0)
@@ -808,7 +611,7 @@ func (p *Pipeline) waveStep(w *waveSet, c int64) {
 		if e.cls == isa.ClassLoad {
 			setBit(p.loadBits, e.idx) // nullify reset memStarted
 		}
-		p.wakeAdd(e)
+		setBit(p.readyBits, e.idx)
 		if hier {
 			if next == nil {
 				next = p.getWaveSet()
@@ -822,7 +625,7 @@ func (p *Pipeline) waveStep(w *waveSet, c int64) {
 		p.metrics.waveSize.Observe(nulled)
 	}
 	if next != nil {
-		p.scheduleWave(c, c+1, next)
+		p.waveWheel.schedule(c, c+1, next)
 	}
 }
 
@@ -845,54 +648,13 @@ func (p *Pipeline) waveHits(w *waveSet, e *entry) bool {
 	return e.fwdProdIdx >= 0 && p.inWave(w, e.fwdProdIdx, e.fwdProdAge) && !e.fwdDataOK
 }
 
-// waveStepScan is the original O(window) invalidation pass, kept as the
-// reference implementation the property tests compare the consumer-list walk
-// against (enabled via scanWakeup).
-func (p *Pipeline) waveStepScan(w *waveSet, c int64) {
-	hier := p.model.Invalidation == core.InvalidateHierarchical
-	var next *waveSet
-	reissue := int64(p.model.Lat.InvalidateReissue)
-	nulled := int64(0)
-	for i := 0; i < p.count; i++ {
-		e := &p.entries[p.slot(i)]
-		if !p.waveHits(w, e) {
-			continue
-		}
-		p.emit(c, EvInvalidate, e)
-		p.stats.Nullified++
-		nulled++
-		e.nullify(c, reissue)
-		p.pubOut(e)
-		p.slotNextTry[e.idx] = 0
-		clearBit(p.settledBits, e.idx)
-		if e.cls == isa.ClassLoad {
-			setBit(p.loadBits, e.idx) // nullify reset memStarted
-		}
-		p.wakeAdd(e)
-		if hier {
-			if next == nil {
-				next = p.getWaveSet()
-			}
-			p.mark(next, e)
-		} else {
-			p.mark(w, e)
-		}
-	}
-	if p.metrics != nil {
-		p.metrics.waveSize.Observe(nulled)
-	}
-	if next != nil {
-		p.scheduleWave(c, c+1, next)
-	}
-}
-
 // squashYounger removes every entry strictly younger than age from the
 // window and queues their records for re-dispatch (they are on the correct
 // path; complete invalidation refetches them, as does a repaired speculative
 // branch resolution). The window is age-ordered, so the squashed entries are
 // a suffix; walking it youngest-first pushes each record onto the front of
-// the replay deque, which reproduces the old prepend-in-age-order semantics
-// without copying the whole queue.
+// the replay deque, which leaves them there in age order, ahead of any
+// records already awaiting replay.
 func (p *Pipeline) squashYounger(age int64, c int64) {
 	squashed := 0
 	for p.count > 0 {
@@ -901,7 +663,7 @@ func (p *Pipeline) squashYounger(age int64, c int64) {
 			break
 		}
 		p.pending.pushFront(e.rec)
-		p.wakeRemove(e)
+		clearBit(p.readyBits, e.idx)
 		clearBit(p.occBits, e.idx)
 		clearBit(p.settledBits, e.idx)
 		e.used = false
@@ -912,7 +674,6 @@ func (p *Pipeline) squashYounger(age int64, c int64) {
 		return
 	}
 	p.stats.CompleteSquashes += int64(squashed)
-	p.qCompact()
 	if p.blockingAge > age {
 		// The blocking mispredicted branch was squashed; it will block
 		// again when re-dispatched.

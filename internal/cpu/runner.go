@@ -2,11 +2,11 @@ package cpu
 
 import "fmt"
 
-// Runner drives a Pipeline in bounded increments so a caller can interleave
-// several simulations — the lockstep sweep executor advances K pipelines a
-// chunk of cycles at a time. The termination, cycle-budget and
-// no-progress checks are applied per cycle in exactly the order Run's closed
-// loop applies them, so a chunked run produces the identical result.
+// Runner drives a Pipeline in bounded increments. Run is a Runner stepped to
+// completion, and a Telemetry sampler takes its interval samples at Step
+// boundaries. The termination, cycle-budget and no-progress checks are
+// applied per cycle, so a run split into any sequence of Steps produces the
+// identical result.
 type Runner struct {
 	p            *Pipeline
 	lastRetired  int64

@@ -10,21 +10,22 @@ import (
 // ---------------------------------------------------------------------------
 // Struct-of-arrays window core
 //
-// The shipped wakeup/selection and sweep paths keep the hot per-slot state as
+// The wakeup/selection and sweep stages keep the hot per-slot state as
 // machine words — occupancy, readiness and settledness bitsets sized to the
 // window, plus dense slotAge/slotCls mirrors — and scan them with
 // bits.TrailingZeros64. Walking the two ring segments [head, n) then
-// [0, head+count-n) visits slots in exactly the age order the reference
-// full-window scan uses, so the candidate sequence (and therefore grants,
-// events and statistics) is bit-identical to the readyQ and scan references.
+// [0, head+count-n) visits slots in age order, the order the paper's
+// selection logic and verification network are defined over. The plain
+// full-window scans those walks must match live in scan_test.go, and
+// TestEventWakeupMatchesScan holds the two byte-identical.
 //
 // settledBits additionally lets the sweep skip entries whose per-cycle work
 // is provably a permanent no-op: once an entry's output validity is settled
 // (validAt != never, making refreshOutput return immediately) and every
 // in-window operand holds a correct Valid value (making each syncOperand
 // return at its settled early-out), nothing the sweep does to the entry can
-// change again until it is nullified (waveStep clears the bit) or its slot is
-// reused (dispatch clears the bit).
+// change again until it is nullified (nullifyWave clears the bit) or its
+// slot is reused (dispatch clears the bit).
 
 // outView is the dense mirror of one entry's broadcast header: the four
 // fields a consumer's syncOperand reads from its producer. The mirror packs
@@ -62,61 +63,6 @@ func setBit(w []uint64, i int) { w[i>>6] |= 1 << (uint(i) & 63) }
 // clearBit clears bit i of the window-sized bitset w.
 func clearBit(w []uint64, i int) { w[i>>6] &^= 1 << (uint(i) & 63) }
 
-// issueBitset performs wakeup and selection for cycle c over the ready
-// bitset. Candidate collection walks the set ready bits in age order into
-// the same two priority-group lists issueQueue builds, then runs the
-// identical grant passes.
-func (p *Pipeline) issueBitset(c int64) {
-	oldestFirst := p.specOn() && p.model.Selection == core.SelectOldestFirst
-
-	// Readiness is pass-invariant within the cycle — granting one entry
-	// never changes another's operands mid-issue — so one walk of the ready
-	// bits evaluates every candidate once, and the priority passes below
-	// pick from the two group lists.
-	selMem, selOther := p.selMem[:0], p.selOther[:0]
-	n := len(p.entries)
-	if hi := p.head + p.count; hi <= n {
-		selMem, selOther = p.collectReady(p.head, hi, c, selMem, selOther)
-	} else {
-		selMem, selOther = p.collectReady(p.head, n, c, selMem, selOther)
-		selMem, selOther = p.collectReady(0, hi-n, c, selMem, selOther)
-	}
-	p.selMem, p.selOther = selMem, selOther
-
-	grants := 0
-	for group := 0; group < 2 && grants < p.cfg.IssueWidth; group++ {
-		sel := selMem
-		if group == 1 {
-			sel = selOther
-		}
-		for specPass := 0; specPass < 2 && grants < p.cfg.IssueWidth; specPass++ {
-			for i := range sel {
-				if grants == p.cfg.IssueWidth {
-					break
-				}
-				cand := &sel[i]
-				if cand.idx < 0 {
-					continue // granted in a previous pass
-				}
-				// Non-speculative candidates precede speculative ones under
-				// the paper's scheme; oldest-first ignores the distinction.
-				if !oldestFirst && cand.spec != (specPass == 1) {
-					continue
-				}
-				e := &p.entries[cand.idx]
-				p.wakeRemove(e)
-				p.grantIssue(e, c)
-				cand.idx = -1
-				grants++
-			}
-			if oldestFirst {
-				break // a single pass took candidates regardless of spec state
-			}
-		}
-	}
-	p.stats.Issues += int64(grants)
-}
-
 // collectReady appends the issue candidates among the ready slots in
 // [lo, hi) to the two priority-group lists, in slot (= age, within a ring
 // segment) order.
@@ -143,7 +89,7 @@ func (p *Pipeline) collectReady(lo, hi int, c int64, selMem, selOther []selCand)
 			if !ok {
 				continue
 			}
-			cand := selCand{q: -1, idx: int32(idx), spec: spec}
+			cand := selCand{idx: int32(idx), spec: spec}
 			if cls := isa.Class(p.slotCls[idx]); cls == isa.ClassBranch || cls == isa.ClassLoad {
 				selMem = append(selMem, cand)
 			} else {
@@ -155,20 +101,6 @@ func (p *Pipeline) collectReady(lo, hi int, c int64, selMem, selOther []selCand)
 		}
 		wi++
 		w = words[wi]
-	}
-}
-
-// sweepBits is the settled-skipping sweep: it visits the occupied,
-// not-yet-settled slots in age order (occ &^ settled), performs the same
-// operand sync and output refresh the reference walk does, and marks entries
-// whose remaining sweep work is provably a no-op so later cycles skip them.
-func (p *Pipeline) sweepBits(c int64) {
-	n := len(p.entries)
-	if hi := p.head + p.count; hi <= n {
-		p.sweepSeg(p.head, hi, c)
-	} else {
-		p.sweepSeg(p.head, n, c)
-		p.sweepSeg(0, hi-n, c)
 	}
 }
 

@@ -17,29 +17,16 @@ import (
 // cycle; the hierarchical and retirement-based schemes are modeled as extra
 // gating terms inside refreshOutput.
 
-// sweep dispatches to the bitset-skipping pass (soa.go) or, under the
-// reference wakeup modes, the original full-window walk.
+// sweep visits the occupied slots that are neither settled nor dormant in
+// age order (sweepSeg, soa.go), syncing each entry's operands and settling
+// its output validity.
 func (p *Pipeline) sweep(c int64) {
-	if p.scanWakeup || p.queueWakeup {
-		p.sweepScan(c)
-		return
-	}
-	p.sweepBits(c)
-}
-
-// sweepScan is the original full-window sweep, kept as the reference
-// implementation the settled-skipping pass is differentially tested against.
-func (p *Pipeline) sweepScan(c int64) {
 	n := len(p.entries)
-	for i, s := 0, p.head; i < p.count; i++ {
-		e := &p.entries[s]
-		if s++; s == n {
-			s = 0
-		}
-		for o := 0; o < e.nsrc; o++ {
-			p.syncOperand(&e.src[o])
-		}
-		p.refreshOutput(e, c, i)
+	if hi := p.head + p.count; hi <= n {
+		p.sweepSeg(p.head, hi, c)
+	} else {
+		p.sweepSeg(p.head, n, c)
+		p.sweepSeg(0, hi-n, c)
 	}
 }
 
@@ -95,13 +82,13 @@ func (p *Pipeline) syncOperand(o *operand) bool {
 // refreshOutput settles the validity of e's result at cycle c; pos is the
 // entry's distance from the window head (for retirement-based verification).
 //
-// The return value is the dormant-sweep retry hint (ignored by the scan
-// reference): never means the blocked condition can only be lifted by an
-// already-instrumented wake (execution/access completion, an equality
-// outcome, a nullification, or a producer republish — see pubOut); a cycle
-// t > c means the entry is blocked purely on time and need not be revisited
-// before t; c+1 means it must stay hot (retirement-based verification
-// depends on the head position, which moves without any wake).
+// The return value is the dormant-sweep retry hint: never means the blocked
+// condition can only be lifted by an already-instrumented wake
+// (execution/access completion, an equality outcome, a nullification, or a
+// producer republish — see pubOut); a cycle t > c means the entry is blocked
+// purely on time and need not be revisited before t; c+1 means it must stay
+// hot (retirement-based verification depends on the head position, which
+// moves without any wake).
 func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
 	if e.validAt != never {
 		return never // validity is monotone
@@ -273,53 +260,20 @@ func (p *Pipeline) finishRetire(e *entry) {
 // scheme non-speculative candidates precede speculative ones within each
 // group, oldest first, while the oldest-first policy ignores the speculative
 // state of operands.
-//
-// The shipped path scans the ready bitset words in ring (= age) order
-// (issueBitset, soa.go); queueWakeup selects the tombstoned ready queue and
-// scanWakeup the original full-window scan, both kept as references. All
-// three see the same candidate sequence, so grants, grant order and
-// statistics are bit-identical.
 func (p *Pipeline) issue(c int64) {
-	if p.scanWakeup {
-		p.issueScan(c)
-		return
-	}
-	if p.queueWakeup {
-		p.issueQueue(c)
-		return
-	}
-	p.issueBitset(c)
-}
-
-// issueQueue performs wakeup/selection over the tombstoned ready queue — the
-// unissued entries in age order — instead of scanning the whole window once
-// per selection pass.
-func (p *Pipeline) issueQueue(c int64) {
-	p.qCompact()
 	oldestFirst := p.specOn() && p.model.Selection == core.SelectOldestFirst
 
 	// Readiness is pass-invariant within the cycle — granting one entry
 	// never changes another's operands mid-issue — so one walk of the ready
-	// queue evaluates every candidate once, and the priority passes below
-	// pick from the two group lists instead of re-checking the whole queue
-	// per (group, speculative) pass.
+	// bits (collectReady, soa.go) evaluates every candidate once, and the
+	// priority passes below pick from the two group lists.
 	selMem, selOther := p.selMem[:0], p.selOther[:0]
-	for qi := range p.readyQ {
-		idx := p.readyQ[qi].idx
-		if idx == qTomb {
-			continue
-		}
-		e := &p.entries[idx]
-		ok, spec := p.checkIssue(e, c)
-		if !ok {
-			continue
-		}
-		cand := selCand{q: int32(qi), idx: idx, spec: spec}
-		if e.cls == isa.ClassBranch || e.cls == isa.ClassLoad {
-			selMem = append(selMem, cand)
-		} else {
-			selOther = append(selOther, cand)
-		}
+	n := len(p.entries)
+	if hi := p.head + p.count; hi <= n {
+		selMem, selOther = p.collectReady(p.head, hi, c, selMem, selOther)
+	} else {
+		selMem, selOther = p.collectReady(p.head, n, c, selMem, selOther)
+		selMem, selOther = p.collectReady(0, hi-n, c, selMem, selOther)
 	}
 	p.selMem, p.selOther = selMem, selOther
 
@@ -335,7 +289,7 @@ func (p *Pipeline) issueQueue(c int64) {
 					break
 				}
 				cand := &sel[i]
-				if cand.idx == qTomb {
+				if cand.idx < 0 {
 					continue // granted in a previous pass
 				}
 				// Non-speculative candidates precede speculative ones under
@@ -343,12 +297,8 @@ func (p *Pipeline) issueQueue(c int64) {
 				if !oldestFirst && cand.spec != (specPass == 1) {
 					continue
 				}
-				e := &p.entries[cand.idx]
-				p.readyQ[cand.q].idx = qTomb
-				p.qDead++
-				e.inQ = false
-				p.grantIssue(e, c)
-				cand.idx = qTomb
+				p.grantIssue(&p.entries[cand.idx], c)
+				cand.idx = -1
 				grants++
 			}
 			if oldestFirst {
@@ -359,57 +309,11 @@ func (p *Pipeline) issueQueue(c int64) {
 	p.stats.Issues += int64(grants)
 }
 
-// selCand is one issue candidate: its ready-queue position (for O(1)
-// tombstoning on grant), ring index, and whether it would consume a
-// speculative input.
+// selCand is one issue candidate: its ring index and whether it would
+// consume a speculative input.
 type selCand struct {
-	q    int32
 	idx  int32
 	spec bool
-}
-
-// issueScan is the original full-window wakeup/selection scan, kept as the
-// reference implementation the property tests compare the ready queue
-// against (enabled via scanWakeup).
-func (p *Pipeline) issueScan(c int64) {
-	oldestFirst := p.specOn() && p.model.Selection == core.SelectOldestFirst
-	specPasses := 2
-	if oldestFirst {
-		specPasses = 1
-	}
-	grants := 0
-	for group := 0; group < 2; group++ {
-		memCtrl := group == 0 // branches and loads first
-		for specPass := 0; specPass < specPasses && grants < p.cfg.IssueWidth; specPass++ {
-			for i := 0; i < p.count && grants < p.cfg.IssueWidth; i++ {
-				e := &p.entries[p.slot(i)]
-				if (e.cls == isa.ClassBranch || e.cls == isa.ClassLoad) != memCtrl {
-					continue
-				}
-				if p.tryIssue(e, c, specPass == 1, !oldestFirst) {
-					grants++
-				}
-			}
-		}
-	}
-	p.stats.Issues += int64(grants)
-}
-
-// tryIssue issues e at cycle c if it is ready. When matchSpec is set,
-// allowSpec selects whether this selection pass takes candidates with
-// speculative inputs (non-speculative first) or only speculative ones;
-// without matchSpec any ready candidate is taken.
-func (p *Pipeline) tryIssue(e *entry, c int64, allowSpec, matchSpec bool) bool {
-	ok, spec := p.checkIssue(e, c)
-	if !ok {
-		return false
-	}
-	if matchSpec && spec != allowSpec {
-		return false
-	}
-	p.wakeRemove(e)
-	p.grantIssue(e, c)
-	return true
 }
 
 // untilChange is the slotNextTry sentinel for "blocked until an operand view
@@ -478,10 +382,10 @@ func (p *Pipeline) checkIssue(e *entry, c int64) (ok, spec bool) {
 	return true, spec
 }
 
-// grantIssue performs the state mutations of issuing e at cycle c. The
-// caller has already removed e from the ready queue.
+// grantIssue performs the state mutations of issuing e at cycle c.
 func (p *Pipeline) grantIssue(e *entry, c int64) {
 	p.emit(c, EvIssue, e)
+	clearBit(p.readyBits, e.idx)
 	e.issued = true
 	e.inFlight = true
 	e.execCount++
@@ -511,10 +415,8 @@ func (p *Pipeline) grantIssue(e *entry, c int64) {
 		lat = 1 // address generation
 	}
 	e.inFlightDone = c + lat - 1
-	if !p.scanWakeup {
-		p.wbWheel.schedule(c, e.inFlightDone+1,
-			wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbExec})
-	}
+	p.wbWheel.schedule(c, e.inFlightDone+1,
+		wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbExec})
 	if e.wasNullified {
 		p.stats.Reissues++
 	}
@@ -593,10 +495,8 @@ func (p *Pipeline) startAccessSeg(lo, hi int, c int64, validOnly bool) {
 				e.memStarted = true
 				clearBit(p.loadBits, idx)
 				e.memDoneAt = c
-				if !p.scanWakeup {
-					p.wbWheel.schedule(c, c+1,
-						wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
-				}
+				p.wbWheel.schedule(c, c+1,
+					wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
 				e.fwdStore = st.age
 				e.fwdDataOK = d.correct
 				if d.inWindow {
@@ -615,10 +515,8 @@ func (p *Pipeline) startAccessSeg(lo, hi int, c int64, validOnly bool) {
 			e.memStarted = true
 			clearBit(p.loadBits, idx)
 			e.memDoneAt = c + lat - 1
-			if !p.scanWakeup {
-				p.wbWheel.schedule(c, e.memDoneAt+1,
-					wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
-			}
+			p.wbWheel.schedule(c, e.memDoneAt+1,
+				wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
 			e.fwdDataOK = true
 		}
 		if wi == last {
@@ -759,7 +657,7 @@ func (p *Pipeline) fetch(c int64) {
 			lat := int64(p.hier.Inst(uint64(rec.PC) * 4))
 			if lat > 1 {
 				// Miss: re-fetch this instruction when the block arrives.
-				p.pushFront(*rec)
+				p.pending.pushFront(*rec)
 				p.fetchResume = c + lat - 1
 				return
 			}
@@ -814,10 +712,6 @@ func (p *Pipeline) nextRecord() (*trace.Record, bool, bool) {
 	return &p.recScratch, false, true
 }
 
-func (p *Pipeline) pushFront(rec trace.Record) {
-	p.pending.pushFront(rec)
-}
-
 // dispatch allocates a window entry for rec at cycle c. rec may alias the
 // shared recording or a deque slot; it is copied into the entry here, before
 // anything else can move it.
@@ -866,7 +760,7 @@ func (p *Pipeline) dispatch(rec *trace.Record, replayed bool, c int64) *entry {
 		}
 	}
 
-	p.wakeAdd(e)
+	setBit(p.readyBits, idx)
 	for s := 0; s < e.nsrc; s++ {
 		o := &e.src[s]
 		*o = operand{reg: rec.SrcRegs[s], validAt: never, ready: never}

@@ -7,7 +7,6 @@ import (
 	"valuespec/internal/core"
 	"valuespec/internal/obs"
 	"valuespec/internal/trace"
-	"valuespec/internal/vpred"
 )
 
 // cyclicSource replays a recorded stream forever, renumbering Seq so the
@@ -32,9 +31,10 @@ func (s *cyclicSource) Next() (trace.Record, bool) {
 
 // BenchmarkPipelineSteadyState measures one simulated cycle of a warmed-up
 // pipeline under the full Great model. The warmup drives every pool and ring
-// to its high-water mark (wheel slots, wave sets, ready queue, replay deque,
-// consumer lists); after it, the hot loop must run at 0 allocs/op — that
-// budget is pinned in BENCH_BASELINE.json and enforced by cmd/benchcheck.
+// to its high-water mark (wheel slots, wave sets, selection scratch, replay
+// deque, consumer lists); after it, the hot loop must run at 0 allocs/op —
+// that budget is pinned in BENCH_BASELINE.json and enforced by
+// cmd/benchcheck.
 //
 // The pipeline runs with a Metrics collector and a Telemetry interval
 // sampler attached and an obs SharedRegistry adapter standing by, the
@@ -44,13 +44,8 @@ func (s *cyclicSource) Next() (trace.Record, bool) {
 // after the timed loop. The 0 allocs/op budget therefore also pins
 // "attached-but-idle" live observability as allocation-free.
 func BenchmarkPipelineSteadyState(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
-	spec := &SpecOptions{
-		Enabled:    true,
-		Model:      core.Great(),
-		Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-		Confidence: confidence.NewResetting(10, 2),
-	}
+	recs := wakeupRecs(b, 99, 20000)
+	spec := fcmSpec(core.Great(), confidence.NewResetting(10, 2))
 	p, err := New(flatMemConfig(Config8x48()), spec, &cyclicSource{recs: recs})
 	if err != nil {
 		b.Fatal(err)
@@ -86,13 +81,8 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 // boundary; the 0 allocs/op budget pins sampling as allocation-free
 // (TimeSeries decimate in place instead of growing).
 func BenchmarkIntervalSampler(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
-	spec := &SpecOptions{
-		Enabled:    true,
-		Model:      core.Great(),
-		Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-		Confidence: confidence.NewResetting(10, 2),
-	}
+	recs := wakeupRecs(b, 99, 20000)
+	spec := fcmSpec(core.Great(), confidence.NewResetting(10, 2))
 	p, err := New(flatMemConfig(Config8x48()), spec, &cyclicSource{recs: recs})
 	if err != nil {
 		b.Fatal(err)
@@ -117,120 +107,71 @@ func BenchmarkIntervalSampler(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayRequeue compares the replay-queue representations on the
-// squash pattern: n records pushed onto the front one at a time (a complete
-// invalidation squashing the window, repeatedly), then drained. The ring
-// deque is O(1) per operation; the slice representation the deque replaced
-// re-allocated and copied the whole queue per prepend, so its per-op cost
-// grows linearly with queue depth (quadratic per squash burst) — visible
-// directly in the ns/op spread across sizes.
+// BenchmarkReplayRequeue measures the replay deque on the squash pattern: n
+// records pushed onto the front one at a time (a complete invalidation
+// squashing the window, repeatedly), then drained. Push and pop are O(1), so
+// ns/op grows linearly with n, and the deque allocates nothing once grown.
 func BenchmarkReplayRequeue(b *testing.B) {
-	for _, n := range []int{1024, 8192} {
-		rec := trace.Record{}
-		b.Run(sizeName("deque", n), func(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"deque-1k", 1024}, {"deque-8k", 8192}} {
+		b.Run(size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var d recDeque
 			for i := 0; i < b.N; i++ {
-				for j := 0; j < n; j++ {
-					d.pushFront(rec)
+				for j := 0; j < size.n; j++ {
+					d.pushFront(trace.Record{})
 				}
 				for d.len() > 0 {
-					d.popFront()
-				}
-			}
-		})
-		b.Run(sizeName("prepend", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var q []trace.Record
-				for j := 0; j < n; j++ {
-					q = append([]trace.Record{rec}, q...)
-				}
-				for len(q) > 0 {
-					q = q[1:]
+					d.popFrontRef()
 				}
 			}
 		})
 	}
 }
 
-func sizeName(kind string, n int) string {
-	switch n {
-	case 1024:
-		return kind + "-1k"
-	case 8192:
-		return kind + "-8k"
-	}
-	return kind
-}
-
-// BenchmarkReadyQueueWide stresses selection on a window far wider than the
-// paper's largest configuration (16-wide, 512 entries), where the per-cycle
-// full-window scan is most expensive. "bitset" is the shipped bitset
-// occupancy/ready words; "queue" is the previous tombstoned ready queue;
-// "scan" is the reference full-window scan. benchcheck gates all three side
-// by side.
+// BenchmarkReadyQueueWide runs whole simulations on a window far wider than
+// the paper's largest configuration (16-wide, 512 entries), where the
+// per-cycle selection and sweep walks span eight bitset words.
 func BenchmarkReadyQueueWide(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := wakeupRecs(b, 99, 20000)
 	cfg := flatMemConfig(Config{IssueWidth: 16, WindowSize: 512})
-	for _, mode := range wakeupModes {
-		b.Run(mode.name, func(b *testing.B) {
-			var retired int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				spec := &SpecOptions{
-					Enabled:    true,
-					Model:      core.Great(),
-					Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-					Confidence: confidence.NewResetting(10, 2),
-				}
-				p, err := New(cfg, spec, trace.NewMemorySource(recs))
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.queueWakeup, p.scanWakeup = mode.queue, mode.scan
-				st, err := p.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				retired += st.Retired
-			}
-			b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instrs/s")
-		})
+	var retired int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), trace.NewMemorySource(recs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := p.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		retired += st.Retired
 	}
+	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instrs/s")
 }
 
 // BenchmarkBitsetSelect isolates the per-cycle cost of the wakeup/selection
 // and sweep structures on a warmed-up wide window (16-wide, 512 entries):
-// the same steady-state loop as BenchmarkPipelineSteadyState, run once per
-// wakeup mode so the bitset words, the tombstoned queue and the full scan
-// are compared cycle for cycle on identical machine state.
+// the same steady-state loop as BenchmarkPipelineSteadyState on eight
+// bitset words instead of one.
 func BenchmarkBitsetSelect(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := wakeupRecs(b, 99, 20000)
 	cfg := flatMemConfig(Config{IssueWidth: 16, WindowSize: 512})
-	for _, mode := range wakeupModes {
-		b.Run(mode.name, func(b *testing.B) {
-			spec := &SpecOptions{
-				Enabled:    true,
-				Model:      core.Great(),
-				Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-				Confidence: confidence.NewResetting(10, 2),
-			}
-			p, err := New(cfg, spec, &cyclicSource{recs: recs})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.queueWakeup, p.scanWakeup = mode.queue, mode.scan
-			for i := 0; i < 50000; i++ {
-				p.step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.step()
-			}
-			b.ReportMetric(float64(p.stats.Retired)/b.Elapsed().Seconds(), "instrs/s")
-		})
+	p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), &cyclicSource{recs: recs})
+	if err != nil {
+		b.Fatal(err)
 	}
+	for i := 0; i < 50000; i++ {
+		p.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.step()
+	}
+	b.ReportMetric(float64(p.stats.Retired)/b.Elapsed().Seconds(), "instrs/s")
 }

@@ -219,7 +219,7 @@ func (t *Telemetry) finishRun(p *Pipeline) {
 
 // WriteCSV writes the recorded series as one CSV table: a cycle column
 // followed by one column per series, one row per retained interval. All
-// series are appended in lockstep, so they share row boundaries.
+// series are appended together, so they share row boundaries.
 func (t *Telemetry) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "cycle")

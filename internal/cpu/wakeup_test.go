@@ -12,66 +12,37 @@ import (
 	"valuespec/internal/vpred"
 )
 
-// wakeupMode selects one of the three wakeup/selection implementations: the
-// shipped bitset path (default), the tombstoned ready queue (queueWakeup) or
-// the reference full-window scan (scanWakeup).
-type wakeupMode struct {
-	name  string
-	queue bool
-	scan  bool
-}
+// eventStream is an Observer that records every event in order. Unlike
+// EventLog it keeps no per-Seq index, which would cost the differential
+// about a third of its run time.
+type eventStream []Event
 
-var wakeupModes = []wakeupMode{
-	{name: "bitset"},
-	{name: "queue", queue: true},
-	{name: "scan", scan: true},
-}
+func (s *eventStream) Observe(ev Event) { *s = append(*s, ev) }
 
-// runWakeup simulates recs under one wakeup mode, capturing the complete
-// event stream.
-func runWakeup(t *testing.T, cfg Config, mk func() *SpecOptions, recs []trace.Record, mode wakeupMode) (*Stats, *EventLog) {
-	t.Helper()
-	p, err := New(cfg, mk(), &trace.SliceSource{Records: recs})
-	if err != nil {
-		t.Fatal(err)
+// fcmSpec returns speculation options for model m with a fresh FCM
+// predictor and the given confidence estimator.
+func fcmSpec(m core.Model, conf confidence.Estimator) *SpecOptions {
+	return &SpecOptions{
+		Enabled:    true,
+		Model:      m,
+		Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
+		Confidence: conf,
 	}
-	p.queueWakeup, p.scanWakeup = mode.queue, mode.scan
-	log := &EventLog{}
-	p.SetObserver(log)
-	st, err := p.Run()
-	if err != nil {
-		t.Fatalf("Run (%s): %v\nstats: %s", mode.name, err, p.Stats())
-	}
-	return st, log
 }
 
-// TestEventWakeupMatchesScan is the equivalence property behind the
-// event-driven wakeup conversions: on random dependence DAGs, under every
-// model preset and under the ablations that stress nullification the
-// hardest, the bitset and ready-queue implementations must produce exactly
-// the same event stream — same entries woken, issued, invalidated and
-// retired in the same cycles, in the same order — and byte-identical
-// statistics as the original full-window scan.
-func TestEventWakeupMatchesScan(t *testing.T) {
-	r := rand.New(rand.NewSource(1337))
-	configs := []Config{flatMemConfig(Config4x24()), Config8x48()}
-
+// diffVariants are the speculation settings the differential runs on every
+// trace: the base processor, every preset, and always-speculate ablations
+// of Great that maximize invalidation-wave traffic, the path where the
+// consumer-list walk replaces the window scan.
+func diffVariants() []func() *SpecOptions {
 	variants := []func() *SpecOptions{
-		func() *SpecOptions { return nil }, // base
+		func() *SpecOptions { return nil },
 	}
 	for _, preset := range core.Presets() {
-		preset := preset
 		variants = append(variants, func() *SpecOptions {
-			return &SpecOptions{
-				Enabled:    true,
-				Model:      preset,
-				Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-				Confidence: confidence.NewResetting(10, 2),
-			}
+			return fcmSpec(preset, confidence.NewResetting(10, 2))
 		})
 	}
-	// Always-speculate ablations maximize invalidation-wave traffic, the
-	// path where the consumer-list walk replaces the window scan.
 	ablations := []func(m *core.Model){
 		func(m *core.Model) {},
 		func(m *core.Model) { m.Invalidation = core.InvalidateHierarchical },
@@ -86,63 +57,134 @@ func TestEventWakeupMatchesScan(t *testing.T) {
 		},
 	}
 	for _, ab := range ablations {
-		ab := ab
-		variants = append(variants, func() *SpecOptions {
-			m := core.Great()
-			ab(&m)
-			return &SpecOptions{
-				Enabled:    true,
-				Model:      m,
-				Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-				Confidence: confidence.Always{},
-			}
-		})
+		m := core.Great()
+		ab(&m)
+		variants = append(variants, func() *SpecOptions { return fcmSpec(m, confidence.Always{}) })
 	}
+	return variants
+}
 
-	for trial := 0; trial < 6; trial++ {
-		prog := genProgram(r)
-		m, err := emu.New(prog, emu.WithBudget(2500))
-		if err != nil {
-			t.Fatal(err)
+// randomLatencyModel draws an always-speculate model with random latency
+// variables. With long set, the equality latencies lie past the timing
+// wheel's nominal 64-slot horizon, so the wheel must grow mid-run.
+func randomLatencyModel(r *rand.Rand, inval core.InvalidationScheme, long bool) core.Model {
+	m := core.Great()
+	m.Invalidation = inval
+	if inval == core.InvalidateHierarchical {
+		m.Verification = core.VerifyHierarchical
+	}
+	m.Lat = core.Latencies{
+		ExecEqInvalidate:  r.Intn(4),
+		ExecEqVerify:      r.Intn(4),
+		VerifyFreeIssue:   1 + r.Intn(2),
+		VerifyFreeRetire:  1 + r.Intn(2),
+		InvalidateReissue: r.Intn(3),
+		VerifyBranch:      r.Intn(3),
+		VerifyAddrMem:     r.Intn(3),
+	}
+	if long {
+		m.Lat.ExecEqInvalidate = wheelNominalSlots + r.Intn(150)
+		m.Lat.ExecEqVerify = wheelNominalSlots + r.Intn(150)
+	}
+	return m
+}
+
+// TestEventWakeupMatchesScan is the differential check of the simulator
+// core against the full-window scan reference (scan_test.go). On
+// concatenated random-program traces of 2000–3000 records, under every
+// variant — base, presets, invalidation-heavy ablations and randomized
+// latency variables, some past the wheel horizon — and on windows from 4/24
+// to 16/130 (three bitset words, the last one partial), the shipped core
+// must emit exactly the same event stream (same entries dispatched, issued,
+// invalidated and retired in the same cycles, in the same order) and
+// byte-identical statistics.
+func TestEventWakeupMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(1337))
+	configs := []Config{
+		flatMemConfig(Config4x24()),
+		Config8x48(),
+		flatMemConfig(Config16x96()),
+		flatMemConfig(Config{IssueWidth: 16, WindowSize: 130}),
+	}
+	invals := []core.InvalidationScheme{core.InvalidateParallel, core.InvalidateHierarchical, core.InvalidateComplete}
+
+	maxOcc, grew := 0.0, false
+	for trial := 0; trial < 4; trial++ {
+		recs := wakeupRecs(t, r.Int63(), 2000+r.Intn(1001))
+		variants := diffVariants()
+		for _, long := range []bool{false, true} {
+			m := randomLatencyModel(r, invals[r.Intn(len(invals))], long)
+			variants = append(variants, func() *SpecOptions { return fcmSpec(m, confidence.Always{}) })
 		}
-		recs := trace.Collect(m, 0)
 		for vi, mk := range variants {
 			for ci, cfg := range configs {
-				stB, logB := runWakeup(t, cfg, mk, recs, wakeupModes[0])
-				for _, mode := range wakeupModes[1:] {
-					st, log := runWakeup(t, cfg, mk, recs, mode)
-					if !reflect.DeepEqual(stB, st) {
-						t.Fatalf("trial %d variant %d cfg %d: stats diverged\nbitset: %s\n%s: %s",
-							trial, vi, ci, stB, mode.name, st)
-					}
-					if !reflect.DeepEqual(logB.Events, log.Events) {
-						for i := range logB.Events {
-							if i >= len(log.Events) || logB.Events[i] != log.Events[i] {
-								t.Fatalf("trial %d variant %d cfg %d: event %d diverged: bitset %+v %s %+v",
-									trial, vi, ci, i, logB.Events[i], mode.name, log.Events[i])
-							}
-						}
-						t.Fatalf("trial %d variant %d cfg %d: event streams differ in length (bitset %d vs %s %d)",
-							trial, vi, ci, len(logB.Events), mode.name, len(log.Events))
-					}
+				var shipped, ref eventStream
+				p, err := New(cfg, mk(), &trace.SliceSource{Records: recs})
+				if err != nil {
+					t.Fatal(err)
 				}
+				p.SetObserver(&shipped)
+				st, err := p.Run()
+				if err != nil {
+					t.Fatalf("trial %d variant %d cfg %d: %v\nstats: %s", trial, vi, ci, err, st)
+				}
+				q, err := New(cfg, mk(), &trace.SliceSource{Records: recs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				q.SetObserver(&ref)
+				stRef := runScan(q, st.Cycles+1)
+
+				if !reflect.DeepEqual(st, stRef) {
+					t.Fatalf("trial %d variant %d cfg %d: stats diverged\nshipped: %s\nscan:    %s",
+						trial, vi, ci, st, stRef)
+				}
+				if i := firstDiff(shipped, ref); i >= 0 {
+					t.Fatalf("trial %d variant %d cfg %d: event %d diverged (shipped %d events, scan %d)\nshipped: %+v\nscan:    %+v",
+						trial, vi, ci, i, len(shipped), len(ref), shipped[i:min(i+1, len(shipped))], ref[i:min(i+1, len(ref))])
+				}
+				maxOcc = max(maxOcc, float64(st.OccupancySum)/float64(st.Cycles))
+				grew = grew || p.eqWheel.grows > 0
 			}
 		}
+	}
+	// Guard the coverage itself: the wide windows must actually fill past
+	// one bitset word, and some long-latency run must grow the wheel.
+	t.Logf("max mean occupancy %.1f, equality wheel grown: %t", maxOcc, grew)
+	if maxOcc <= 64 {
+		t.Fatalf("max mean occupancy %.1f: no run kept more than one bitset word of the window busy", maxOcc)
+	}
+	if !grew {
+		t.Fatal("no run grew the equality wheel; the long-latency growth path went untested")
 	}
 }
 
-// benchWakeupRecs builds a window-saturating record stream: long dependence
-// chains interleaved with independent work, so the window stays full and the
-// wakeup logic has many entries to consider each cycle.
-func benchWakeupRecs(b *testing.B, n int) []trace.Record {
-	b.Helper()
-	r := rand.New(rand.NewSource(99))
+// firstDiff returns the index of the first event at which a and b differ,
+// or -1 when the streams are identical.
+func firstDiff(a, b eventStream) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// wakeupRecs builds a window-saturating trace of about n records: random
+// programs, each emulated to completion and concatenated, so long dependence
+// chains interleave with independent work and the window stays full.
+func wakeupRecs(tb testing.TB, seed int64, n int) []trace.Record {
+	tb.Helper()
+	r := rand.New(rand.NewSource(seed))
 	var recs []trace.Record
 	for len(recs) < n {
 		prog := genProgram(r)
 		m, err := emu.New(prog, emu.WithBudget(int64(n-len(recs))))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		got := trace.Collect(m, 0)
 		// Renumber so the concatenated stream is a single coherent trace.
@@ -154,35 +196,23 @@ func benchWakeupRecs(b *testing.B, n int) []trace.Record {
 	return recs
 }
 
-// BenchmarkWakeup compares the three wakeup implementations on the
-// 16-wide/96-entry configuration, where the per-cycle scans are largest. The
-// "bitset" result is the shipped path.
+// BenchmarkWakeup runs whole simulations on the 16-wide/96-entry
+// configuration, where the per-cycle wakeup and selection work is largest.
 func BenchmarkWakeup(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := wakeupRecs(b, 99, 20000)
 	cfg := flatMemConfig(Config16x96())
-	for _, mode := range wakeupModes {
-		b.Run(mode.name, func(b *testing.B) {
-			var retired int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				spec := &SpecOptions{
-					Enabled:    true,
-					Model:      core.Great(),
-					Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-					Confidence: confidence.NewResetting(10, 2),
-				}
-				p, err := New(cfg, spec, trace.NewMemorySource(recs))
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.queueWakeup, p.scanWakeup = mode.queue, mode.scan
-				st, err := p.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				retired += st.Retired
-			}
-			b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instrs/s")
-		})
+	var retired int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), trace.NewMemorySource(recs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := p.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		retired += st.Retired
 	}
+	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instrs/s")
 }

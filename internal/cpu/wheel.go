@@ -3,10 +3,10 @@ package cpu
 import "valuespec/internal/trace"
 
 // This file holds the allocation-free data structures of the steady-state
-// simulation loop (see docs/PERFORMANCE.md): the timing wheel that replaced
-// the cycle-keyed event maps, the window-indexed bitset that replaced the
-// per-wave age sets, and the ring-buffer deque that replaced the replay-queue
-// slice prepends. All of them reach a high-water capacity during warmup and
+// simulation loop (see docs/PERFORMANCE.md): the timing wheel that files
+// future events by cycle, the window-indexed bitset that holds one
+// invalidation-wave step's producers, and the ring-buffer deque of records
+// awaiting replay. All of them reach a high-water capacity during warmup and
 // then recycle their storage, so a pipeline in steady state performs no heap
 // allocations per cycle.
 
@@ -111,10 +111,9 @@ func (w *wheel[T]) grow(delta int64) {
 //
 //	set.has(o.prodIdx) && p.waveAges[o.prodIdx] == o.prodAge
 //
-// which is equivalent to the age-set membership the map implementation used:
-// an age uniquely identifies an entry, an entry's ring slot is fixed for its
-// lifetime, and the age guard rejects marks that belong to a different
-// occupant of the slot.
+// which is exact membership by age: an age uniquely identifies an entry, an
+// entry's ring slot is fixed for its lifetime, and the age guard rejects
+// marks that belong to a different occupant of the slot.
 //
 // Sets are pooled on the pipeline (getWaveSet/putWaveSet) and cleared by
 // walking idxs, so waves allocate nothing in steady state.
@@ -175,11 +174,10 @@ func (p *Pipeline) inWave(w *waveSet, idx int, age int64) bool {
 // ---------------------------------------------------------------------------
 // Replay deque
 
-// recDeque is a ring-buffer deque of trace records, the replay queue that
-// squashes and i-cache misses push re-dispatched instructions onto. Both
-// mutating ends are O(1): the old slice representation re-allocated and
-// copied the whole queue on every front insertion, which made long
-// complete-invalidation replays quadratic (see BenchmarkReplayRequeue).
+// recDeque is a ring buffer of trace records, the replay queue that squashes
+// and i-cache misses push re-dispatched instructions onto. Records enter and
+// leave at the front, both in O(1), so a complete-invalidation squash of the
+// whole window costs one push per squashed entry.
 type recDeque struct {
 	buf  []trace.Record // power-of-two capacity
 	head int            // index of the front element
@@ -209,28 +207,11 @@ func (d *recDeque) pushFront(rec trace.Record) {
 	d.n++
 }
 
-func (d *recDeque) pushBack(rec trace.Record) {
-	if d.n == len(d.buf) {
-		d.grow()
-	}
-	d.buf[(d.head+d.n)&(len(d.buf)-1)] = rec
-	d.n++
-}
-
 // popFrontRef pops the front record, returning a pointer into the deque's
 // buffer. The slot is valid only until the next push; callers copy what they
 // keep (dispatch copies into the window entry) before mutating the deque.
 func (d *recDeque) popFrontRef() *trace.Record {
 	rec := &d.buf[d.head]
-	d.head = (d.head + 1) & (len(d.buf) - 1)
-	d.n--
-	return rec
-}
-
-func (d *recDeque) popFront() trace.Record {
-	// The vacated slot is not zeroed: records hold no pointers, so stale
-	// contents retain nothing.
-	rec := d.buf[d.head]
 	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.n--
 	return rec

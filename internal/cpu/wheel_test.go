@@ -3,14 +3,12 @@ package cpu
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"valuespec/internal/confidence"
 	"valuespec/internal/core"
 	"valuespec/internal/emu"
 	"valuespec/internal/trace"
-	"valuespec/internal/vpred"
 )
 
 // ---------------------------------------------------------------------------
@@ -165,35 +163,33 @@ func TestWaveSetPool(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Replay deque
 
+// TestRecDequeMatchesSlice model-checks the two operations the pipeline
+// uses, pushFront and popFrontRef, against a slice, through several growths
+// and wraparounds of the ring.
 func TestRecDequeMatchesSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	var d recDeque
 	var ref []trace.Record
-	rec := func(i int) trace.Record { return trace.Record{Seq: int64(i)} }
+	pop := func(op int) {
+		t.Helper()
+		if got, want := d.popFrontRef().Seq, ref[0].Seq; got != want {
+			t.Fatalf("op %d: popFrontRef = %d, want %d", op, got, want)
+		}
+		ref = ref[1:]
+	}
 	for i := 0; i < 20000; i++ {
-		switch op := r.Intn(3); {
-		case op == 0:
-			d.pushFront(rec(i))
-			ref = append([]trace.Record{rec(i)}, ref...)
-		case op == 1:
-			d.pushBack(rec(i))
-			ref = append(ref, rec(i))
-		case len(ref) > 0:
-			got, want := d.popFront(), ref[0]
-			ref = ref[1:]
-			if got.Seq != want.Seq {
-				t.Fatalf("op %d: popFront = %d, want %d", i, got.Seq, want.Seq)
-			}
+		if r.Intn(2) == 0 || len(ref) == 0 {
+			d.pushFront(trace.Record{Seq: int64(i)})
+			ref = append([]trace.Record{{Seq: int64(i)}}, ref...)
+		} else {
+			pop(i)
 		}
 		if d.len() != len(ref) {
 			t.Fatalf("op %d: len = %d, want %d", i, d.len(), len(ref))
 		}
 	}
 	for len(ref) > 0 {
-		if got := d.popFront(); got.Seq != ref[0].Seq {
-			t.Fatalf("drain: popFront = %d, want %d", got.Seq, ref[0].Seq)
-		}
-		ref = ref[1:]
+		pop(-1)
 	}
 	if d.len() != 0 {
 		t.Fatalf("drained deque has len %d", d.len())
@@ -201,208 +197,68 @@ func TestRecDequeMatchesSlice(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Ready-queue tombstones
+// Wheel growth in the pipeline
 
-// TestReadyQueueTombstones model-checks qInsert/qRemove/qCompact against a
-// reference set: after every operation the queue must stay age-sorted, hold
-// exactly the live members, and account its tombstones.
-func TestReadyQueueTombstones(t *testing.T) {
-	const window = 64
-	p, err := New(Config{IssueWidth: 8, WindowSize: window}, nil, &trace.SliceSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(5))
-	live := map[int64]int{} // age -> ring index
-	nextAge := int64(0)
-	inUse := map[int]int64{} // ring index -> age
-
-	check := func(step int) {
-		t.Helper()
-		if !sort.SliceIsSorted(p.readyQ, func(i, j int) bool { return p.readyQ[i].age < p.readyQ[j].age }) {
-			t.Fatalf("step %d: readyQ not sorted: %v", step, p.readyQ)
-		}
-		dead, got := 0, map[int64]int{}
-		for _, ent := range p.readyQ {
-			if ent.idx == qTomb {
-				dead++
-				continue
-			}
-			got[ent.age] = int(ent.idx)
-		}
-		if dead != p.qDead {
-			t.Fatalf("step %d: qDead = %d, counted %d", step, p.qDead, dead)
-		}
-		if !reflect.DeepEqual(got, live) {
-			t.Fatalf("step %d: members %v, want %v", step, got, live)
-		}
-	}
-
-	for step := 0; step < 20000; step++ {
-		if r.Intn(2) == 0 && len(inUse) < window {
-			// Claim a free slot with a fresh age and enqueue it. Nullified
-			// entries re-enter mid-queue in the real pipeline; model that by
-			// sometimes backdating the age below the current maximum.
-			idx := r.Intn(window)
-			for _, used := inUse[idx]; used; _, used = inUse[idx] {
-				idx = (idx + 1) % window
-			}
-			age := nextAge
-			nextAge += int64(1 + r.Intn(3))
-			e := &p.entries[idx]
-			e.idx, e.age, e.inQ = idx, age, false
-			p.qInsert(e)
-			if !e.inQ {
-				t.Fatalf("step %d: qInsert left inQ false", step)
-			}
-			live[age], inUse[idx] = idx, age
-		} else if len(inUse) > 0 {
-			var idx int
-			for idx = range inUse {
-				break
-			}
-			age := inUse[idx]
-			e := &p.entries[idx]
-			p.qRemove(e)
-			if e.inQ {
-				t.Fatalf("step %d: qRemove left inQ true", step)
-			}
-			delete(live, age)
-			delete(inUse, idx)
-		}
-		if r.Intn(64) == 0 {
-			p.qCompact()
-		}
-		check(step)
-	}
-	p.qCompact()
-	if p.qDead*2 > len(p.readyQ) && p.qDead >= 16 {
-		t.Fatalf("qCompact left %d dead of %d", p.qDead, len(p.readyQ))
-	}
-	check(-1)
-}
-
-// TestReadyQueueTombstoneReclaim pins the fast path: removing an element and
-// re-inserting the same age must reclaim its tombstone without growing the
-// queue, which is what keeps nullification O(log n).
-func TestReadyQueueTombstoneReclaim(t *testing.T) {
-	p, err := New(Config8x48(), nil, &trace.SliceSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		e := &p.entries[i]
-		e.idx, e.age = i, int64(i)
-		p.qInsert(e)
-	}
-	e := &p.entries[4]
-	p.qRemove(e)
-	if p.qDead != 1 {
-		t.Fatalf("qDead = %d, want 1", p.qDead)
-	}
-	n := len(p.readyQ)
-	p.qInsert(e)
-	if len(p.readyQ) != n {
-		t.Fatalf("reinsertion grew the queue: %d -> %d", n, len(p.readyQ))
-	}
-	if p.qDead != 0 {
-		t.Fatalf("qDead = %d after reclaim, want 0", p.qDead)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Wheel-vs-map pipeline equivalence
-
-// runEventMode simulates recs with either the timing wheels (shipped) or the
-// cycle-keyed maps (reference), capturing the complete event stream.
-func runEventMode(t *testing.T, cfg Config, mk func() *SpecOptions, recs []trace.Record, useMap bool) (*Stats, *EventLog, *Pipeline) {
-	t.Helper()
-	p, err := New(cfg, mk(), &trace.SliceSource{Records: recs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.mapEvents = useMap
-	log := &EventLog{}
-	p.SetObserver(log)
-	_, err = p.Run()
-	if err != nil {
-		t.Fatalf("Run (mapEvents=%t): %v\nstats: %s", useMap, err, p.Stats())
-	}
-	return p.Stats(), log, p
-}
-
-// TestEventWheelMatchesMap is the equivalence property behind the timing-wheel
-// conversion: on random dependence DAGs under randomized latency variables —
-// including equality latencies far beyond the wheel's nominal 64-slot horizon,
-// which force the ring to grow mid-run — the wheel-scheduled pipeline must
-// produce exactly the same event stream and byte-identical statistics as the
-// map-keyed reference scheduler.
+// TestEventWheelMatchesMap is the equivalence property behind the timing
+// wheels at pipeline level: on random dependence DAGs under randomized
+// latency variables — including equality latencies far beyond the wheel's
+// nominal 64-slot horizon, which force the ring to grow and rehome its
+// pending slots mid-run — the shipped pipeline must produce exactly the same
+// event stream and byte-identical statistics as a reference whose wheels are
+// sized past every latency from the start. The reference never grows a ring
+// and gives each pending cycle its own slot for the whole run, so it behaves
+// as a plain cycle-keyed map; TestWheelRandomMatchesMap checks the same
+// property for a single wheel.
 func TestEventWheelMatchesMap(t *testing.T) {
+	const refSlots = 1024
 	r := rand.New(rand.NewSource(4242))
 	configs := []Config{flatMemConfig(Config4x24()), Config8x48()}
-
-	randLat := func(short bool) core.Latencies {
-		l := core.Latencies{
-			ExecEqInvalidate:  r.Intn(4),
-			ExecEqVerify:      r.Intn(4),
-			VerifyFreeIssue:   1 + r.Intn(2),
-			VerifyFreeRetire:  1 + r.Intn(2),
-			InvalidateReissue: r.Intn(3),
-			VerifyBranch:      r.Intn(3),
-			VerifyAddrMem:     r.Intn(3),
-		}
-		if !short {
-			// Past the nominal horizon: the wheel must grow in-pipeline.
-			l.ExecEqInvalidate = wheelNominalSlots + r.Intn(150)
-			l.ExecEqVerify = wheelNominalSlots + r.Intn(150)
-		}
-		return l
-	}
 	invals := []core.InvalidationScheme{core.InvalidateParallel, core.InvalidateHierarchical, core.InvalidateComplete}
+
+	run := func(cfg Config, m core.Model, recs []trace.Record, presize bool) (*Stats, eventStream, *Pipeline) {
+		t.Helper()
+		p, err := New(cfg, fcmSpec(m, confidence.Always{}), &trace.SliceSource{Records: recs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if presize {
+			p.eqWheel = newWheel[eqEvent](refSlots)
+			p.waveWheel = newWheel[*waveSet](refSlots)
+			p.wbWheel = newWheel[wbEvent](refSlots)
+		}
+		var evs eventStream
+		p.SetObserver(&evs)
+		st, err := p.Run()
+		if err != nil {
+			t.Fatalf("Run (presized=%t): %v\nstats: %s", presize, err, st)
+		}
+		return st, evs, p
+	}
 
 	sawGrowth := false
 	for trial := 0; trial < 8; trial++ {
-		prog := genProgram(r)
-		m, err := emu.New(prog, emu.WithBudget(2000))
+		m, err := emu.New(genProgram(r), emu.WithBudget(2000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		recs := trace.Collect(m, 0)
-		short := trial%2 == 0
-		model := core.Great()
-		model.Invalidation = invals[trial%len(invals)]
-		if model.Invalidation == core.InvalidateHierarchical {
-			model.Verification = core.VerifyHierarchical
-		}
-		model.Lat = randLat(short)
-		mk := func() *SpecOptions {
-			return &SpecOptions{
-				Enabled:    true,
-				Model:      model,
-				Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
-				Confidence: confidence.Always{},
-			}
-		}
+		long := trial%2 == 1
+		model := randomLatencyModel(r, invals[trial%len(invals)], long)
 		for ci, cfg := range configs {
-			stW, logW, pw := runEventMode(t, cfg, mk, recs, false)
-			stM, logM, _ := runEventMode(t, cfg, mk, recs, true)
-			if !reflect.DeepEqual(stW, stM) {
-				t.Fatalf("trial %d cfg %d (lat %+v): stats diverged\nwheel: %s\nmap:   %s",
-					trial, ci, model.Lat, stW, stM)
+			st, evs, p := run(cfg, model, recs, false)
+			stRef, evsRef, ref := run(cfg, model, recs, true)
+			if g := ref.eqWheel.grows + ref.waveWheel.grows + ref.wbWheel.grows; g != 0 {
+				t.Fatalf("trial %d cfg %d: reference wheels grew %d times; raise refSlots", trial, ci, g)
 			}
-			if !reflect.DeepEqual(logW.Events, logM.Events) {
-				for i := range logW.Events {
-					if i >= len(logM.Events) || logW.Events[i] != logM.Events[i] {
-						t.Fatalf("trial %d cfg %d: event %d diverged: wheel %+v map %+v",
-							trial, ci, i, logW.Events[i], logM.Events[i])
-					}
-				}
-				t.Fatalf("trial %d cfg %d: event streams differ in length: %d vs %d",
-					trial, ci, len(logW.Events), len(logM.Events))
+			if !reflect.DeepEqual(st, stRef) {
+				t.Fatalf("trial %d cfg %d (lat %+v): stats diverged\nwheel:     %s\nreference: %s",
+					trial, ci, model.Lat, st, stRef)
 			}
-			if !short && pw.eqWheel.grows > 0 {
-				sawGrowth = true
+			if i := firstDiff(evs, evsRef); i >= 0 {
+				t.Fatalf("trial %d cfg %d: event %d diverged (wheel %d events, reference %d)\nwheel:     %+v\nreference: %+v",
+					trial, ci, i, len(evs), len(evsRef), evs[i:min(i+1, len(evs))], evsRef[i:min(i+1, len(evsRef))])
 			}
+			sawGrowth = sawGrowth || (long && p.eqWheel.grows > 0)
 		}
 	}
 	if !sawGrowth {

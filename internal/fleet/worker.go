@@ -36,9 +36,6 @@ type WorkerConfig struct {
 	// JobTimeout bounds one job execution; 0 means no bound. A job whose
 	// request carries TimeoutSeconds > 0 uses that instead.
 	JobTimeout time.Duration
-	// LockstepK > 1 routes batches through harness.SimulateLockstepBatch,
-	// exactly like the in-process worker pool; results stay byte-identical.
-	LockstepK int
 	// Telemetry and TelemetryInterval mirror jobs.Config: when the
 	// coordinator stores telemetry, its workers must sample it too.
 	Telemetry         bool
@@ -48,7 +45,7 @@ type WorkerConfig struct {
 	// allocates a private one.
 	Metrics *obs.SharedRegistry
 	// Simulate overrides the batch executor (tests script failures and
-	// hangs); nil selects the harness executor per LockstepK.
+	// hangs); nil selects harness.SimulateBatch.
 	Simulate jobs.SimulateFunc
 	// HTTP is the client used for all protocol calls; nil uses a client
 	// with a 30s timeout.
@@ -106,13 +103,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Poll = 500 * time.Millisecond
 	}
 	if cfg.Simulate == nil {
-		if k := cfg.LockstepK; k > 1 {
-			cfg.Simulate = func(ctx context.Context, specs []harness.Spec, progress *harness.Progress) ([]harness.Result, error) {
-				return harness.SimulateLockstepBatch(ctx, specs, k, progress)
-			}
-		} else {
-			cfg.Simulate = harness.SimulateBatch
-		}
+		cfg.Simulate = harness.SimulateBatch
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewSharedRegistry()

@@ -281,9 +281,6 @@ func SimulateBatch(ctx context.Context, specs []Spec, progress *Progress) ([]Res
 }
 
 func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress *Progress) ([]Result, error) {
-	if k := Lockstep(); k > 1 {
-		return simulateLockstep(ctx, specs, k, cache, progress)
-	}
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
 	workers := runtime.GOMAXPROCS(0)

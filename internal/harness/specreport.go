@@ -12,8 +12,8 @@ import (
 // grouped by (configuration, model, setting): every completed speculative
 // spec folds its four-quadrant counts into its group's row. Install
 // process-wide with SetSpecReport (cmd/vsweep does this under -spec-report)
-// and both the scalar and lockstep executors report into it; the rows feed
-// the ASCII breakdown table. All methods are goroutine-safe.
+// and every simulated spec reports into it; the rows feed the ASCII
+// breakdown table. All methods are goroutine-safe.
 type SpecReport struct {
 	mu    sync.Mutex
 	rows  map[string]*SpecReportRow

@@ -1,10 +1,7 @@
 package jobs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -85,8 +82,7 @@ func BenchmarkQueueSubmitDrain(b *testing.B) {
 // BenchmarkJournalGroupCommit measures the durable submit path under
 // concurrency: 8 goroutines submit jobs whose journal records share group
 // commits, so each acknowledgment amortizes its fsync across every
-// submitter staged in the same window. Compare BenchmarkJournalPerJobFsync,
-// the one-durable-file-per-transition design the batched journal replaced.
+// submitter staged in the same window.
 func BenchmarkJournalGroupCommit(b *testing.B) {
 	q, err := OpenQueue(b.TempDir())
 	if err != nil {
@@ -119,38 +115,4 @@ func BenchmarkJournalGroupCommit(b *testing.B) {
 		}(n)
 	}
 	wg.Wait()
-}
-
-// BenchmarkJournalPerJobFsync is the baseline the batched journal replaced:
-// one durable file per queue transition — write, fsync, close for every
-// record, with nothing amortized. The gap to BenchmarkJournalGroupCommit is
-// the group commit's payoff.
-func BenchmarkJournalPerJobFsync(b *testing.B) {
-	dir := b.TempDir()
-	req := Request{Name: "gc", Specs: []SimSpec{{Workload: "compress", Scale: 2}}}
-	hash, err := req.Hash()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec, err := json.Marshal(Job{ID: "j00000001", State: StateQueued, Request: req, SpecHash: hash})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("j%09d.json", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.Write(rec); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

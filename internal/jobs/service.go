@@ -97,13 +97,8 @@ type Config struct {
 	// Telemetry is on; <= 0 selects DefaultTelemetryInterval.
 	TelemetryInterval int64
 	// Simulate overrides the batch executor; nil selects
-	// harness.SimulateBatch (or the lockstep executor when LockstepK > 1).
+	// harness.SimulateBatch.
 	Simulate SimulateFunc
-	// LockstepK, when > 1 and Simulate is nil, routes each job's batch
-	// through harness.SimulateLockstepBatch, advancing up to K same-trace
-	// specs in lockstep per worker. Results are byte-identical to the
-	// per-spec scheduler.
-	LockstepK int
 }
 
 // DefaultRetryBackoff is the first-retry delay when Config leaves it zero.
@@ -159,13 +154,7 @@ func Open(cfg Config) (*Service, error) {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	if cfg.Simulate == nil {
-		if k := cfg.LockstepK; k > 1 {
-			cfg.Simulate = func(ctx context.Context, specs []harness.Spec, progress *harness.Progress) ([]harness.Result, error) {
-				return harness.SimulateLockstepBatch(ctx, specs, k, progress)
-			}
-		} else {
-			cfg.Simulate = harness.SimulateBatch
-		}
+		cfg.Simulate = harness.SimulateBatch
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
