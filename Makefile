@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-wide benchcheck vet fmt check race-harness serve-smoke jobs-smoke load-smoke fleet-smoke reproduce experiments clean
+.PHONY: all build test bench bench-wide benchcheck vet fmt check fuzz-smoke race-harness serve-smoke jobs-smoke load-smoke fleet-smoke reproduce experiments clean
 
 all: build test
 
@@ -43,6 +43,18 @@ check:
 	fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# Ten seconds of native fuzzing per target on the decoders of untrusted or
+# round-tripped input: the VSTR trace codec, the compact trace recording,
+# the assembler and the binary program reader. Go fuzzes one target per
+# invocation, hence one line each.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzVSTRRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzVSTRReader$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordingRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/program
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/program
 
 # Race-enabled run of just the concurrency-bearing packages (the harness
 # worker pool plus the observability stack it publishes through), for quick

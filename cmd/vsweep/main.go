@@ -67,7 +67,6 @@ func main() {
 		branchq      = flag.Bool("branchq", false, "branch-quality ablation (gshare vs perfect)")
 		all          = flag.Bool("all", false, "run everything")
 		quick        = flag.Bool("quick", false, "restrict sweeps to the 8/48 configuration")
-		noTraceCache = flag.Bool("no-trace-cache", false, "re-emulate every workload per spec instead of replaying cached traces")
 		submitURL    = flag.String("submit", "", "run -fig3/-fig4 on a vserved daemon at this URL (e.g. http://127.0.0.1:9090) instead of simulating locally")
 		shard        = flag.Int("shard", 0, "with -submit, split each batch into N jobs submitted concurrently, so a fleet of workers drains them in parallel; results are reassembled in order and stay byte-identical")
 		serveAddr    = flag.String("serve", "", "serve live observability on this address for the duration of the run, e.g. 127.0.0.1:9090 (port 0 picks a free one): Prometheus /metrics, /progress JSON + SSE stream, /series, /dash, /healthz, /readyz, /debug/pprof/")
@@ -79,9 +78,6 @@ func main() {
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-	if *noTraceCache {
-		harness.SetTraceCaching(false)
-	}
 	if *submitURL != "" {
 		// Remote execution covers the figure sweeps; the ablations aggregate
 		// through local helpers that drive the worker pool directly.
@@ -409,7 +405,7 @@ func main() {
 		fmt.Print(textplot.Table([]string{"Counter bits", "Speedup", "CH%", "CL%", "IH%", "IL%"}, cells))
 	}
 
-	if c := harness.DefaultTraceCache(); harness.TraceCaching() && c.Hits()+c.Misses() > 0 {
+	if c := harness.DefaultTraceCache(); c.Hits()+c.Misses() > 0 {
 		fmt.Printf("\ntrace cache: %d hits, %d misses, %d records cached\n",
 			c.Hits(), c.Misses(), c.CachedRecords())
 	}

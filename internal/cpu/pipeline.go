@@ -31,9 +31,9 @@ type Pipeline struct {
 
 	src trace.Source
 	// srcRef is src's copy-free cursor when it offers one (a cached
-	// MemorySource does): fetch reads records in place from the shared
-	// recording instead of copying 100+ bytes per Next. recScratch backs
-	// the same pointer protocol for plain sources.
+	// MemorySource does): fetch reads each record in place where the
+	// cursor decoded it instead of copying 100+ bytes per Next. recScratch
+	// backs the same pointer protocol for plain sources.
 	srcRef     refSource
 	recScratch trace.Record
 	srcDone    bool

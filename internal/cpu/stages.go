@@ -713,8 +713,8 @@ func (p *Pipeline) nextRecord() (*trace.Record, bool, bool) {
 }
 
 // dispatch allocates a window entry for rec at cycle c. rec may alias the
-// shared recording or a deque slot; it is copied into the entry here, before
-// anything else can move it.
+// replay cursor's scratch or a deque slot; it is copied into the entry here,
+// before anything else can move it.
 func (p *Pipeline) dispatch(rec *trace.Record, replayed bool, c int64) *entry {
 	idx := p.slot(p.count)
 	p.count++

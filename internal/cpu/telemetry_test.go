@@ -49,7 +49,7 @@ func telemetrySpec() *SpecOptions {
 // outcome block and as the sum of the per-interval delta series.
 func TestTelemetryQuadrantsReconcile(t *testing.T) {
 	recs := telemetryRecs(t, 8000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTelemetryQuadrantsReconcile(t *testing.T) {
 func TestTelemetryIndependence(t *testing.T) {
 	recs := telemetryRecs(t, 4000)
 	run := func(tl *Telemetry, chunk int) *Stats {
-		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestTelemetryIndependence(t *testing.T) {
 // flush at run end).
 func TestTelemetrySamplesAtBoundaries(t *testing.T) {
 	recs := telemetryRecs(t, 3000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTelemetrySamplesAtBoundaries(t *testing.T) {
 
 func TestTelemetryCSVAndSnapshot(t *testing.T) {
 	recs := telemetryRecs(t, 2000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"valuespec/internal/bench"
 	"valuespec/internal/emu"
@@ -23,7 +21,7 @@ type traceKey struct {
 
 type traceEntry struct {
 	once sync.Once
-	recs []trace.Record
+	rec  *trace.Recording
 	err  error
 
 	// Accounting, guarded by the cache mutex.
@@ -31,14 +29,12 @@ type traceEntry struct {
 	lastUse int64 // cache clock at the most recent Source call
 }
 
-// recordBytes is the in-memory footprint of one trace.Record, used to charge
-// recordings against the cache's byte budget.
-const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
-
 // TraceCache memoizes the functional emulation of each (workload, scale)
 // pair so a sweep emulates every workload once and replays the recorded
-// stream for all subsequent specs. Safe for concurrent use; each caller gets
-// an independent read cursor over the shared record slice.
+// stream for all subsequent specs. The emulator streams straight into a
+// compact trace.Recording (a few bytes per record; see trace.Encode), never
+// a []trace.Record. Safe for concurrent use; each caller gets an
+// independent replay cursor over the shared, immutable recording.
 // Hit/miss/record/eviction counters are published through an internal
 // obs.Registry.
 //
@@ -47,8 +43,8 @@ const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 // the cache fits again, so a long-lived daemon can serve arbitrarily many
 // (workload, scale) pairs in constant space. Evicted recordings stay valid
 // for readers that already hold a replay cursor — eviction only forgets the
-// cache's reference; the garbage collector reclaims the records once the
-// last cursor drops them.
+// cache's reference; the garbage collector reclaims the recording once the
+// last cursor drops it.
 type TraceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
@@ -76,10 +72,11 @@ func NewTraceCache() *TraceCache {
 	}
 }
 
-// SetByteBudget bounds the recordings the cache may hold, in bytes; 0 (the
-// default) removes the bound. Shrinking below the current footprint evicts
-// immediately. A single recording larger than the budget is handed to its
-// caller but not retained.
+// SetByteBudget bounds the recordings the cache may hold, in bytes of their
+// compact encoding (trace.Recording.Bytes); 0 (the default) removes the
+// bound. Shrinking below the current footprint evicts immediately. A single
+// recording larger than the budget is handed to its caller but not
+// retained.
 func (c *TraceCache) SetByteBudget(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -101,7 +98,7 @@ func (c *TraceCache) ByteBudget() int64 {
 // given scale (<= 0 selects the workload default), emulating the workload on
 // first use. Concurrent callers for the same key share one emulation: the
 // first to arrive records it while the rest block on it, then every caller
-// replays the same shared records.
+// replays the same shared recording.
 func (c *TraceCache) Source(w bench.Workload, scale int) (trace.Source, error) {
 	if scale <= 0 {
 		scale = w.DefaultScale
@@ -126,10 +123,10 @@ func (c *TraceCache) Source(w bench.Workload, scale int) (trace.Source, error) {
 			e.err = fmt.Errorf("harness: %s: %w", w.Name, err)
 			return
 		}
-		e.recs = trace.Collect(m, 0)
+		e.rec = trace.Encode(m)
 		c.mu.Lock()
-		c.records.Add(int64(len(e.recs)))
-		e.bytes = int64(len(e.recs)) * recordBytes
+		c.records.Add(int64(e.rec.Len()))
+		e.bytes = e.rec.Bytes()
 		c.bytes += e.bytes
 		c.evictLocked()
 		c.mu.Unlock()
@@ -137,7 +134,7 @@ func (c *TraceCache) Source(w bench.Workload, scale int) (trace.Source, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	return trace.NewMemorySource(e.recs), nil
+	return e.rec.Source(), nil
 }
 
 // evictLocked drops least-recently-used sized entries until the footprint
@@ -190,8 +187,8 @@ func (c *TraceCache) CachedRecords() int64 {
 	return c.records.Value()
 }
 
-// CachedBytes returns the in-memory footprint of the recordings currently
-// held.
+// CachedBytes returns the compact in-memory footprint of the recordings
+// currently held (the sum of their trace.Recording.Bytes).
 func (c *TraceCache) CachedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -211,22 +208,8 @@ func (c *TraceCache) Evictions() int64 {
 // are in flight, or use the locked accessors above.
 func (c *TraceCache) Registry() *obs.Registry { return c.reg }
 
-// defaultTraceCache backs SimulateAll; traceCachingEnabled is the
-// -no-trace-cache escape hatch.
-var (
-	defaultTraceCache   = NewTraceCache()
-	traceCachingEnabled atomic.Bool
-)
-
-func init() { traceCachingEnabled.Store(true) }
-
-// SetTraceCaching toggles trace replay in SimulateAll. Disabling it makes
-// every simulation execute-driven again (each spec re-runs the functional
-// emulator), which is the -no-trace-cache escape hatch in cmd/vsweep.
-func SetTraceCaching(on bool) { traceCachingEnabled.Store(on) }
-
-// TraceCaching reports whether SimulateAll replays cached traces.
-func TraceCaching() bool { return traceCachingEnabled.Load() }
+// defaultTraceCache backs SimulateAll.
+var defaultTraceCache = NewTraceCache()
 
 // DefaultTraceCache returns the process-wide cache used by SimulateAll.
 func DefaultTraceCache() *TraceCache { return defaultTraceCache }

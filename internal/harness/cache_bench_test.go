@@ -39,9 +39,9 @@ func fig3Batch(scaleDiv int) []Spec {
 
 // BenchmarkSimulateAllCached measures a Fig. 3-shaped SimulateAll batch with
 // and without the trace cache. "uncached" re-builds and re-emulates every
-// workload per spec (the pre-cache behavior, -no-trace-cache); "cached"
-// emulates each workload once and replays the recording for the remaining
-// specs in the batch.
+// workload per spec (execute-driven, as harness.Simulate runs); "cached"
+// emulates each workload once into a compact recording and replays it for
+// the remaining specs in the batch.
 func BenchmarkSimulateAllCached(b *testing.B) {
 	specs := fig3Batch(12)
 	b.Run("uncached", func(b *testing.B) {

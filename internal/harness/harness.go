@@ -191,7 +191,11 @@ func newPipeline(spec Spec, cache *TraceCache) (*cpu.Pipeline, *obs.PhaseTimer, 
 	return p, phases, nil
 }
 
-// simulate runs one simulation to completion.
+// simulate runs one simulation to completion. The Result holds its own copy
+// of the statistics rather than a pointer into the pipeline, so a finished
+// spec's pipeline (predictor, confidence, branch-predictor and cache
+// tables, a few MiB) becomes garbage at once instead of living as long as
+// the batch's results.
 func simulate(spec Spec, cache *TraceCache) (Result, error) {
 	p, phases, err := newPipeline(spec, cache)
 	if err != nil {
@@ -201,10 +205,11 @@ func simulate(spec Spec, cache *TraceCache) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %s on %s: %w", spec.Workload.Name, ConfigName(spec.Config), err)
 	}
+	stats := *st
 	if rep := ActiveSpecReport(); rep != nil {
-		rep.Record(spec, st)
+		rep.Record(spec, &stats)
 	}
-	res := Result{Spec: spec, Stats: st}
+	res := Result{Spec: spec, Stats: &stats}
 	if phases != nil {
 		res.Phases = phases.Breakdown()
 	}
@@ -246,9 +251,8 @@ func (e *BatchError) Unwrap() error {
 
 // SimulateAll runs the given specs on a fixed pool of GOMAXPROCS workers and
 // returns results in input order. Each workload is emulated at most once per
-// (workload, scale): subsequent specs replay the recorded trace through the
-// process-wide TraceCache (disable with SetTraceCaching(false), the
-// -no-trace-cache flag in cmd/vsweep). A failing spec does not abort the
+// (workload, scale): subsequent specs replay its compact recording through
+// the process-wide TraceCache. A failing spec does not abort the
 // batch: every spec runs, and all failures come back together as a
 // *BatchError (alongside the partial results of the specs that succeeded).
 func SimulateAll(specs []Spec) ([]Result, error) {
@@ -261,11 +265,7 @@ func SimulateAll(specs []Spec) ([]Result, error) {
 // granularity is one spec — an individual simulation is bounded by its
 // Config.MaxCycles, not by ctx.
 func SimulateAllCtx(ctx context.Context, specs []Spec) ([]Result, error) {
-	var cache *TraceCache
-	if TraceCaching() {
-		cache = defaultTraceCache
-	}
-	return simulateAll(ctx, specs, cache, ActiveProgress())
+	return simulateAll(ctx, specs, defaultTraceCache, ActiveProgress())
 }
 
 // SimulateBatch runs one batch with an explicit per-batch progress tracker
@@ -273,11 +273,7 @@ func SimulateAllCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 // SetProgress. The jobs service uses this to give every job its own live
 // Progress snapshot while many jobs run concurrently.
 func SimulateBatch(ctx context.Context, specs []Spec, progress *Progress) ([]Result, error) {
-	var cache *TraceCache
-	if TraceCaching() {
-		cache = defaultTraceCache
-	}
-	return simulateAll(ctx, specs, cache, progress)
+	return simulateAll(ctx, specs, defaultTraceCache, progress)
 }
 
 func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress *Progress) ([]Result, error) {

@@ -104,7 +104,6 @@ func (s *Service) CompleteLeased(id, token string, results []SpecResult) (Job, e
 	if err != nil {
 		return done, err
 	}
-	s.count(MetricCompleted, 1)
 	s.publish()
 	s.finishJob(done, "done")
 	s.cfg.Logger.Info("job done",

@@ -116,6 +116,11 @@ type Queue struct {
 	epoch     int64 // open-time nanos, embedded in lease tokens for cross-restart uniqueness
 	closed    bool
 	recovered int
+
+	// onTerminal, when set, runs under mu as a transition moves a job into
+	// a terminal state, so whatever it publishes is visible no later than
+	// the state itself.
+	onTerminal func(State)
 }
 
 // compactMinRecords is the journal length below which compaction never
@@ -576,10 +581,14 @@ func (q *Queue) update(id string, mutate func(*Job) error) (Job, error) {
 		q.mu.Unlock()
 		return Job{}, fmt.Errorf("jobs: unknown job %q", id)
 	}
+	was := j.State
 	if err := mutate(j); err != nil {
 		job := *j
 		q.mu.Unlock()
 		return job, err
+	}
+	if q.onTerminal != nil && !was.Terminal() && j.State.Terminal() {
+		q.onTerminal(j.State)
 	}
 	seq, err := q.stageLocked(j)
 	job := *j

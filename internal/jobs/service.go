@@ -174,8 +174,23 @@ func Open(cfg Config) (*Service, error) {
 		running: make(map[string]*runningJob),
 		timers:  make(map[string]*time.Timer),
 	}
+	queue.onTerminal = s.countTerminal
 	s.publish()
 	return s, nil
+}
+
+// countTerminal bumps the counter of the terminal state a job just entered.
+// The queue calls it under its lock, as part of the transition, so a reader
+// who sees the terminal state also sees the count.
+func (s *Service) countTerminal(st State) {
+	switch st {
+	case StateDone:
+		s.count(MetricCompleted, 1)
+	case StateFailed:
+		s.count(MetricFailed, 1)
+	case StateCanceled:
+		s.count(MetricCanceled, 1)
+	}
 }
 
 // Start launches the worker pool.
@@ -348,7 +363,6 @@ func (s *Service) Cancel(id string) (Job, error) {
 		if err != nil {
 			return job, err
 		}
-		s.count(MetricCanceled, 1)
 		s.publish()
 		s.finishJob(job, "canceled")
 		s.cfg.Logger.Warn("leased job canceled",
@@ -359,7 +373,6 @@ func (s *Service) Cancel(id string) (Job, error) {
 	if err != nil {
 		return job, err
 	}
-	s.count(MetricCanceled, 1)
 	s.publish()
 	s.finishJob(job, "canceled")
 	s.cfg.Logger.Warn("job canceled before running",
@@ -452,7 +465,6 @@ func (s *Service) runJob(job Job) {
 			break
 		}
 		done, _ := s.queue.Complete(job.ID)
-		s.count(MetricCompleted, 1)
 		s.publish()
 		s.finishJob(done, "done")
 		s.cfg.Logger.Info("job done",
@@ -461,7 +473,6 @@ func (s *Service) runJob(job Job) {
 		return
 	case userCancel:
 		done, _ := s.queue.MarkCanceled(job.ID)
-		s.count(MetricCanceled, 1)
 		s.publish()
 		s.finishJob(done, "canceled")
 		s.cfg.Logger.Warn("job canceled",
@@ -524,7 +535,6 @@ func (s *Service) settleFailure(job Job, cause error) {
 		}
 	}
 	done, _ := s.queue.Fail(job.ID, cause)
-	s.count(MetricFailed, 1)
 	s.publish()
 	s.finishJob(done, "failed")
 	s.cfg.Logger.Error("job failed",

@@ -46,10 +46,12 @@ type line struct {
 	lru   uint64 // larger = more recently used
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement. The sets live
+// in one flat slice, set s at lines[s*assoc:(s+1)*assoc]: one allocation
+// per cache, holding no pointers for the garbage collector to scan.
 type Cache struct {
 	cfg       CacheConfig
-	sets      [][]line
+	lines     []line
 	blockBits uint
 	setMask   uint64
 	clock     uint64
@@ -67,14 +69,18 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.BlockBytes * cfg.Assoc)
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1)}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), setMask: uint64(nsets - 1)}
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.blockBits++
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
 	return c
+}
+
+// set returns the lines of the set holding block.
+func (c *Cache) set(block uint64) []line {
+	n := c.cfg.Assoc
+	i := int(block&c.setMask) * n
+	return c.lines[i : i+n : i+n]
 }
 
 // Config returns the cache geometry.
@@ -86,7 +92,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	c.clock++
 	block := addr >> c.blockBits
-	set := c.sets[block&c.setMask]
+	set := c.set(block)
 	tag := block >> uint(popcount(c.setMask))
 
 	victim := 0
@@ -117,11 +123,7 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.clock, c.Accesses, c.Misses = 0, 0, 0
 }
 
@@ -211,7 +213,7 @@ func (h *Hierarchy) Data(addr uint64) int {
 // this probe is only used by diagnostics.
 func (h *Hierarchy) DataHit(addr uint64) bool {
 	block := addr >> h.l1d.blockBits
-	set := h.l1d.sets[block&h.l1d.setMask]
+	set := h.l1d.set(block)
 	tag := block >> uint(popcount(h.l1d.setMask))
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {

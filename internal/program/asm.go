@@ -70,6 +70,9 @@ func asmLine(b *Builder, line string) error {
 		}
 	}
 	fields := strings.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '\t' || r == ',' })
+	if len(fields) == 0 {
+		return fmt.Errorf("separators without a mnemonic: %q", line)
+	}
 	mnemonic, args := strings.ToLower(fields[0]), fields[1:]
 
 	switch mnemonic {

@@ -81,6 +81,74 @@ func FuzzVSTRRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzRecordingRoundTrip checks that any record sequence replays
+// identically through a Recording. A mode byte picks how each record is
+// drawn from the input: an arbitrary record (normRecord over the full field
+// ranges); an arbitrary record on a 16-instruction code space that picks up
+// the stream's Seq, so templates are revisited and mispredicted; or the
+// replay cursor's own prediction with a fuzzed taken bit and result, so the
+// regular path is reached too.
+func FuzzRecordingRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{1, 3, 3, 3, byte(isa.ADDI), 1, 1, 0, 2, 0, 9}, 8))
+	f.Add(bytes.Repeat([]byte{1, 0, 1, 0, byte(isa.LD), 2, 1, 0, 5, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 1}, 6))
+	f.Add(append(bytes.Repeat([]byte{0}, 70), bytes.Repeat([]byte{1, 4, 2, 4, byte(isa.BNE), 0, 1, 2, 2, 6, 7}, 5)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzReader(data)
+		var e encoder
+		var want []Record
+		for len(in) > 0 && len(want) < 512 {
+			mode := in.u8() % 3
+			var r Record
+			if pc := e.st.pc; mode == 2 && pc >= 0 && pc < len(e.st.code) && e.st.code[pc].valid {
+				e.st.rebuild(&r, &e.st.code[pc], in.u8()&1 != 0, in.i64())
+			} else if mode == 1 {
+				pc, next, target := in.u8()%16, in.u8()%16, in.u8()%16
+				r = normRecord(e.st.seq, int32(pc), int32(next), int32(target), in.u8(), in.u8(), in.u8(), in.u8(),
+					in.u8()&1 != 0, int64(int8(in.u8())), in.i64(), in.i64(), in.i64(), in.i64())
+			} else {
+				r = normRecord(in.i64(), int32(in.i64()), int32(in.i64()), int32(in.i64()), in.u8(), in.u8(), in.u8(), in.u8(),
+					in.u8()&1 != 0, in.i64(), in.i64(), in.i64(), in.i64(), in.i64())
+			}
+			e.append(&r)
+			want = append(want, r)
+		}
+		rec := e.finish()
+		if rec.Len() != len(want) || rec.Irregular() > rec.Len() {
+			t.Fatalf("Len %d, Irregular %d for %d records", rec.Len(), rec.Irregular(), len(want))
+		}
+		got := Collect(rec.Source(), 0)
+		if len(got) != len(want) {
+			t.Fatalf("replayed %d records, recorded %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("record %d changed in the round trip\nrecorded: %+v\nreplayed: %+v", i, want[i], got[i])
+			}
+		}
+	})
+}
+
+// fuzzReader hands out a fuzz input's bytes as fields, zero once drained.
+type fuzzReader []byte
+
+func (b *fuzzReader) u8() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+func (b *fuzzReader) i64() int64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(b.u8())
+	}
+	return int64(v)
+}
+
 // FuzzVSTRReader throws arbitrary bytes at the decoder: corrupt magic,
 // wrong versions and truncated records must fail with an error — never a
 // panic — and a truncation mid-record must be reported through Err.

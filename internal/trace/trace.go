@@ -1,6 +1,7 @@
 // Package trace defines the dynamic-instruction record exchanged between the
-// functional emulator and the timing simulator, and small utilities for
-// buffering and inspecting instruction streams.
+// functional emulator and the timing simulator, the compact Recording that
+// sweeps replay, the VSTR file format, and small utilities for buffering and
+// inspecting instruction streams.
 //
 // The timing simulator is execute-driven on the architecturally correct path:
 // the emulator supplies each dynamic instruction with its correct operand
@@ -64,78 +65,6 @@ func (s *SliceSource) Next() (Record, bool) {
 
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
-
-// MemorySource replays a recorded stream from memory. Unlike SliceSource it
-// is built for sharing one recording across many replays: the records slice
-// is treated as immutable and every MemorySource is an independent cursor, so
-// concurrent simulations can replay the same recording without copying it.
-type MemorySource struct {
-	recs []Record
-	pos  int
-}
-
-// NewMemorySource returns a fresh cursor over recs. The caller must not
-// mutate recs afterwards; create one MemorySource per replaying consumer.
-func NewMemorySource(recs []Record) *MemorySource { return &MemorySource{recs: recs} }
-
-// Next implements Source.
-func (s *MemorySource) Next() (Record, bool) {
-	if s.pos >= len(s.recs) {
-		return Record{}, false
-	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// NextRef is Next without the copy: the returned pointer aliases the shared
-// immutable recording, so the caller must copy the record before retaining
-// it and must never write through the pointer.
-func (s *MemorySource) NextRef() (*Record, bool) {
-	if s.pos >= len(s.recs) {
-		return nil, false
-	}
-	r := &s.recs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Len returns the total number of records in the recording.
-func (s *MemorySource) Len() int { return len(s.recs) }
-
-// Recorder tees a Source: every record pulled through Next is also retained,
-// so a single execute-driven pass can both feed a consumer and produce a
-// replayable recording (see MemorySource).
-type Recorder struct {
-	src  Source
-	recs []Record
-}
-
-// NewRecorder wraps src, recording everything that flows through it.
-func NewRecorder(src Source) *Recorder { return &Recorder{src: src} }
-
-// Next implements Source.
-func (r *Recorder) Next() (Record, bool) {
-	rec, ok := r.src.Next()
-	if ok {
-		r.recs = append(r.recs, rec)
-	}
-	return rec, ok
-}
-
-// Drain pulls the remaining records of the underlying source into the
-// recording and returns the complete recording.
-func (r *Recorder) Drain() []Record {
-	for {
-		if _, ok := r.Next(); !ok {
-			return r.recs
-		}
-	}
-}
-
-// Records returns everything recorded so far. The returned slice is shared
-// with the Recorder; treat it as immutable once replay begins.
-func (r *Recorder) Records() []Record { return r.recs }
 
 // Collect drains up to max records from src (all records if max <= 0).
 func Collect(src Source, max int) []Record {

@@ -10,6 +10,7 @@
 #   figs/*.svg        rendered figures
 #   fig1.txt          the Fig. 1 pipeline diagrams
 #   test.txt          the full test-suite run
+#   fuzz_smoke.txt    ten seconds of fuzzing per fuzz target
 set -eu
 
 out=${1:-repro}
@@ -36,6 +37,15 @@ go test -race ./internal/obs ./internal/cpu ./internal/obsweb ./internal/harness
 
 echo "== tests =="
 go test ./... | tee "$out/test.txt"
+
+echo "== fuzz smoke (10 s per fuzz target) =="
+if make fuzz-smoke >"$out/fuzz_smoke.txt" 2>&1; then
+	cat "$out/fuzz_smoke.txt"
+else
+	cat "$out/fuzz_smoke.txt"
+	echo "reproduce.sh: 'make fuzz-smoke' FAILED -- see $out/fuzz_smoke.txt" >&2
+	exit 1
+fi
 
 echo "== benchmark regression gate =="
 if go run ./cmd/benchcheck >"$out/benchcheck.txt" 2>&1; then
