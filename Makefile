@@ -46,8 +46,8 @@ check:
 
 # Ten seconds of native fuzzing per target on the decoders of untrusted or
 # round-tripped input: the VSTR trace codec, the compact trace recording,
-# the assembler and the binary program reader. Go fuzzes one target per
-# invocation, hence one line each.
+# the assembler, the binary program reader and the job service's submit
+# path. Go fuzzes one target per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVSTRRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordingRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/program
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/program
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./internal/jobs
 
 # Race-enabled run of just the concurrency-bearing packages (the harness
 # worker pool plus the observability stack it publishes through), for quick

@@ -68,7 +68,7 @@ func main() {
 		telemetry   = flag.Bool("telemetry", false, "attach a per-spec interval sampler to every executed spec and store its snapshot (pipeline series + speculation-outcome breakdown) with the results")
 		telemetryIv = flag.Int64("telemetry-interval", jobs.DefaultTelemetryInterval, "telemetry sampling interval in simulated cycles (-telemetry)")
 		commitIv    = flag.Duration("commit-interval", 0, "journal group-commit staging window: all queue transitions within it share one fsync (0 = batch naturally at no added latency)")
-		leaseTTL    = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet lease lifetime between worker heartbeats")
+		leaseTTL    = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet lease lifetime between worker heartbeats; workers heartbeat every TTL×2/15")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text or json")
 

@@ -15,12 +15,16 @@ import (
 	"valuespec/internal/obs"
 )
 
-// Default protocol timings when CoordinatorConfig leaves them zero. The
-// lease TTL is deliberately several heartbeats long: one dropped heartbeat
-// must not requeue work a healthy worker is mid-way through.
+// DefaultLeaseTTL is the lease length when CoordinatorConfig leaves it zero.
+// Every other protocol timing follows the TTL: workers renew every
+// TTL×2/15 (so a lease outlives seven missed heartbeats), the coordinator
+// sweeps for lapsed leases every TTL/4, and a worker silent for 2×TTL drops
+// out of the live count. DefaultHeartbeat is the renewal cadence at the
+// default TTL, which a worker uses until its first lease tells it the
+// coordinator's.
 const (
 	DefaultLeaseTTL  = 15 * time.Second
-	DefaultHeartbeat = 2 * time.Second
+	DefaultHeartbeat = DefaultLeaseTTL * 2 / 15
 )
 
 // CoordinatorConfig wires a Coordinator to the job service it fronts.
@@ -31,17 +35,9 @@ type CoordinatorConfig struct {
 	// heartbeat delta; nil disables both.
 	Metrics *obs.SharedRegistry
 	// LeaseTTL is how long a lease lives between renewals; 0 means
-	// DefaultLeaseTTL.
+	// DefaultLeaseTTL. The heartbeat cadence, expiry scan and worker
+	// liveness window all derive from it (see DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Heartbeat is the renewal cadence advertised to workers; 0 means
-	// DefaultHeartbeat. It should be several times shorter than LeaseTTL.
-	Heartbeat time.Duration
-	// ExpiryScan is how often the coordinator sweeps for lapsed leases; 0
-	// means LeaseTTL/4.
-	ExpiryScan time.Duration
-	// WorkerTimeout is how long after its last heartbeat a worker still
-	// counts as live in /fleet; 0 means 2×LeaseTTL.
-	WorkerTimeout time.Duration
 	// Logger receives fleet lifecycle logs; nil discards them.
 	Logger *slog.Logger
 }
@@ -71,15 +67,6 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = DefaultHeartbeat
-	}
-	if cfg.ExpiryScan <= 0 {
-		cfg.ExpiryScan = cfg.LeaseTTL / 4
-	}
-	if cfg.WorkerTimeout <= 0 {
-		cfg.WorkerTimeout = 2 * cfg.LeaseTTL
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -122,7 +109,7 @@ func (c *Coordinator) Start() {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		t := time.NewTicker(c.cfg.ExpiryScan)
+		t := time.NewTicker(c.cfg.LeaseTTL / 4)
 		defer t.Stop()
 		for {
 			select {
@@ -153,7 +140,7 @@ func (c *Coordinator) scanExpiry() {
 			delete(w.progress, j.ID)
 		}
 	}
-	cutoff := time.Now().Add(-c.cfg.WorkerTimeout)
+	cutoff := c.liveSince(time.Now())
 	for id, w := range c.workers {
 		if w.lastSeen.Before(cutoff) && len(w.leased) == 0 {
 			delete(c.workers, id)
@@ -164,6 +151,12 @@ func (c *Coordinator) scanExpiry() {
 		c.count(MetricLeaseExpirations, int64(n))
 	}
 	c.publishGauges()
+}
+
+// liveSince is the liveness cutoff at now: a worker last seen before it has
+// been silent for two lease TTLs.
+func (c *Coordinator) liveSince(now time.Time) time.Time {
+	return now.Add(-2 * c.cfg.LeaseTTL)
 }
 
 // touch records a worker heartbeat/contact and returns its state.
@@ -213,7 +206,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, LeaseResponse{
 		Jobs:            leased,
 		TTLMillis:       c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMillis: c.cfg.Heartbeat.Milliseconds(),
+		HeartbeatMillis: (c.cfg.LeaseTTL * 2 / 15).Milliseconds(),
 	})
 }
 
@@ -341,7 +334,7 @@ type FleetSnapshot struct {
 func (c *Coordinator) Snapshot() FleetSnapshot {
 	snap := FleetSnapshot{Snapshot: c.cfg.Service.Snapshot()}
 	now := time.Now()
-	cutoff := now.Add(-c.cfg.WorkerTimeout)
+	cutoff := c.liveSince(now)
 	c.mu.Lock()
 	for id, ws := range c.workers {
 		wv := WorkerView{
@@ -380,7 +373,7 @@ func (c *Coordinator) publishGauges() {
 	if c.cfg.Metrics == nil {
 		return
 	}
-	cutoff := time.Now().Add(-c.cfg.WorkerTimeout)
+	cutoff := c.liveSince(time.Now())
 	live := 0
 	c.mu.Lock()
 	for _, ws := range c.workers {

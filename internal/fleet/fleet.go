@@ -14,10 +14,12 @@
 //	POST /fail       worker reports a failed attempt, fenced by the token
 //	GET  /fleet      fleet-wide snapshot: queue state plus per-worker view
 //
-// Crash semantics reuse the queue's Park/Release machinery: a worker that
-// stops heartbeating loses its leases, the coordinator requeues the jobs
-// (without charging the retry budget), and the next lease hands them out
-// under a fresh token. A zombie worker's late POST /complete carries the
+// The lease is the job service's one state machine: the daemon's own
+// workers hold leases too (ones that never expire) and settle through the
+// same token-fenced calls /complete and /fail reach, and both run jobs
+// through the shared jobs.Executor. A worker that stops heartbeating loses
+// its leases, the coordinator requeues the jobs (without charging the retry
+// budget), and the next lease hands them out under a fresh token. A zombie worker's late POST /complete carries the
 // rotated-away token and is rejected with 409; because the store is
 // content-addressed and the simulator deterministic, even a raced duplicate
 // write is byte-identical and harmless.

@@ -36,13 +36,7 @@ func newTestFleet(t *testing.T, ttl time.Duration) *testFleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(CoordinatorConfig{
-		Service:    svc,
-		Metrics:    reg,
-		LeaseTTL:   ttl,
-		Heartbeat:  ttl / 4,
-		ExpiryScan: ttl / 4,
-	})
+	coord := NewCoordinator(CoordinatorConfig{Service: svc, Metrics: reg, LeaseTTL: ttl})
 	coord.Start()
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() {
@@ -220,6 +214,39 @@ func TestFleetWorkerDeath(t *testing.T) {
 	}
 	if c := snap.Counter(MetricStaleCompletes).Value(); c != 1 {
 		t.Errorf("%s = %d, want 1", MetricStaleCompletes, c)
+	}
+}
+
+// TestFleetHeartbeatFollowsTTL: with only a short lease TTL configured, the
+// heartbeat cadence derives from it and a worker that was waiting out its
+// default cadence switches at its first lease, so a healthy worker holding
+// jobs for several TTLs never loses a lease.
+func TestFleetHeartbeatFollowsTTL(t *testing.T) {
+	const ttl = time.Second
+	f := newTestFleet(t, ttl)
+	var submitted []jobs.Job
+	for i := 0; i < 2; i++ {
+		submitted = append(submitted, f.submit(t, fmt.Sprintf("long%d", i), 1))
+	}
+	slow := func(ctx context.Context, specs []harness.Spec, p *harness.Progress) ([]harness.Result, error) {
+		select {
+		case <-time.After(3 * ttl):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return fakeSimulate(ctx, specs, p)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go newTestWorker(t, f, "steady", slow).Run(ctx)
+
+	for _, job := range submitted {
+		if done := waitState(t, f, job.ID, jobs.StateDone, 10*ttl); done.Attempts != 1 {
+			t.Errorf("job %s took %d attempts, want 1", done.ID, done.Attempts)
+		}
+	}
+	if c := f.reg.Snapshot().Counter(MetricLeaseExpirations).Value(); c != 0 {
+		t.Errorf("%s = %d for a healthy worker, want 0", MetricLeaseExpirations, c)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"valuespec/internal/cpu"
 	"valuespec/internal/harness"
 	"valuespec/internal/jobs"
 	"valuespec/internal/obs"
@@ -58,7 +57,8 @@ type WorkerConfig struct {
 // harness, and streams results back. It holds no durable state: SIGKILL a
 // worker and its leases lapse, the coordinator requeues, nothing is lost.
 type Worker struct {
-	cfg WorkerConfig
+	cfg  WorkerConfig
+	exec jobs.Executor
 
 	mu   sync.Mutex
 	runs map[string]*workerRun // job id -> live run
@@ -69,7 +69,11 @@ type Worker struct {
 	// throughput is bounded by lease round-trips, not the idle poll period.
 	wake chan struct{}
 
+	// heartbeat is the renewal cadence; cadence pokes the heartbeat loop
+	// when a lease response shortens it, so the loop stops waiting out the
+	// longer interval it started under.
 	heartbeat time.Duration
+	cadence   chan struct{}
 }
 
 // workerRun is one leased job executing locally. Its Progress publishes
@@ -102,9 +106,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 500 * time.Millisecond
 	}
-	if cfg.Simulate == nil {
-		cfg.Simulate = harness.SimulateBatch
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewSharedRegistry()
 	}
@@ -115,11 +116,18 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Logger = obs.NopLogger()
 	}
 	w := &Worker{
-		cfg:       cfg,
+		cfg: cfg,
+		exec: jobs.Executor{
+			Simulate:          cfg.Simulate,
+			JobTimeout:        cfg.JobTimeout,
+			Telemetry:         cfg.Telemetry,
+			TelemetryInterval: cfg.TelemetryInterval,
+		},
 		runs:      make(map[string]*workerRun),
 		free:      cfg.Capacity,
 		wake:      make(chan struct{}, 1),
 		heartbeat: DefaultHeartbeat,
+		cadence:   make(chan struct{}, 1),
 	}
 	cfg.Metrics.Do(func(r *obs.Registry) {
 		r.Counter(MetricWorkerJobsDone)
@@ -198,8 +206,11 @@ func (w *Worker) lease(ctx context.Context, free int) ([]jobs.Job, error) {
 	}
 	now := time.Now()
 	w.mu.Lock()
-	if resp.HeartbeatMillis > 0 {
-		w.heartbeat = time.Duration(resp.HeartbeatMillis) * time.Millisecond
+	if hb := time.Duration(resp.HeartbeatMillis) * time.Millisecond; hb > 0 && hb != w.heartbeat {
+		if hb < w.heartbeat {
+			poke(w.cadence)
+		}
+		w.heartbeat = hb
 	}
 	for i := range resp.Jobs {
 		job := resp.Jobs[i]
@@ -216,17 +227,9 @@ func (w *Worker) lease(ctx context.Context, free int) ([]jobs.Job, error) {
 }
 
 // runJob executes one leased job and reports the outcome. The run context
-// comes from the run entry (so a lost lease can cancel it), bounded by the
-// job's timeout.
+// comes from the run entry, so a lost lease can cancel it.
 func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
-	timeout := w.cfg.JobTimeout
-	if job.Request.TimeoutSeconds > 0 {
-		timeout = time.Duration(job.Request.TimeoutSeconds) * time.Second
-	}
 	runCtx, cancel := context.WithCancel(ctx)
-	if timeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, timeout)
-	}
 	defer cancel()
 
 	w.mu.Lock()
@@ -236,7 +239,6 @@ func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
 	}
 	w.mu.Unlock()
 	if run == nil {
-		cancel()
 		return
 	}
 	defer func() {
@@ -244,15 +246,12 @@ func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
 		delete(w.runs, job.ID)
 		w.free++
 		w.mu.Unlock()
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+		poke(w.wake)
 	}()
 	w.cfg.Logger.Info("job leased to this worker",
 		"worker", w.cfg.ID, "job", job.ID, "spec_hash", job.SpecHash, "specs", len(job.Request.Specs))
 
-	results, err := w.execute(runCtx, job, run.progress)
+	results, _, err := w.exec.Execute(runCtx, job.Request, run.progress)
 	elapsed := time.Since(run.started).Milliseconds()
 	w.cfg.Metrics.Observe(MetricWorkerRunMS, elapsed)
 
@@ -278,42 +277,12 @@ func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
 	w.reportComplete(job, run.token, results, elapsed)
 }
 
-// execute mirrors the coordinator's in-process executor so results are
-// byte-identical wherever a job runs: same spec conversion, same telemetry
-// attachment, same result packaging.
-func (w *Worker) execute(ctx context.Context, job jobs.Job, progress *harness.Progress) ([]jobs.SpecResult, error) {
-	specs, err := job.Request.HarnessSpecs()
-	if err != nil {
-		return nil, err
+// poke signals ch without blocking; a signal already pending absorbs it.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
-	if w.cfg.Telemetry {
-		interval := w.cfg.TelemetryInterval
-		if interval <= 0 {
-			interval = jobs.DefaultTelemetryInterval
-		}
-		for i := range specs {
-			specs[i].Telemetry = cpu.NewTelemetry(interval, jobs.TelemetrySeriesCap)
-		}
-	}
-	results, err := w.cfg.Simulate(ctx, specs, progress)
-	progress.Finish()
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, err
-	}
-	if len(results) != len(job.Request.Specs) {
-		return nil, fmt.Errorf("fleet: executor returned %d results for %d specs", len(results), len(job.Request.Specs))
-	}
-	out := make([]jobs.SpecResult, len(results))
-	for i, r := range results {
-		out[i] = jobs.SpecResult{Spec: job.Request.Specs[i], Stats: r.Stats}
-		if tl := specs[i].Telemetry; tl != nil && r.Stats != nil {
-			out[i].Telemetry = tl.Snapshot()
-		}
-	}
-	return out, nil
 }
 
 // reportComplete POSTs the results; a 409 means the lease rotated away
@@ -371,6 +340,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			// runs that just finished) before the worker exits.
 			w.beat(context.Background())
 			return
+		case <-w.cadence:
+			// The cadence shortened: restart the wait at the new interval.
 		case <-time.After(interval):
 			w.beat(ctx)
 		}

@@ -36,8 +36,9 @@ func BenchmarkJobStorePutGet(b *testing.B) {
 }
 
 // BenchmarkQueueSubmitDrain measures the durable queue cycle for a batch of
-// jobs: submit, pop, complete — three journaled transitions per job, each
-// acknowledged only after its group commit reaches disk.
+// jobs: submit, pop (a lease grant), complete under the granted token —
+// three journaled transitions per job, each acknowledged only after its
+// group commit reaches disk.
 func BenchmarkQueueSubmitDrain(b *testing.B) {
 	q, err := OpenQueue(b.TempDir())
 	if err != nil {
@@ -72,7 +73,7 @@ func BenchmarkQueueSubmitDrain(b *testing.B) {
 			if !ok {
 				b.Fatal("queue closed")
 			}
-			if _, err := q.Complete(j.ID); err != nil {
+			if _, err := q.CompleteLease(j.ID, j.LeaseToken); err != nil {
 				b.Fatal(err)
 			}
 		}

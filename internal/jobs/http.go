@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -60,7 +61,8 @@ func (j Job) Summary() JobSummary {
 // mount into the obsweb server (or any mux):
 //
 //	POST   /jobs              submit a Request; 202 and the job record
-//	                          (200 when answered from the result store)
+//	                          (200 when answered from the result store,
+//	                          413 for a body over MaxRequestBytes)
 //	GET    /jobs              list every job, oldest first
 //	                          (?view=summary for the compact form)
 //	GET    /jobs/{id}         one job, with live progress while running
@@ -170,12 +172,25 @@ func (s *Service) view(job Job) JobView {
 	return v
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest decodes a submitted body strictly: unknown fields are
+// errors, so a misspelled field cannot silently select a default.
+func decodeRequest(r io.Reader) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "decoding request: %v", err)
 		return
 	}
 	job, deduped, err := s.Submit(req)

@@ -188,6 +188,18 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(resp, http.StatusBadRequest, "POST unknown workload")
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"specs":[{"workload":"xlisp","config":{"BranchHistoryBits":40}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(resp, http.StatusBadRequest, "POST outside the envelope")
+	huge := `{"name":"` + strings.Repeat("x", MaxRequestBytes) + `","specs":[{"workload":"xlisp"}]}`
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(resp, http.StatusRequestEntityTooLarge, "POST oversized body")
 
 	// Unknown ids.
 	resp, err = http.Get(ts.URL + "/jobs/j999999")

@@ -118,7 +118,7 @@ func TestJournalCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each job here costs 5 records (submit, pop, requeue, pop, complete),
+	// Each job here costs 5 records (submit, pop, park, pop, complete),
 	// so the journal outgrows the live set by more than compactFactor and
 	// crosses compactMinRecords with ~compactMinRecords/5 jobs.
 	const jobsN = compactMinRecords/5 + 16
@@ -128,16 +128,19 @@ func TestJournalCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := q.Pop(); !ok {
+		first, ok := q.Pop()
+		if !ok {
 			t.Fatal("pop failed")
 		}
-		if _, err := q.Requeue(j.ID, fmt.Errorf("churn")); err != nil {
+		if _, err := q.ParkLease(j.ID, first.LeaseToken, fmt.Errorf("churn")); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := q.Pop(); !ok {
+		q.Release(j.ID)
+		second, ok := q.Pop()
+		if !ok {
 			t.Fatal("pop failed")
 		}
-		if _, err := q.Complete(j.ID); err != nil {
+		if _, err := q.CompleteLease(j.ID, second.LeaseToken); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,59 +169,5 @@ func TestJournalCompaction(t *testing.T) {
 		if before[i].ID != after[i].ID || before[i].State != after[i].State || before[i].Attempts != after[i].Attempts {
 			t.Errorf("job %s diverged across compaction+replay: %+v != %+v", before[i].ID, before[i], after[i])
 		}
-	}
-}
-
-// TestJournalLegacyMigration: a data directory written by the one-file-per-
-// job layout must fold into the journal on open — nothing lost, live jobs
-// re-queued, and the legacy files removed.
-func TestJournalLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	write := func(j Job) {
-		data, err := encodeRecord(&j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, j.ID+".json"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now := time.Now().UTC()
-	write(Job{ID: "j000001", Seq: 1, Request: testRequest("done", 0), State: StateDone, SubmittedAt: now, FinishedAt: now})
-	write(Job{ID: "j000002", Seq: 2, Request: testRequest("queued", 0), State: StateQueued, SubmittedAt: now})
-	write(Job{ID: "j000003", Seq: 3, Request: testRequest("running", 0), State: StateRunning, Attempts: 1, SubmittedAt: now, StartedAt: now})
-
-	q, err := OpenQueue(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("migrated %d jobs, want 3", q.Len())
-	}
-	if q.Recovered() != 2 {
-		t.Errorf("recovered %d jobs, want 2 (queued + running)", q.Recovered())
-	}
-	if got, _ := q.Get("j000001"); got.State != StateDone {
-		t.Errorf("terminal job migrated as %s", got.State)
-	}
-	q.Close()
-
-	// The legacy files are gone; the journal alone reproduces the state.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if e.Name() != journalName {
-			t.Errorf("legacy file %s survived migration", e.Name())
-		}
-	}
-	q2, err := OpenQueue(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q2.Close()
-	if q2.Len() != 3 {
-		t.Errorf("journal-only reopen found %d jobs, want 3", q2.Len())
-	}
-	if q2.Depth() != 2 {
-		t.Errorf("journal-only reopen has depth %d, want 2", q2.Depth())
 	}
 }

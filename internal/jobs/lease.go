@@ -8,11 +8,12 @@ import (
 	"valuespec/internal/obs"
 )
 
-// Service-level lease orchestration: the coordinator side of the fleet
-// protocol (internal/fleet wraps these in HTTP). The queue owns the lease
-// state machine; the service adds the same metrics, spans and logs the local
-// worker path gets, so a job's timeline reads identically whether it ran in
-// process or on a remote worker.
+// Service-level lease orchestration: the one job state machine. The queue
+// grants every run as a lease — Pop to the daemon's own workers, Lease to
+// fleet workers (internal/fleet wraps these calls in HTTP) — and every run
+// settles through CompleteLeased or FailLeased, fenced by its token, with the
+// same metrics, spans and logs, so a job's timeline reads identically
+// whether it ran in process or on a remote worker.
 
 // LeaseJobs leases up to max pending jobs to worker for ttl, charging one
 // attempt each — the remote analogue of Pop.
@@ -28,11 +29,7 @@ func (s *Service) LeaseJobs(worker string, max int, ttl time.Duration) ([]Job, e
 		return leased, err
 	}
 	for _, job := range leased {
-		if job.Attempts == 1 {
-			s.observe(MetricQueueWaitMS, job.StartedAt.Sub(job.SubmittedAt).Milliseconds())
-			s.cfg.Tracer.Emit(job.ID, SpanQueueWait, job.SubmittedAt, job.StartedAt,
-				obs.SpanAttr{Key: "spec_hash", Value: job.SpecHash})
-		}
+		s.granted(job)
 		s.cfg.Logger.Info("job leased",
 			"job", job.ID, "spec_hash", job.SpecHash,
 			"worker", worker, "attempt", job.Attempts, "expires", job.LeaseExpiry)
@@ -41,6 +38,17 @@ func (s *Service) LeaseJobs(worker string, max int, ttl time.Duration) ([]Job, e
 		s.publish()
 	}
 	return leased, nil
+}
+
+// granted closes a job's queue-wait interval at its first grant. Retries
+// re-enter the queue through ParkLease without a recorded park time, so only
+// the initial wait is attributed.
+func (s *Service) granted(job Job) {
+	if job.Attempts == 1 {
+		s.observe(MetricQueueWaitMS, job.StartedAt.Sub(job.SubmittedAt).Milliseconds())
+		s.cfg.Tracer.Emit(job.ID, SpanQueueWait, job.SubmittedAt, job.StartedAt,
+			obs.SpanAttr{Key: "spec_hash", Value: job.SpecHash})
+	}
 }
 
 // RenewLeases extends worker's leases on ids by ttl and returns the subset
@@ -64,33 +72,25 @@ func (s *Service) ExpireLeases(now time.Time) []Job {
 	return requeued
 }
 
-// Leased counts jobs currently out under a worker lease.
+// Leased counts jobs currently out under a fleet worker's lease.
 func (s *Service) Leased() int { return s.queue.Leased() }
 
-// ValidateLease cheaply checks that token still fences id, without mutating
-// anything; completion paths use it to reject obvious zombies before doing
-// any work. The authoritative check is the atomic one inside CompleteLeased
-// and FailLeased.
-func (s *Service) ValidateLease(id, token string) error {
-	return s.queue.ValidateLease(id, token)
-}
-
-// CompleteLeased stores the worker-computed results and marks the job done,
-// fenced by the lease token: a stale token (the lease expired and the job
-// was requeued, or was completed through another path) returns ErrStaleLease
-// and the results are discarded. The store write happens first — it is
-// content-addressed and the simulator deterministic, so even a raced write
-// is byte-identical and idempotent.
+// CompleteLeased stores the computed results and marks the job done, fenced
+// by the lease token: a stale token (the lease expired and the job was
+// requeued, or the job was cancelled) returns ErrStaleLease and the results
+// are discarded. The store write happens first — it is content-addressed
+// and the simulator deterministic, so even a raced write is byte-identical
+// and idempotent.
 func (s *Service) CompleteLeased(id, token string, results []SpecResult) (Job, error) {
 	job, ok := s.queue.Get(id)
 	if !ok {
 		return Job{}, fmt.Errorf("jobs: unknown job %q", id)
 	}
-	if err := s.queue.ValidateLease(id, token); err != nil {
+	if err := checkLease(&job, token); err != nil {
 		return job, err
 	}
 	if len(results) != len(job.Request.Specs) {
-		return job, fmt.Errorf("jobs: worker returned %d results for %d specs", len(results), len(job.Request.Specs))
+		return job, fmt.Errorf("jobs: %d results for %d specs", len(results), len(job.Request.Specs))
 	}
 	rs := &ResultSet{SpecHash: job.SpecHash, Results: results}
 	st := s.cfg.Tracer.Start(job.ID, SpanStore)
@@ -107,24 +107,57 @@ func (s *Service) CompleteLeased(id, token string, results []SpecResult) (Job, e
 	s.publish()
 	s.finishJob(done, "done")
 	s.cfg.Logger.Info("job done",
-		"job", done.ID, "spec_hash", done.SpecHash,
-		"attempt", done.Attempts, "remote", true)
+		"job", done.ID, "spec_hash", done.SpecHash, "attempt", done.Attempts)
 	return done, nil
 }
 
-// FailLeased records a worker-reported failure, fenced by the lease token,
-// and routes the job through the service's usual retry machinery: park +
-// backoff while the retry budget lasts, failed for good after.
+// FailLeased records a failed attempt, fenced by the lease token, and routes
+// the job through the retry machinery: parked with exponential backoff
+// while the retry budget lasts, failed for good after. Either way the
+// attempt writes one journal record.
 func (s *Service) FailLeased(id, token string, cause error) (Job, error) {
 	if cause == nil {
 		cause = errors.New("jobs: worker reported failure")
 	}
-	job, err := s.queue.ParkLease(id, token, cause)
+	job, ok := s.queue.Get(id)
+	if !ok {
+		return Job{}, fmt.Errorf("jobs: unknown job %q", id)
+	}
+	// While token fences the job its attempt count cannot change, so the
+	// choice made here holds for the fenced settle below.
+	settle := s.queue.FailLease
+	if job.Attempts <= s.cfg.MaxRetries {
+		settle = s.queue.ParkLease
+	}
+	job, err := settle(id, token, cause)
 	if err != nil {
 		return job, err
 	}
 	s.count(MetricAttemptErrors, 1)
-	s.settleFailure(job, cause)
-	settled, _ := s.queue.Get(id)
-	return settled, nil
+	if job.State == StateFailed {
+		s.publish()
+		s.finishJob(job, "failed")
+		s.cfg.Logger.Error("job failed",
+			"job", job.ID, "spec_hash", job.SpecHash,
+			"attempts", job.Attempts, "err", cause)
+		return job, nil
+	}
+	delay := s.cfg.RetryBackoff << (job.Attempts - 1)
+	s.mu.Lock()
+	if !s.closing { // a closing daemon leaves the parked job to recovery
+		s.timers[id] = time.AfterFunc(delay, func() {
+			s.mu.Lock()
+			delete(s.timers, id)
+			s.mu.Unlock()
+			s.queue.Release(id)
+			s.publish()
+		})
+	}
+	s.mu.Unlock()
+	s.count(MetricRetries, 1)
+	s.publish()
+	s.cfg.Logger.Warn("job attempt failed, retrying",
+		"job", job.ID, "spec_hash", job.SpecHash,
+		"attempt", job.Attempts, "backoff", delay, "err", cause)
+	return job, nil
 }

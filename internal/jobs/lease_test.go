@@ -190,6 +190,43 @@ func TestLeaseCoordinatorRestart(t *testing.T) {
 	}
 }
 
+// TestFailLeasedOneRecord: each failed attempt settles in one journal
+// record, parked while the retry budget lasts and failed after it.
+func TestFailLeasedOneRecord(t *testing.T) {
+	s, err := Open(Config{DataDir: t.TempDir(), MaxRetries: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	job, _, err := s.Submit(Request{Specs: []SimSpec{{Workload: "xlisp", Scale: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []State{StateQueued, StateFailed} {
+		var leased []Job
+		for deadline := time.Now().Add(5 * time.Second); len(leased) == 0 && time.Now().Before(deadline); {
+			if leased, err = s.LeaseJobs("w1", 1, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Millisecond) // the parked retry releases after its backoff
+		}
+		if len(leased) != 1 || leased[0].ID != job.ID {
+			t.Fatalf("leased %v, want %s", leased, job.ID)
+		}
+		before := s.queue.journal.Records()
+		got, err := s.FailLeased(job.ID, leased[0].LeaseToken, errors.New("boom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != want {
+			t.Errorf("attempt %d settled %s, want %s", got.Attempts, got.State, want)
+		}
+		if n := s.queue.journal.Records() - before; n != 1 {
+			t.Errorf("attempt %d wrote %d journal records, want 1", got.Attempts, n)
+		}
+	}
+}
+
 // TestJournalReplayProperty is the seeded property test over the batched
 // journal: a random interleaving of submissions, leases, heartbeats,
 // completions, failures, expiries and crash-reopens must always replay to
@@ -271,13 +308,16 @@ func TestJournalReplayProperty(t *testing.T) {
 						model[j.ID] = StateQueued
 						delete(tokens, j.ID)
 					}
-				case k < 19: // cancel a random queued job
+				case k < 19: // cancel a random job: any live one settles
 					if len(ids) > 0 {
 						id := ids[rng.Intn(len(ids))]
-						if model[id] == StateQueued {
-							if _, err := q.Cancel(id); err == nil {
-								model[id] = StateCanceled
-							}
+						_, err := q.Cancel(id)
+						if live := !model[id].Terminal(); live != (err == nil) {
+							t.Fatalf("cancel %s (%s): %v", id, model[id], err)
+						}
+						if err == nil {
+							model[id] = StateCanceled
+							delete(tokens, id)
 						}
 					}
 				default: // restart: leases lapse, running -> queued

@@ -38,6 +38,12 @@ func propRequest(nonce int64) Request {
 //	double-counted), and every done job's result is in the store under
 //	the hash the ack promised.
 //
+// Cancel must accept every acknowledged job, whatever it is doing: nil for
+// a live one, ErrFinished for a terminal one. The remote sequences add a
+// fleet-style lease holder beside the local pool: it leases jobs, completes
+// or fails them through the token-fenced calls, lets its leases lapse to
+// ExpireLeases, and keeps reporting on stale tokens like a zombie worker.
+//
 // The operation sequence is seeded, so a failure reproduces.
 func TestServiceConservationProperty(t *testing.T) {
 	seeds := []int64{1, 7, 42, 1234}
@@ -48,12 +54,25 @@ func TestServiceConservationProperty(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runConservationSequence(t, seed, ops)
+			runConservationSequence(t, seed, ops, false)
+		})
+		t.Run(fmt.Sprintf("remote,seed=%d", seed), func(t *testing.T) {
+			runConservationSequence(t, seed, ops, true)
 		})
 	}
 }
 
-func runConservationSequence(t *testing.T, seed int64, ops int) {
+// remoteResults is what the remote holder reports for a job: one trivial
+// result per spec.
+func remoteResults(job Job) []SpecResult {
+	out := make([]SpecResult, len(job.Request.Specs))
+	for i, s := range job.Request.Specs {
+		out[i] = SpecResult{Spec: s, Stats: &cpu.Stats{Cycles: 1, Retired: 1}}
+	}
+	return out
+}
+
+func runConservationSequence(t *testing.T, seed int64, ops int, remote bool) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 
@@ -101,8 +120,45 @@ func runConservationSequence(t *testing.T, seed int64, ops int) {
 		ackedHash = map[string]string{}
 		uniqueSeq int64
 		restarts  int
+		// held is the remote holder's view of its leases: id -> the job as
+		// leased. Entries outlive expiry, cancels and restarts on purpose,
+		// so later settles exercise the stale-token fence.
+		held = map[string]Job{}
 	)
+	settled := func(op int, what string, err error) {
+		t.Helper()
+		if err != nil && !errors.Is(err, ErrStaleLease) {
+			t.Fatalf("op %d: remote %s: %v", op, what, err)
+		}
+	}
 	for i := 0; i < ops; i++ {
+		if remote && rng.Float64() < 0.3 {
+			switch k := rng.Intn(10); {
+			case k < 4: // lease a batch
+				leased, err := svc.LeaseJobs("remote", 1+rng.Intn(2), time.Hour)
+				if err != nil {
+					t.Fatalf("op %d: lease: %v", i, err)
+				}
+				for _, j := range leased {
+					held[j.ID] = j
+				}
+			case k < 9: // settle one held lease, current or stale
+				for id, j := range held {
+					if k < 7 {
+						_, err := svc.CompleteLeased(id, j.LeaseToken, remoteResults(j))
+						settled(i, "complete", err)
+					} else {
+						_, err := svc.FailLeased(id, j.LeaseToken, errors.New("remote flaky"))
+						settled(i, "fail", err)
+					}
+					delete(held, id)
+					break
+				}
+			default: // the holder stops heartbeating: every lease lapses
+				svc.ExpireLeases(time.Now().Add(2 * time.Hour))
+			}
+			continue
+		}
 		switch p := rng.Float64(); {
 		case p < 0.40: // unique submission
 			uniqueSeq++
@@ -120,12 +176,10 @@ func runConservationSequence(t *testing.T, seed int64, ops int) {
 			ackedIDs = append(ackedIDs, job.ID)
 			ackedHash[job.ID] = job.SpecHash
 		case p < 0.90 && len(ackedIDs) > 0: // cancel a random acked job
-			// Best-effort: the job may already be terminal, or in the
-			// window between being popped and being registered as running
-			// (where Cancel declines). Either way the conservation ledger
-			// below must still balance.
 			id := ackedIDs[rng.Intn(len(ackedIDs))]
-			_, _ = svc.Cancel(id)
+			if _, err := svc.Cancel(id); err != nil && !errors.Is(err, ErrFinished) {
+				t.Fatalf("op %d: cancel %s: %v", i, id, err)
+			}
 		case p < 0.95 && restarts < 3: // crash-restart over the same directory
 			restarts++
 			svc.Close()
@@ -135,7 +189,10 @@ func runConservationSequence(t *testing.T, seed int64, ops int) {
 		}
 	}
 
-	// Drain: every acknowledged job must settle within the deadline.
+	// Drain: the remote holder walks away, so its leases lapse back to the
+	// local pool, and every acknowledged job must settle within the
+	// deadline.
+	svc.ExpireLeases(time.Now().Add(2 * time.Hour))
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		live := 0

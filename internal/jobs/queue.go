@@ -2,13 +2,11 @@ package jobs
 
 import (
 	"container/heap"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -53,10 +51,12 @@ type Job struct {
 	StartedAt   time.Time `json:"started_at,omitempty"`
 	FinishedAt  time.Time `json:"finished_at,omitempty"`
 
-	// Lease state, set while a fleet worker holds the job. Worker names the
-	// holder, LeaseToken fences its completions (a requeue rotates the token,
-	// so a zombie worker's late Complete is rejected), LeaseExpiry is when an
-	// unrenewed lease lapses back into the queue.
+	// Lease state, set while the job runs: every run holds a lease. Worker
+	// names a fleet holder (empty for the daemon's own workers), LeaseToken
+	// fences the holder's settle calls (a requeue or cancel clears it, so a
+	// zombie's late settle is rejected), and LeaseExpiry is when an
+	// unrenewed fleet lease lapses back into the queue (zero for local runs,
+	// which never expire).
 	Worker      string    `json:"worker,omitempty"`
 	LeaseToken  string    `json:"lease_token,omitempty"`
 	LeaseExpiry time.Time `json:"lease_expiry,omitempty"`
@@ -104,7 +104,6 @@ func (h *jobHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 // errs towards re-running a job, which the content-addressed store makes
 // idempotent.
 type Queue struct {
-	dir     string
 	journal *journal
 
 	mu        sync.Mutex
@@ -113,9 +112,11 @@ type Queue struct {
 	pending   jobHeap
 	nextSeq   int64
 	nextToken int64
-	epoch     int64 // open-time nanos, embedded in lease tokens for cross-restart uniqueness
-	closed    bool
-	recovered int
+	// tokenPrefix is the open time in hex nanos plus a dot: lease tokens are
+	// tokenPrefix+counter, unique across restarts.
+	tokenPrefix string
+	closed      bool
+	recovered   int
 
 	// onTerminal, when set, runs under mu as a transition moves a job into
 	// a terminal state, so whatever it publishes is visible no later than
@@ -149,16 +150,9 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: queue: %w", err)
 	}
-	q := &Queue{dir: dir, jobs: make(map[string]*Job), nextSeq: 1, epoch: time.Now().UnixNano()}
+	q := &Queue{jobs: make(map[string]*Job), nextSeq: 1,
+		tokenPrefix: strconv.FormatInt(time.Now().UnixNano(), 16) + "."}
 	q.cond = sync.NewCond(&q.mu)
-
-	// Legacy layout: one <id>.json per job, from before the journal. Load
-	// them first (journal records, being newer, override below), fold them
-	// into the journal, then remove the files.
-	legacy, err := q.loadLegacy()
-	if err != nil {
-		return nil, err
-	}
 
 	j, err := openJournal(dir, commitInterval, func(job Job) {
 		q.applyRecord(job)
@@ -169,19 +163,20 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 	q.journal = j
 
 	// Normalize recovered state: anything live goes back to queued, leases
-	// do not survive their coordinator.
-	var migrate [][]byte
+	// do not survive their holder — a remote worker's, or the previous
+	// process's own.
+	var last uint64
+	q.mu.Lock()
 	for _, job := range q.jobs {
 		if job.State == StateQueued || job.State == StateRunning {
 			job.State = StateQueued
 			job.clearLease()
 			q.recovered++
-			rec, err := encodeRecord(job)
-			if err != nil {
+			if last, err = q.stageLocked(job); err != nil {
+				q.mu.Unlock()
 				q.journal.Close()
 				return nil, err
 			}
-			migrate = append(migrate, rec)
 			heap.Push(&q.pending, job)
 		}
 		if job.Seq >= q.nextSeq {
@@ -189,67 +184,14 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 		}
 	}
 	heap.Init(&q.pending)
-
-	// Migrated legacy jobs need journal records too, or a crash before the
-	// first compaction would lose them.
-	for _, name := range legacy {
-		job := q.jobs[name]
-		if job == nil || job.State == StateQueued { // live ones staged above
-			continue
-		}
-		rec, err := encodeRecord(job)
-		if err != nil {
-			q.journal.Close()
-			return nil, err
-		}
-		migrate = append(migrate, rec)
-	}
-	var last uint64
-	for _, rec := range migrate {
-		if last, err = q.journal.append(rec); err != nil {
-			q.journal.Close()
-			return nil, err
-		}
-	}
+	q.mu.Unlock()
 	if last > 0 {
 		if err := q.journal.wait(last); err != nil {
 			q.journal.Close()
 			return nil, err
 		}
 	}
-	for _, name := range legacy {
-		os.Remove(filepath.Join(dir, name+".json"))
-	}
 	return q, nil
-}
-
-// loadLegacy reads pre-journal one-file-per-job records into the job map and
-// returns their ids; the caller re-journals and removes them.
-func (q *Queue) loadLegacy() ([]string, error) {
-	entries, err := os.ReadDir(q.dir)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: queue: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(q.dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: queue: %w", err)
-		}
-		var j Job
-		if err := json.Unmarshal(data, &j); err != nil {
-			return nil, fmt.Errorf("jobs: queue: %s: %w", e.Name(), err)
-		}
-		if j.ID == "" || q.jobs[j.ID] != nil {
-			return nil, fmt.Errorf("jobs: queue: %s: bad or duplicate job id %q", e.Name(), j.ID)
-		}
-		q.jobs[j.ID] = &j
-		ids = append(ids, j.ID)
-	}
-	return ids, nil
 }
 
 // applyRecord folds one replayed journal record into the map (last record
@@ -373,14 +315,24 @@ func (q *Queue) submit(req Request, hash string, state State) (Job, error) {
 	return job, nil
 }
 
-// popLocked takes the best pending job, marks it running and charges one
-// attempt. Caller holds q.mu and has checked pending is non-empty.
-func (q *Queue) popLocked() *Job {
+// grantLocked takes the best pending job and grants it as a lease: running,
+// one attempt charged, a fresh token that fences its settle calls, held by
+// worker until expiry. Pop grants with no worker and no expiry — the
+// daemon's own runs, which ExpireLeases, Leased and the fleet view ignore.
+// The record is staged; the returned sequence is what to wait on. Caller
+// holds q.mu and has checked pending is non-empty.
+func (q *Queue) grantLocked(worker string, expiry time.Time) (*Job, uint64, error) {
 	j := heap.Pop(&q.pending).(*Job)
 	j.State = StateRunning
 	j.Attempts++
 	j.StartedAt = time.Now().UTC()
-	return j
+	j.Worker = worker
+	j.LeaseExpiry = expiry
+	var buf [40]byte
+	j.LeaseToken = string(strconv.AppendInt(append(buf[:0], q.tokenPrefix...), q.nextToken, 10))
+	q.nextToken++
+	seq, err := q.stageLocked(j)
+	return j, seq, err
 }
 
 // skipCanceledLocked drops entries cancelled while pending off the heap top.
@@ -390,10 +342,10 @@ func (q *Queue) skipCanceledLocked() {
 	}
 }
 
-// Pop blocks until a job is available, marks it running (charging one
-// attempt) and returns a copy; ok is false once the queue is closed —
-// closing wakes every blocked Pop, and jobs still pending stay durably
-// queued for the next open to recover.
+// Pop blocks until a job is available, grants it as a lease that never
+// expires (see grantLocked) and returns a copy; ok is false once the queue
+// is closed — closing wakes every blocked Pop, and jobs still pending stay
+// durably queued for the next open to recover.
 func (q *Queue) Pop() (Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -403,8 +355,7 @@ func (q *Queue) Pop() (Job, bool) {
 		}
 		q.skipCanceledLocked()
 		if q.pending.Len() > 0 {
-			j := q.popLocked()
-			seq, err := q.stageLocked(j)
+			j, seq, err := q.grantLocked("", time.Time{})
 			job := *j
 			q.mu.Unlock()
 			// A commit failure is survivable here: the record on disk may
@@ -421,17 +372,17 @@ func (q *Queue) Pop() (Job, bool) {
 	}
 }
 
-// Lease is the fleet coordinator's non-blocking Pop: it takes up to max
-// pending jobs for worker, marks them running with a fresh lease token and
-// a ttl-long expiry, and returns copies. The lease records ride one group
-// commit and the call waits for it — handing out a lease whose record was
-// lost to a crash would only waste a worker's time, but the fsync is shared
-// across the whole batch, so the wait is cheap.
+// Lease is the fleet coordinator's non-blocking Pop: it grants up to max
+// pending jobs to worker, each expiring ttl from now unless renewed, and
+// returns copies. The lease records ride one group commit and the call
+// waits for it — handing out a lease whose record was lost to a crash would
+// only waste a worker's time, but the fsync is shared across the whole
+// batch, so the wait is cheap.
 func (q *Queue) Lease(worker string, max int, ttl time.Duration) ([]Job, error) {
 	if max <= 0 || worker == "" {
 		return nil, nil
 	}
-	now := time.Now().UTC()
+	expiry := time.Now().UTC().Add(ttl)
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -444,12 +395,7 @@ func (q *Queue) Lease(worker string, max int, ttl time.Duration) ([]Job, error) 
 		if q.pending.Len() == 0 {
 			break
 		}
-		j := q.popLocked()
-		j.Worker = worker
-		j.LeaseToken = fmt.Sprintf("%x.%d", q.epoch, q.nextToken)
-		j.LeaseExpiry = now.Add(ttl)
-		q.nextToken++
-		seq, err := q.stageLocked(j)
+		j, seq, err := q.grantLocked(worker, expiry)
 		if err != nil {
 			q.mu.Unlock()
 			return out, err
@@ -489,10 +435,9 @@ func (q *Queue) Heartbeat(worker string, ids []string, ttl time.Duration) []stri
 	return renewed
 }
 
-// ExpireLeases requeues every leased job whose expiry has passed — the
-// existing Park/Release crash semantics applied to a worker that stopped
-// heartbeating: the job goes back to queued with its lease cleared (token
-// rotated away, so the dead worker's late Complete is fenced off) and is
+// ExpireLeases requeues every fleet-leased job whose expiry has passed — a
+// worker that stopped heartbeating: the job goes back to queued with its
+// lease cleared (so the dead worker's late settle is fenced off) and is
 // immediately poppable again. Expiry does not charge the retry budget; a
 // worker crash is the coordinator's fault to absorb, like its own restart.
 // Returns copies of the requeued jobs.
@@ -521,34 +466,45 @@ func (q *Queue) ExpireLeases(now time.Time) []Job {
 }
 
 // CompleteLease marks a leased job done, but only if token still fences it;
-// otherwise ErrStaleLease (wrapped) tells the worker its lease lapsed and
-// the result was discarded. Durable before returning.
+// otherwise ErrStaleLease (wrapped) tells the holder its lease lapsed, or
+// the job was cancelled, and the result was discarded. Durable before
+// returning.
 func (q *Queue) CompleteLease(id, token string) (Job, error) {
-	return q.update(id, func(j *Job) error {
-		if err := checkLease(j, token); err != nil {
-			return err
-		}
+	return q.settleLease(id, token, func(j *Job) {
 		j.State = StateDone
 		j.Error = ""
-		j.clearLease()
 		j.FinishedAt = time.Now().UTC()
-		return nil
 	})
 }
 
-// ParkLease validates the worker's token and parks the job (queued on disk,
-// not poppable until Release) in one atomic step — the fleet's failure path
-// into the service's usual retry machinery.
+// ParkLease settles a failed attempt for a retry: the job is queued on disk
+// but not poppable until Release, so a crash during the backoff recovers it
+// while live workers don't pick it up early.
 func (q *Queue) ParkLease(id, token string, cause error) (Job, error) {
+	return q.settleLease(id, token, func(j *Job) {
+		j.State = StateQueued
+		j.Error = cause.Error()
+	})
+}
+
+// FailLease settles a failed attempt for good.
+func (q *Queue) FailLease(id, token string, cause error) (Job, error) {
+	return q.settleLease(id, token, func(j *Job) {
+		j.State = StateFailed
+		j.Error = cause.Error()
+		j.FinishedAt = time.Now().UTC()
+	})
+}
+
+// settleLease applies mutate to a leased job and clears its lease, if token
+// still fences it. Durable before returning.
+func (q *Queue) settleLease(id, token string, mutate func(*Job)) (Job, error) {
 	return q.update(id, func(j *Job) error {
 		if err := checkLease(j, token); err != nil {
 			return err
 		}
-		j.State = StateQueued
 		j.clearLease()
-		if cause != nil {
-			j.Error = cause.Error()
-		}
+		mutate(j)
 		return nil
 	})
 }
@@ -602,54 +558,6 @@ func (q *Queue) update(id string, mutate func(*Job) error) (Job, error) {
 	return job, nil
 }
 
-// Complete marks a running job done.
-func (q *Queue) Complete(id string) (Job, error) {
-	return q.update(id, func(j *Job) error {
-		j.State = StateDone
-		j.Error = ""
-		j.clearLease()
-		j.FinishedAt = time.Now().UTC()
-		return nil
-	})
-}
-
-// Fail marks a running job failed permanently.
-func (q *Queue) Fail(id string, cause error) (Job, error) {
-	return q.update(id, func(j *Job) error {
-		j.State = StateFailed
-		j.Error = cause.Error()
-		j.clearLease()
-		j.FinishedAt = time.Now().UTC()
-		return nil
-	})
-}
-
-// Requeue puts a running job back in the pending queue (after a transient
-// failure, or at shutdown so a restart resumes it), recording the cause.
-func (q *Queue) Requeue(id string, cause error) (Job, error) {
-	j, err := q.Park(id, cause)
-	if err != nil {
-		return j, err
-	}
-	q.Release(id)
-	return j, nil
-}
-
-// Park marks a running job queued on disk without making it poppable yet;
-// Release later re-admits it. The retry-backoff path uses the pair so that
-// a crash during the backoff window recovers the job, while live workers
-// don't pick it up early.
-func (q *Queue) Park(id string, cause error) (Job, error) {
-	return q.update(id, func(j *Job) error {
-		j.State = StateQueued
-		j.clearLease()
-		if cause != nil {
-			j.Error = cause.Error()
-		}
-		return nil
-	})
-}
-
 // Release re-admits a parked (queued but unlisted) job to the pending heap.
 // A job cancelled while parked stays out.
 func (q *Queue) Release(id string) {
@@ -668,23 +576,14 @@ func (q *Queue) Release(id string) {
 	q.cond.Signal()
 }
 
-// Cancel marks a queued or parked job canceled; running or terminal jobs
-// are refused (the service cancels running jobs through their context).
+// Cancel marks any live job canceled: queued, parked for a retry, or
+// running under a lease, local or remote. The cleared token fences the
+// holder's late settle. A job already terminal returns ErrFinished.
 func (q *Queue) Cancel(id string) (Job, error) {
 	return q.update(id, func(j *Job) error {
-		if j.State != StateQueued {
-			return fmt.Errorf("jobs: job %s is %s, not queued", id, j.State)
+		if j.State.Terminal() {
+			return ErrFinished
 		}
-		j.State = StateCanceled
-		j.FinishedAt = time.Now().UTC()
-		return nil
-	})
-}
-
-// MarkCanceled marks a running job canceled (its context was cancelled, or
-// its remote lease holder was told to drop it).
-func (q *Queue) MarkCanceled(id string) (Job, error) {
-	return q.update(id, func(j *Job) error {
 		j.State = StateCanceled
 		j.clearLease()
 		j.FinishedAt = time.Now().UTC()

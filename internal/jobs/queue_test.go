@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testRequest(name string, priority int) Request {
@@ -52,6 +53,47 @@ func TestQueuePriorityFIFO(t *testing.T) {
 	}
 }
 
+// TestQueuePopGrantsLocalLease: Pop grants the same token-fenced lease as
+// Lease, with no worker and no expiry, so the fleet's lease bookkeeping
+// never sees it, and Cancel of the running job fences its late settle.
+func TestQueuePopGrantsLocalLease(t *testing.T) {
+	q, ja, jb := leaseQueue(t)
+	a, ok := q.Pop()
+	if !ok {
+		t.Fatal("queue closed early")
+	}
+	if a.ID != ja.ID || a.State != StateRunning || a.LeaseToken == "" || a.Worker != "" || !a.LeaseExpiry.IsZero() {
+		t.Fatalf("popped job %+v, want %s running under a local lease", a, ja.ID)
+	}
+	if q.Leased() != 0 {
+		t.Errorf("Leased() = %d counts a local run", q.Leased())
+	}
+	if expired := q.ExpireLeases(time.Now().Add(time.Hour)); len(expired) != 0 {
+		t.Errorf("ExpireLeases requeued local runs %v", expired)
+	}
+	if _, err := q.CompleteLease(ja.ID, "bogus"); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("bogus token error = %v, want ErrStaleLease", err)
+	}
+	if _, err := q.CompleteLease(ja.ID, a.LeaseToken); err != nil {
+		t.Fatal(err)
+	}
+
+	b, _ := q.Pop()
+	if b.LeaseToken == a.LeaseToken {
+		t.Error("two grants share a token")
+	}
+	canceled, err := q.Cancel(jb.ID)
+	if err != nil || canceled.State != StateCanceled || canceled.LeaseToken != "" {
+		t.Fatalf("cancel running job: %+v, %v", canceled, err)
+	}
+	if _, err := q.CompleteLease(jb.ID, b.LeaseToken); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("settle after cancel error = %v, want ErrStaleLease", err)
+	}
+	if _, err := q.Cancel(jb.ID); !errors.Is(err, ErrFinished) {
+		t.Errorf("second cancel error = %v, want ErrFinished", err)
+	}
+}
+
 // TestQueueRecovery is the kill-and-restart property at the queue level:
 // queued and running jobs reappear queued after a reopen, terminal jobs keep
 // their state, and new submissions never reuse an id.
@@ -68,10 +110,11 @@ func TestQueueRecovery(t *testing.T) {
 	}
 	jc, _ := q.Submit(reqC, hashFor(t, reqC))
 	// a completes; b stays queued; c is mid-run when the process "dies".
-	if _, ok := q.Pop(); !ok {
+	popped, ok := q.Pop()
+	if !ok {
 		t.Fatal("pop failed")
 	}
-	if _, err := q.Complete(ja.ID); err != nil {
+	if _, err := q.CompleteLease(ja.ID, popped.LeaseToken); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := q.Pop(); !ok { // b running
@@ -136,7 +179,7 @@ func TestQueueCancelAndParkRelease(t *testing.T) {
 	}
 
 	// Park b (retry backoff): durable as queued, but not poppable.
-	if _, err := q.Park(jb.ID, errors.New("transient")); err != nil {
+	if _, err := q.ParkLease(jb.ID, j.LeaseToken, errors.New("transient")); err != nil {
 		t.Fatal(err)
 	}
 	if q.Depth() != 0 {

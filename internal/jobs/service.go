@@ -120,6 +120,7 @@ var ErrFinished = errors.New("jobs: job already finished")
 // Start it, submit Requests (directly or over HTTP via Handler), Close it.
 type Service struct {
 	cfg   Config
+	exec  Executor
 	queue *Queue
 	store *Store
 
@@ -131,11 +132,10 @@ type Service struct {
 	wg sync.WaitGroup
 }
 
-// runningJob is the volatile side of an executing job.
+// runningJob is the volatile side of an in-process run.
 type runningJob struct {
-	cancel     context.CancelFunc
-	progress   *harness.Progress
-	userCancel bool
+	cancel   context.CancelFunc
+	progress *harness.Progress
 }
 
 // Open opens the durable state under cfg.DataDir and recovers interrupted
@@ -153,9 +153,6 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
-	if cfg.Simulate == nil {
-		cfg.Simulate = harness.SimulateBatch
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
@@ -168,7 +165,14 @@ func Open(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:     cfg,
+		cfg: cfg,
+		exec: Executor{
+			Simulate:          cfg.Simulate,
+			JobTimeout:        cfg.JobTimeout,
+			Phases:            cfg.TracePhases,
+			Telemetry:         cfg.Telemetry,
+			TelemetryInterval: cfg.TelemetryInterval,
+		},
 		queue:   queue,
 		store:   store,
 		running: make(map[string]*runningJob),
@@ -193,7 +197,9 @@ func (s *Service) countTerminal(st State) {
 	}
 }
 
-// Start launches the worker pool.
+// Start launches the worker pool. Each worker holds the jobs it pops as
+// leases that never expire, and settles them through the same token-fenced
+// calls a fleet worker's /complete and /fail reach.
 func (s *Service) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -211,8 +217,8 @@ func (s *Service) Start() {
 }
 
 // Close stops the service: no new submissions, running jobs are interrupted
-// and re-queued durably (a later Open resumes them), parked retries stay
-// queued on disk, and the workers drain.
+// and keep their leases on disk (a later Open requeues them, attempt counts
+// kept), parked retries stay queued on disk, and the workers drain.
 func (s *Service) Close() {
 	s.mu.Lock()
 	s.closing = true
@@ -326,96 +332,57 @@ func (s *Service) Result(id string) (*ResultSet, error) {
 	return rs, nil
 }
 
-// Cancel cancels a job: queued (or parked for retry) jobs are marked
-// canceled directly, running jobs have their context cancelled and settle
-// to canceled once the in-flight specs drain. Terminal jobs return
-// ErrFinished.
+// Cancel cancels any live job in one durable step: queued, parked for a
+// retry, or running, in process or on a fleet worker. The cleared lease
+// token fences the holder's late settle; an in-process run also has its
+// context cancelled, and a remote holder learns at its next heartbeat.
+// Terminal jobs return ErrFinished.
 func (s *Service) Cancel(id string) (Job, error) {
+	job, err := s.queue.Cancel(id)
+	if err != nil {
+		return job, err
+	}
 	s.mu.Lock()
 	if r, ok := s.running[id]; ok {
-		r.userCancel = true
 		r.cancel()
-		if t, ok := s.timers[id]; ok {
-			t.Stop()
-			delete(s.timers, id)
-		}
-		s.mu.Unlock()
-		job, _ := s.queue.Get(id)
-		return job, nil
 	}
 	if t, ok := s.timers[id]; ok {
 		t.Stop()
 		delete(s.timers, id)
 	}
 	s.mu.Unlock()
-	job, ok := s.queue.Get(id)
-	if !ok {
-		return Job{}, fmt.Errorf("jobs: unknown job %q", id)
-	}
-	if job.State.Terminal() {
-		return job, ErrFinished
-	}
-	if job.State == StateRunning && job.Worker != "" {
-		// Running on a remote worker: cancel the record now; the worker
-		// learns the lease is lost at its next heartbeat and abandons the
-		// run, and its late Complete is fenced off by the cleared token.
-		job, err := s.queue.MarkCanceled(id)
-		if err != nil {
-			return job, err
-		}
-		s.publish()
-		s.finishJob(job, "canceled")
-		s.cfg.Logger.Warn("leased job canceled",
-			"job", job.ID, "spec_hash", job.SpecHash, "worker", job.Worker)
-		return job, nil
-	}
-	job, err := s.queue.Cancel(id)
-	if err != nil {
-		return job, err
-	}
 	s.publish()
 	s.finishJob(job, "canceled")
-	s.cfg.Logger.Warn("job canceled before running",
-		"job", job.ID, "spec_hash", job.SpecHash)
+	s.cfg.Logger.Warn("job canceled",
+		"job", job.ID, "spec_hash", job.SpecHash, "attempts", job.Attempts)
 	return job, nil
 }
 
-// runJob executes one popped job to a terminal state (or back into the
-// queue, for retries and shutdown).
+// runJob executes one popped job and settles it through CompleteLeased or
+// FailLeased, fenced by the token Pop granted.
 func (s *Service) runJob(job Job) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	progress := harness.NewProgress(obs.NewSharedRegistry())
-	timeout := s.cfg.JobTimeout
-	if job.Request.TimeoutSeconds > 0 {
-		timeout = time.Duration(job.Request.TimeoutSeconds) * time.Second
-	}
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
 	s.mu.Lock()
-	if s.closing {
-		// Shutdown raced the pop: put the job straight back.
+	closing := s.closing
+	if !closing {
+		s.running[job.ID] = &runningJob{cancel: cancel, progress: progress}
+	}
+	s.mu.Unlock()
+	if closing {
+		return // shutdown raced the pop: the lease stays for recovery
+	}
+	if s.queue.ValidateLease(job.ID, job.LeaseToken) != nil {
+		// Cancelled between the pop and the registration above, which
+		// Cancel could not see yet.
+		s.mu.Lock()
+		delete(s.running, job.ID)
 		s.mu.Unlock()
-		cancel()
-		_, _ = s.queue.Park(job.ID, nil)
 		return
 	}
-	s.running[job.ID] = &runningJob{cancel: cancel, progress: progress}
-	s.mu.Unlock()
 	s.publish()
-
-	// The first lease closes the queue-wait interval; retries re-enter the
-	// queue through Park without a recorded park time, so only the initial
-	// wait is attributed.
-	if job.Attempts == 1 {
-		wait := job.StartedAt.Sub(job.SubmittedAt)
-		s.observe(MetricQueueWaitMS, wait.Milliseconds())
-		s.cfg.Tracer.Emit(job.ID, SpanQueueWait, job.SubmittedAt, job.StartedAt,
-			obs.SpanAttr{Key: "spec_hash", Value: job.SpecHash})
-	}
+	s.granted(job)
 	s.cfg.Logger.Info("job started",
 		"job", job.ID, "spec_hash", job.SpecHash,
 		"attempt", job.Attempts, "specs", len(job.Request.Specs))
@@ -430,7 +397,7 @@ func (s *Service) runJob(job Job) {
 	run.Attr("specs", fmt.Sprint(len(job.Request.Specs)))
 	runBegan := time.Now()
 
-	results, phases, runErr := s.execute(ctx, job, progress)
+	results, phases, runErr := s.exec.Execute(ctx, job.Request, progress)
 
 	snap := progress.Snapshot()
 	run.Attr("cycles", fmt.Sprint(snap.CyclesTotal))
@@ -446,47 +413,26 @@ func (s *Service) runJob(job Job) {
 	s.observe(MetricRunMS, time.Since(runBegan).Milliseconds())
 
 	s.mu.Lock()
-	r := s.running[job.ID]
 	delete(s.running, job.ID)
-	userCancel := r != nil && r.userCancel
-	closing := s.closing
+	closing = s.closing
 	s.mu.Unlock()
-	cancel()
 
-	switch {
-	case runErr == nil:
-		rs := &ResultSet{SpecHash: job.SpecHash, Results: results}
-		st := s.cfg.Tracer.Start(job.ID, SpanStore)
-		st.Attr("spec_hash", job.SpecHash)
-		err := s.store.Put(rs)
-		st.End()
-		if err != nil {
-			runErr = err
-			break
-		}
-		done, _ := s.queue.Complete(job.ID)
-		s.publish()
-		s.finishJob(done, "done")
-		s.cfg.Logger.Info("job done",
-			"job", job.ID, "spec_hash", job.SpecHash,
-			"attempt", job.Attempts, "elapsed", time.Since(runBegan))
-		return
-	case userCancel:
-		done, _ := s.queue.MarkCanceled(job.ID)
-		s.publish()
-		s.finishJob(done, "canceled")
-		s.cfg.Logger.Warn("job canceled",
-			"job", job.ID, "spec_hash", job.SpecHash, "attempt", job.Attempts)
-		return
-	case closing:
-		// Interrupted by shutdown: back to the queue, attempt not wasted.
-		_, _ = s.queue.Park(job.ID, runErr)
-		s.cfg.Logger.Warn("job interrupted by shutdown, requeued",
+	if runErr != nil && closing {
+		s.cfg.Logger.Warn("job interrupted by shutdown, left for recovery",
 			"job", job.ID, "spec_hash", job.SpecHash)
 		return
 	}
-	s.count(MetricAttemptErrors, 1)
-	s.settleFailure(job, runErr)
+	if runErr == nil {
+		if _, runErr = s.CompleteLeased(job.ID, job.LeaseToken, results); runErr == nil {
+			return
+		}
+	}
+	if _, err := s.FailLeased(job.ID, job.LeaseToken, runErr); err != nil {
+		// Cancelled mid-run — Cancel settled the job, and its cleared token
+		// fences this attempt off — or the journal failed. Either way there
+		// is nothing left to settle; refresh the in-flight gauge.
+		s.publish()
+	}
 }
 
 // finishJob closes a job's timeline: one whole-lifecycle span plus the
@@ -505,67 +451,57 @@ func (s *Service) finishJob(done Job, state string) {
 		obs.SpanAttr{Key: "attempts", Value: fmt.Sprint(done.Attempts)})
 }
 
-// settleFailure retries a failed attempt with exponential backoff until the
-// retry budget runs out, then fails the job for good.
-func (s *Service) settleFailure(job Job, cause error) {
-	if job.Attempts <= s.cfg.MaxRetries {
-		// Park durably now (a crash during backoff recovers the job),
-		// release into the pending heap when the backoff elapses.
-		if _, err := s.queue.Park(job.ID, cause); err == nil {
-			delay := s.cfg.RetryBackoff << (job.Attempts - 1)
-			s.mu.Lock()
-			if s.closing {
-				s.mu.Unlock()
-				return
-			}
-			s.timers[job.ID] = time.AfterFunc(delay, func() {
-				s.mu.Lock()
-				delete(s.timers, job.ID)
-				s.mu.Unlock()
-				s.queue.Release(job.ID)
-				s.publish()
-			})
-			s.mu.Unlock()
-			s.count(MetricRetries, 1)
-			s.publish()
-			s.cfg.Logger.Warn("job attempt failed, retrying",
-				"job", job.ID, "spec_hash", job.SpecHash,
-				"attempt", job.Attempts, "backoff", delay, "err", cause)
-			return
-		}
-	}
-	done, _ := s.queue.Fail(job.ID, cause)
-	s.publish()
-	s.finishJob(done, "failed")
-	s.cfg.Logger.Error("job failed",
-		"job", job.ID, "spec_hash", job.SpecHash,
-		"attempts", job.Attempts, "err", cause)
+// Executor runs one job's specs. The daemon's own workers and fleet workers
+// share it, so a job's results are byte-identical wherever it runs: same
+// spec conversion, same timeout, same telemetry attachment, same result
+// packaging.
+type Executor struct {
+	// Simulate runs the batch; nil selects harness.SimulateBatch.
+	Simulate SimulateFunc
+	// JobTimeout bounds one execution; 0 means no bound. A request with
+	// TimeoutSeconds > 0 overrides it.
+	JobTimeout time.Duration
+	// Phases turns on the per-pipeline-stage wall-time breakdown.
+	Phases bool
+	// Telemetry attaches a cpu.Telemetry sampler to every spec, sampling
+	// every TelemetryInterval simulated cycles (<= 0 selects
+	// DefaultTelemetryInterval).
+	Telemetry         bool
+	TelemetryInterval int64
 }
 
-// execute runs the job's specs through the configured executor. Context
-// errors win over per-spec errors so timeouts and cancellations are
-// reported as such. The second return is the aggregated per-phase wall-time
-// breakdown (empty unless Config.TracePhases is set).
-func (s *Service) execute(ctx context.Context, job Job, progress *harness.Progress) ([]SpecResult, string, error) {
-	specs, err := job.Request.HarnessSpecs()
+// Execute runs req's specs. Context errors win over per-spec errors so
+// timeouts and cancellations are reported as such. The second return is the
+// aggregated per-phase wall-time breakdown (empty unless Phases is set).
+func (e Executor) Execute(ctx context.Context, req Request, progress *harness.Progress) ([]SpecResult, string, error) {
+	timeout := e.JobTimeout
+	if req.TimeoutSeconds > 0 {
+		timeout = time.Duration(req.TimeoutSeconds) * time.Second
+	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	specs, err := req.HarnessSpecs()
 	if err != nil {
 		return nil, "", err
 	}
-	if s.cfg.TracePhases {
-		for i := range specs {
-			specs[i].Phases = true
-		}
+	interval := e.TelemetryInterval
+	if interval <= 0 {
+		interval = DefaultTelemetryInterval
 	}
-	if s.cfg.Telemetry {
-		interval := s.cfg.TelemetryInterval
-		if interval <= 0 {
-			interval = DefaultTelemetryInterval
-		}
-		for i := range specs {
+	for i := range specs {
+		specs[i].Phases = e.Phases
+		if e.Telemetry {
 			specs[i].Telemetry = cpu.NewTelemetry(interval, TelemetrySeriesCap)
 		}
 	}
-	results, err := s.cfg.Simulate(ctx, specs, progress)
+	simulate := e.Simulate
+	if simulate == nil {
+		simulate = harness.SimulateBatch
+	}
+	results, err := simulate(ctx, specs, progress)
 	progress.Finish()
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -573,12 +509,12 @@ func (s *Service) execute(ctx context.Context, job Job, progress *harness.Progre
 		}
 		return nil, "", err
 	}
-	if len(results) != len(job.Request.Specs) {
-		return nil, "", fmt.Errorf("jobs: executor returned %d results for %d specs", len(results), len(job.Request.Specs))
+	if len(results) != len(req.Specs) {
+		return nil, "", fmt.Errorf("jobs: executor returned %d results for %d specs", len(results), len(req.Specs))
 	}
 	out := make([]SpecResult, len(results))
 	for i, r := range results {
-		out[i] = SpecResult{Spec: job.Request.Specs[i], Stats: r.Stats}
+		out[i] = SpecResult{Spec: req.Specs[i], Stats: r.Stats}
 		if tl := specs[i].Telemetry; tl != nil && r.Stats != nil {
 			out[i].Telemetry = tl.Snapshot()
 		}

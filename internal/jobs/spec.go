@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -33,6 +34,7 @@ import (
 	"valuespec/internal/core"
 	"valuespec/internal/cpu"
 	"valuespec/internal/harness"
+	"valuespec/internal/mem"
 )
 
 // SimSpec is one simulation, fully described by value: the serializable
@@ -83,13 +85,96 @@ func parseUpdate(s string) (cpu.UpdateTiming, error) {
 	return 0, fmt.Errorf("jobs: update timing %q, want \"I\" or \"D\"", s)
 }
 
-// Validate checks the spec without running anything.
+// The submission envelope. Validate rejects a spec outside it, so one
+// untrusted request cannot make a worker allocate without limit: a
+// pipeline's window, caches and branch table stay within a few tens of MiB.
+// Each bound is the paper's range with headroom. Its machines issue 4, 8 or
+// 16 wide over 24, 48 or 96 entries; its caches hold 64 KiB (L1) and 1 MiB
+// (L2) in 32- or 64-byte blocks, 4 ways; its gshare keeps 16 history bits;
+// memory is 36 cycles away and the latency variables span a few cycles;
+// every workload runs at its default scale. MaxCycles stays unbounded: it
+// costs nothing until a run gets that long, which a job timeout bounds, and
+// clients set it far above any real run as a uniqueness nonce.
+// MaxRequestBytes bounds a POST /jobs body.
+const (
+	MaxIssueWidth        = 64
+	MaxWindowSize        = 1024
+	MaxScaleFactor       = 16 // times the workload's default scale
+	MaxBranchHistoryBits = 20
+	MaxCacheBytes        = 4 << 20
+	MinCacheBlockBytes   = 8
+	MaxCacheBlockBytes   = 4096
+	MaxCacheAssoc        = 64
+	MaxLatency           = 1024 // cycles, for memory and model latencies alike
+	MaxRequestBytes      = 8 << 20
+)
+
+// bound is one field checked against the envelope.
+type bound struct {
+	name      string
+	v, lo, hi int
+}
+
+// envelope lists every bounded field of a spec whose configuration has been
+// resolved (defaults filled in) and whose workload is w.
+func (s SimSpec) envelope(c cpu.Config, w bench.Workload) []bound {
+	out := []bound{
+		{"scale", s.Scale, math.MinInt, MaxScaleFactor * w.DefaultScale},
+		{"IssueWidth", c.IssueWidth, 1, MaxIssueWidth},
+		{"WindowSize", c.WindowSize, 1, MaxWindowSize},
+		{"DCachePorts", c.DCachePorts, 1, MaxIssueWidth},
+		{"BranchHistoryBits", int(min(c.BranchHistoryBits, math.MaxInt32)), 1, MaxBranchHistoryBits},
+		{"L1IHitLat", c.Mem.L1IHitLat, 0, MaxLatency},
+		{"L1DHitLat", c.Mem.L1DHitLat, 0, MaxLatency},
+		{"L2HitLat", c.Mem.L2HitLat, 0, MaxLatency},
+		{"MemLat", c.Mem.MemLat, 0, MaxLatency},
+	}
+	for _, cc := range []struct {
+		name string
+		mem.CacheConfig
+	}{{"L1I", c.Mem.L1I}, {"L1D", c.Mem.L1D}, {"L2", c.Mem.L2}} {
+		out = append(out,
+			bound{cc.name + ".SizeBytes", cc.SizeBytes, 1, MaxCacheBytes},
+			bound{cc.name + ".BlockBytes", cc.BlockBytes, MinCacheBlockBytes, MaxCacheBlockBytes},
+			bound{cc.name + ".Assoc", cc.Assoc, 1, MaxCacheAssoc})
+	}
+	if m := s.Model; m != nil {
+		for _, l := range []struct {
+			name string
+			v    int
+		}{
+			{"ExecEqInvalidate", m.Lat.ExecEqInvalidate}, {"ExecEqVerify", m.Lat.ExecEqVerify},
+			{"VerifyFreeIssue", m.Lat.VerifyFreeIssue}, {"VerifyFreeRetire", m.Lat.VerifyFreeRetire},
+			{"InvalidateReissue", m.Lat.InvalidateReissue}, {"VerifyBranch", m.Lat.VerifyBranch},
+			{"VerifyAddrMem", m.Lat.VerifyAddrMem},
+		} {
+			out = append(out, bound{l.name, l.v, 0, MaxLatency})
+		}
+	}
+	return out
+}
+
+// Validate checks the spec without running anything, including that it
+// lies within the submission envelope.
 func (s SimSpec) Validate() error {
-	if _, err := bench.ByName(s.Workload); err != nil {
+	w, err := bench.ByName(s.Workload)
+	if err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	if err := resolveConfig(s.Config).Validate(); err != nil {
+	c := resolveConfig(s.Config)
+	if err := c.Validate(); err != nil {
 		return fmt.Errorf("jobs: workload %s: %w", s.Workload, err)
+	}
+	for _, b := range s.envelope(c, w) {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("jobs: workload %s: %s %d outside [%d, %d]", s.Workload, b.name, b.v, b.lo, b.hi)
+		}
+	}
+	// Geometry last: the bounds above keep its products from overflowing.
+	for _, cc := range []mem.CacheConfig{c.Mem.L1I, c.Mem.L1D, c.Mem.L2} {
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("jobs: workload %s: %w", s.Workload, err)
+		}
 	}
 	if _, err := parseUpdate(s.Update); err != nil {
 		return err

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"valuespec/internal/core"
 	"valuespec/internal/cpu"
 	"valuespec/internal/harness"
+	"valuespec/internal/mem"
 	"valuespec/internal/vpred"
 )
 
@@ -29,14 +31,83 @@ func TestSimSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	paperMem := cpu.Config8x48().Normalize().Mem
+	withMem := func(edit func(*mem.HierarchyConfig)) cpu.Config {
+		m := paperMem
+		edit(&m)
+		return cpu.Config{Mem: m}
+	}
+	slowModel := core.Great()
+	slowModel.Lat.VerifyBranch = MaxLatency + 1
 	cases := []SimSpec{
 		{Workload: "nope"},
 		{Workload: w.Name, Update: "X"},
 		{Workload: w.Name, Model: &core.Model{}}, // unnamed model
+		// The envelope: each bounded field one step past its bound.
+		{Workload: w.Name, Scale: MaxScaleFactor*w.DefaultScale + 1},
+		{Workload: w.Name, Config: cpu.Config{IssueWidth: MaxIssueWidth + 1, WindowSize: MaxWindowSize}},
+		{Workload: w.Name, Config: cpu.Config{WindowSize: MaxWindowSize + 1}},
+		{Workload: w.Name, Config: cpu.Config{DCachePorts: -1}},
+		{Workload: w.Name, Config: cpu.Config{BranchHistoryBits: 40}},
+		{Workload: w.Name, Config: withMem(func(m *mem.HierarchyConfig) { m.L2.SizeBytes = 2 * MaxCacheBytes })},
+		{Workload: w.Name, Config: withMem(func(m *mem.HierarchyConfig) { m.L1D.BlockBytes = MinCacheBlockBytes / 2 })},
+		{Workload: w.Name, Config: withMem(func(m *mem.HierarchyConfig) { m.L1I.Assoc = MaxCacheAssoc + 1 })},
+		{Workload: w.Name, Config: withMem(func(m *mem.HierarchyConfig) { m.L1I.SizeBytes = 3000 })}, // not a power of two
+		{Workload: w.Name, Config: withMem(func(m *mem.HierarchyConfig) { m.MemLat = MaxLatency + 1 })},
+		{Workload: w.Name, Config: withMem(func(m *mem.HierarchyConfig) { m.L2HitLat = -1 })},
+		{Workload: w.Name, Model: &slowModel},
 	}
 	for _, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("spec %+v validated, want error", c)
+		}
+	}
+
+	// The bounds themselves are inside the envelope.
+	great := core.Great()
+	great.Lat.ExecEqVerify = MaxLatency
+	edge := SimSpec{Workload: w.Name, Scale: MaxScaleFactor * w.DefaultScale, Model: &great,
+		Config: cpu.Config{IssueWidth: MaxIssueWidth, WindowSize: MaxWindowSize,
+			BranchHistoryBits: MaxBranchHistoryBits, MaxCycles: 1<<62 + 1,
+			Mem: withMem(func(m *mem.HierarchyConfig) {
+				m.L2 = mem.CacheConfig{Name: "L2", SizeBytes: MaxCacheBytes, BlockBytes: MinCacheBlockBytes, Assoc: MaxCacheAssoc}
+				m.MemLat = MaxLatency
+			}).Mem}}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("spec at the envelope's edge rejected: %v", err)
+	}
+}
+
+// TestEnvelopeAcceptsClients: every spec the repository's own clients send
+// lies inside the envelope — vsweep -submit's Fig. 3 and Fig. 4 batches on
+// all three paper machines, unsharded, and the nonce-steered scale-1 and
+// default-scale specs of vsload and perfbench's service mix — and the
+// largest unsharded body stays well under MaxRequestBytes.
+func TestEnvelopeAcceptsClients(t *testing.T) {
+	base, runs := harness.Fig3Specs(cpu.PaperConfigs(), core.Presets(), harness.PaperSettings(), bench.All(), 0)
+	batches := [][]harness.Spec{base, runs, harness.Fig4Specs(cpu.PaperConfigs(), bench.All(), 0)}
+	for _, batch := range batches {
+		req := Request{Name: "client batch"}
+		for _, hs := range batch {
+			ss, err := FromHarness(hs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scale := range []int{0, 1} {
+				ss.Scale = scale
+				ss.Config.MaxCycles = 1<<40 + 1<<30 // a nonce, as vsload and perfbench set it
+				if err := ss.Validate(); err != nil {
+					t.Errorf("client spec %s rejected: %v", ss.Label(), err)
+				}
+			}
+			req.Specs = append(req.Specs, ss)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) > MaxRequestBytes/4 {
+			t.Errorf("a %d-spec client body is %d bytes, within 4x of MaxRequestBytes %d", len(req.Specs), len(body), MaxRequestBytes)
 		}
 	}
 }
