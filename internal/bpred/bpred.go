@@ -32,6 +32,10 @@ func NewGshare(historyBits uint) *Gshare {
 	return g
 }
 
+// HistoryBits returns the global-history length, which also sizes the
+// counter table.
+func (g *Gshare) HistoryBits() uint { return g.historyBits }
+
 // Default returns the paper's configuration: 16 history bits, 64K counters.
 func Default() *Gshare { return NewGshare(16) }
 

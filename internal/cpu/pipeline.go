@@ -20,7 +20,8 @@ type eqEvent struct {
 }
 
 // Pipeline simulates one program on one processor configuration under one
-// speculative-execution model. Create with New, drive with Run.
+// speculative-execution model. Create with New (or Reset a spent one), drive
+// with Run.
 type Pipeline struct {
 	cfg   Config
 	spec  *SpecOptions
@@ -100,11 +101,26 @@ type Pipeline struct {
 
 // New builds a pipeline for cfg running the instruction stream src under the
 // given speculation options (nil or disabled options simulate the base
-// processor).
+// processor). It is Reset on a zero Pipeline.
 func New(cfg Config, spec *SpecOptions, src trace.Source) (*Pipeline, error) {
+	p := new(Pipeline)
+	if err := p.Reset(cfg, spec, src); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reset prepares p to run src on cfg under spec, exactly as New builds a
+// pipeline: a recycled pipeline produces the same Stats and event stream as
+// a fresh one. It reuses the cache hierarchy and the branch predictor when
+// their geometry is unchanged, and the window buffers, timing wheels and
+// replay deque when their storage fits, clearing all of them; nothing else
+// survives from the last run, the observer, metrics, telemetry and phase
+// timer included. On error p is left as it was.
+func (p *Pipeline) Reset(cfg Config, spec *SpecOptions, src trace.Source) error {
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	spec = spec.Normalize()
 	// The base processor releases resources the cycle after completion; the
@@ -116,42 +132,91 @@ func New(cfg Config, spec *SpecOptions, src trace.Source) (*Pipeline, error) {
 	if spec != nil {
 		model = spec.Model
 		if err := model.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	words := (cfg.WindowSize + 63) / 64
-	p := &Pipeline{
-		cfg:         cfg,
-		spec:        spec,
-		model:       model,
-		hier:        mem.NewHierarchy(cfg.Mem),
-		bp:          bpred.NewGshare(cfg.BranchHistoryBits),
-		src:         src,
-		entries:     make([]entry, cfg.WindowSize),
-		blockingAge: never,
-		eqWheel:     newWheel[eqEvent](wheelNominalSlots),
-		waveWheel:   newWheel[*waveSet](wheelNominalSlots),
-		wbWheel:     newWheel[wbEvent](wheelNominalSlots),
-		waveAges:    make([]int64, cfg.WindowSize),
-		occBits:     make([]uint64, words),
-		readyBits:   make([]uint64, words),
-		settledBits: make([]uint64, words),
-		dormantBits: make([]uint64, words),
-		loadBits:    make([]uint64, words),
-		storeBits:   make([]uint64, words),
-		slotAge:     make([]int64, cfg.WindowSize),
-		slotCls:     make([]uint8, cfg.WindowSize),
-		outViews:    make([]outView, cfg.WindowSize),
-		slotNextTry: make([]int64, cfg.WindowSize),
-		waveMark:    make([]bool, cfg.WindowSize),
+	old := *p
+	*p = Pipeline{
+		cfg:          cfg,
+		spec:         spec,
+		model:        model,
+		src:          src,
+		pending:      recDeque{buf: old.pending.buf},
+		blockingAge:  never,
+		eqWheel:      old.eqWheel,
+		waveWheel:    old.waveWheel,
+		wbWheel:      old.wbWheel,
+		waveCand:     old.waveCand[:0],
+		waveFrontier: old.waveFrontier[:0],
+		selMem:       old.selMem[:0],
+		selOther:     old.selOther[:0],
 	}
+	if h := old.hier; h != nil && h.Config() == cfg.Mem {
+		h.Reset()
+		p.hier = h
+	} else {
+		p.hier = mem.NewHierarchy(cfg.Mem)
+	}
+	if g := old.bp; g != nil && g.HistoryBits() == cfg.BranchHistoryBits {
+		g.Reset()
+		p.bp = g
+	} else {
+		p.bp = bpred.NewGshare(cfg.BranchHistoryBits)
+	}
+	p.eqWheel.reset()
+	p.waveWheel.reset()
+	p.wbWheel.reset()
+
+	n, words := cfg.WindowSize, (cfg.WindowSize+63)/64
+	if cap(old.entries) >= n {
+		// Keep each slot's consumer-list storage, as dispatch does.
+		p.entries = old.entries[:n]
+		for i := range p.entries {
+			e := &p.entries[i]
+			*e = entry{cons: e.cons[:0]}
+		}
+	} else {
+		p.entries = make([]entry, n)
+	}
+	p.waveAges = recycle(old.waveAges, n)
+	p.waveMark = recycle(old.waveMark, n)
+	p.occBits = recycle(old.occBits, words)
+	p.readyBits = recycle(old.readyBits, words)
+	p.settledBits = recycle(old.settledBits, words)
+	p.dormantBits = recycle(old.dormantBits, words)
+	p.loadBits = recycle(old.loadBits, words)
+	p.storeBits = recycle(old.storeBits, words)
+	p.slotAge = recycle(old.slotAge, n)
+	p.slotCls = recycle(old.slotCls, n)
+	p.outViews = recycle(old.outViews, n)
+	p.slotNextTry = recycle(old.slotNextTry, n)
 	for i := range p.regProd {
 		p.regProd[i] = -1
 	}
 	if rs, ok := src.(refSource); ok {
 		p.srcRef = rs
 	}
-	return p, nil
+	return nil
+}
+
+// recycle returns s resized to n zero elements, reusing its storage when it
+// is large enough.
+func recycle[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Detach drops p's references to its source, speculation options and
+// observers, so a finished pipeline kept for a later Reset pins nothing of
+// the run it simulated. Stats stay readable; running p again takes a Reset.
+func (p *Pipeline) Detach() {
+	p.spec = nil
+	p.src, p.srcRef = nil, nil
+	p.obs, p.metrics, p.telem, p.phases = nil, nil, nil, nil
 }
 
 // refSource is the optional copy-free cursor a Source may offer (see

@@ -48,6 +48,20 @@ func newWheel[T any](size int) wheel[T] {
 	}
 }
 
+// reset empties the wheel for a new run, keeping the capacity of its slot
+// slices. A ring that grew past the nominal horizon is rebuilt at it, so the
+// new run grows it exactly when a fresh wheel would.
+func (w *wheel[T]) reset() {
+	if len(w.slots) != wheelNominalSlots {
+		*w = newWheel[T](wheelNominalSlots)
+		return
+	}
+	for i := range w.slots {
+		w.slots[i] = w.slots[i][:0]
+	}
+	w.scheduled, w.recycled, w.grows = 0, 0, 0
+}
+
 // schedule files ev for cycle at; now is the current cycle. at must satisfy
 // now <= at (events in the past are a modeling bug and would be lost).
 func (w *wheel[T]) schedule(now, at int64, ev T) {

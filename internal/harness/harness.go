@@ -125,12 +125,46 @@ func (r Result) IPC() float64 { return r.Stats.IPC() }
 // consumes the functional emulator directly.
 func Simulate(spec Spec) (Result, error) { return simulate(spec, nil) }
 
-// newPipeline builds the configured pipeline for one spec. With a non-nil
-// cache the pipeline replays the cached trace of (workload, scale); otherwise
-// it is execute-driven. Both feed the pipeline the identical record stream,
-// so results are bit-identical either way (the differential suite in
-// replay_test.go holds this at byte granularity).
-func newPipeline(spec Spec, cache *TraceCache) (*cpu.Pipeline, *obs.PhaseTimer, error) {
+// spare is the reusable state of one simulation: a pipeline, and the
+// paper's FCM and resetting-confidence tables. simulate takes a spare from
+// the pool and returns it when its spec ends, so the specs of a sweep clear
+// ~2 MB of tables with their Reset instead of allocating them afresh. A
+// spec with its own predictor or confidence factory still gets a fresh one
+// from it.
+type spare struct {
+	p    cpu.Pipeline
+	fcm  *vpred.FCM
+	conf *confidence.Resetting
+}
+
+var spares = sync.Pool{New: func() any { return new(spare) }}
+
+// predictor returns the spare's FCM, cleared.
+func (s *spare) predictor() *vpred.FCM {
+	if s.fcm == nil {
+		s.fcm = vpred.NewFCM(vpred.DefaultFCMConfig())
+	} else {
+		s.fcm.Reset()
+	}
+	return s.fcm
+}
+
+// confidence returns the spare's resetting counters, cleared.
+func (s *spare) confidence() *confidence.Resetting {
+	if s.conf == nil {
+		s.conf = confidence.Default()
+	} else {
+		s.conf.Reset()
+	}
+	return s.conf
+}
+
+// newPipeline resets the spare's pipeline for one spec. With a non-nil
+// cache the pipeline replays the cached trace of (workload, scale);
+// otherwise it is execute-driven. Both feed the pipeline the identical
+// record stream, so results are bit-identical either way (the differential
+// suite in replay_test.go holds this at byte granularity).
+func newPipeline(spec Spec, cache *TraceCache, sp *spare) (*cpu.Pipeline, *obs.PhaseTimer, error) {
 	var src trace.Source
 	if cache != nil {
 		s, err := cache.Source(spec.Workload, spec.Scale)
@@ -151,16 +185,20 @@ func newPipeline(spec Spec, cache *TraceCache) (*cpu.Pipeline, *obs.PhaseTimer, 
 	}
 	var opts *cpu.SpecOptions
 	if spec.Model != nil {
-		var conf confidence.Estimator = confidence.Default()
-		if spec.Setting.Oracle {
-			conf = confidence.Oracle{}
-		}
-		if spec.NewConfidence != nil {
+		var conf confidence.Estimator
+		switch {
+		case spec.NewConfidence != nil:
 			conf = spec.NewConfidence()
+		case spec.Setting.Oracle:
+			conf = confidence.Oracle{}
+		default:
+			conf = sp.confidence()
 		}
-		pred := vpred.Predictor(vpred.NewFCM(vpred.DefaultFCMConfig()))
+		var pred vpred.Predictor
 		if spec.NewPredictor != nil {
 			pred = spec.NewPredictor()
+		} else {
+			pred = sp.predictor()
 		}
 		opts = &cpu.SpecOptions{
 			Enabled:     true,
@@ -171,8 +209,8 @@ func newPipeline(spec Spec, cache *TraceCache) (*cpu.Pipeline, *obs.PhaseTimer, 
 			Predictable: spec.Predictable,
 		}
 	}
-	p, err := cpu.New(spec.Config, opts, src)
-	if err != nil {
+	p := &sp.p
+	if err := p.Reset(spec.Config, opts, src); err != nil {
 		return nil, nil, fmt.Errorf("harness: %s: %w", spec.Workload.Name, err)
 	}
 	if spec.Observer != nil {
@@ -191,13 +229,18 @@ func newPipeline(spec Spec, cache *TraceCache) (*cpu.Pipeline, *obs.PhaseTimer, 
 	return p, phases, nil
 }
 
-// simulate runs one simulation to completion. The Result holds its own copy
-// of the statistics rather than a pointer into the pipeline, so a finished
-// spec's pipeline (predictor, confidence, branch-predictor and cache
-// tables, a few MiB) becomes garbage at once instead of living as long as
-// the batch's results.
+// simulate runs one simulation to completion on a spare from the pool. The
+// Result holds its own copy of the statistics rather than a pointer into
+// the pipeline, and the spare goes back to the pool without the spec's
+// source and observers, so a finished spec pins nothing: the pool keeps
+// about one set of tables per concurrent spec, not one per result.
 func simulate(spec Spec, cache *TraceCache) (Result, error) {
-	p, phases, err := newPipeline(spec, cache)
+	sp := spares.Get().(*spare)
+	defer func() {
+		sp.p.Detach()
+		spares.Put(sp)
+	}()
+	p, phases, err := newPipeline(spec, cache, sp)
 	if err != nil {
 		return Result{}, err
 	}

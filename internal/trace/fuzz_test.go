@@ -2,21 +2,25 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"valuespec/internal/isa"
 )
 
 // normRecord builds the canonical Record a fuzzed tuple corresponds to:
-// opcodes are folded into the defined range, PC-shaped fields into the
-// 32 bits the codec carries, and the derived fields (SrcRegs, NSrc, Addr)
-// are made consistent with the instruction, mirroring what Reader rederives.
-func normRecord(seq int64, pc, nextPC, target int32, op, dst, src1, src2 byte,
+// PC-shaped fields are cut to the 32 bits the VSTR codec carries, and the
+// derived fields (SrcRegs, NSrc, Addr) are made consistent with the
+// instruction, mirroring what Reader rederives. The caller picks the
+// opcode: the VSTR targets fold it into the defined range, while the
+// recording target keeps ops outside the ISA.
+func normRecord(seq int64, pc, nextPC, target int32, op isa.Op, dst, src1, src2 byte,
 	taken bool, imm, v0, v1, dv, addr int64) Record {
 	r := Record{
 		Seq: seq, PC: int(pc), NextPC: int(nextPC),
 		Instr: isa.Instruction{
-			Op:     isa.Op(op) % (isa.HALT + 1),
+			Op:     op,
 			Dst:    isa.Reg(dst),
 			Src1:   isa.Reg(src1),
 			Src2:   isa.Reg(src2),
@@ -49,7 +53,7 @@ func FuzzVSTRRoundTrip(f *testing.F) {
 		true, int64(1<<62), int64(-1<<62), int64(1), int64(-1), int64(3))
 	f.Fuzz(func(t *testing.T, seq int64, pc, nextPC, target int32, op, dst, src1, src2 byte,
 		taken bool, imm, v0, v1, dv, addr int64) {
-		want := normRecord(seq, pc, nextPC, target, op, dst, src1, src2, taken, imm, v0, v1, dv, addr)
+		want := normRecord(seq, pc, nextPC, target, isa.Op(op)%(isa.HALT+1), dst, src1, src2, taken, imm, v0, v1, dv, addr)
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf)
 		if err != nil {
@@ -84,15 +88,42 @@ func FuzzVSTRRoundTrip(f *testing.F) {
 // FuzzRecordingRoundTrip checks that any record sequence replays
 // identically through a Recording. A mode byte picks how each record is
 // drawn from the input: an arbitrary record (normRecord over the full field
-// ranges); an arbitrary record on a 16-instruction code space that picks up
-// the stream's Seq, so templates are revisited and mispredicted; or the
-// replay cursor's own prediction with a fuzzed taken bit and result, so the
-// regular path is reached too.
+// ranges, opcodes outside the ISA included); an arbitrary record on a
+// 16-instruction code space that picks up the stream's Seq, so templates
+// are revisited and mispredicted; or the replay cursor's own re-execution
+// with a fuzzed load result, so the regular path of every derivation is
+// reached too.
 func FuzzRecordingRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{1, 3, 3, 3, byte(isa.ADDI), 1, 1, 0, 2, 0, 9}, 8))
-	f.Add(bytes.Repeat([]byte{1, 0, 1, 0, byte(isa.LD), 2, 1, 0, 5, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 1}, 6))
-	f.Add(append(bytes.Repeat([]byte{0}, 70), bytes.Repeat([]byte{1, 4, 2, 4, byte(isa.BNE), 0, 1, 2, 2, 6, 7}, 5)...))
+	// ALU: add r3, r1, r2 in a jmp loop.
+	f.Add(seedDraws(
+		codeDraw(0, 1, isa.Instruction{Op: isa.ADD, Dst: 3, Src1: 1, Src2: 2}, 4, -9, -5),
+		codeDraw(1, 0, isa.Instruction{Op: isa.JMP, Target: 0}, 0, 0, 0),
+		predictedDraws(0, 0, 0, 0, 0, 0)))
+	// LD: ld r2, 8(r1) in a jmp loop, its results stored whatever they are.
+	f.Add(seedDraws(
+		codeDraw(5, 6, isa.Instruction{Op: isa.LD, Dst: 2, Src1: 1, Imm: 8}, 16, 0, -3),
+		codeDraw(6, 5, isa.Instruction{Op: isa.JMP, Target: 5}, 0, 0, 0),
+		predictedDraws(-1, 0, 300, 0, 1<<40, 0, math.MinInt64, 0)))
+	// JAL and JR: jal r31, @9; jr r31 back to 8; jmp @7.
+	f.Add(seedDraws(
+		codeDraw(7, 9, isa.Instruction{Op: isa.JAL, Dst: 31, Target: 9}, 0, 0, 8),
+		codeDraw(9, 8, isa.Instruction{Op: isa.JR, Src1: 31}, 8, 0, 0),
+		codeDraw(8, 7, isa.Instruction{Op: isa.JMP, Target: 7}, 0, 0, 0),
+		predictedDraws(0, 0, 0, 0, 0, 0, 0, 0, 0)))
+	// A conditional branch, taken and then not: addi r1, r1, -1;
+	// bne r1, r0, @3 counting r1 down from 2.
+	f.Add(seedDraws(
+		codeDraw(3, 4, isa.Instruction{Op: isa.ADDI, Dst: 1, Src1: 1, Imm: -1}, 3, 0, 2),
+		codeDraw(4, 3, isa.Instruction{Op: isa.BNE, Src1: 1, Src2: isa.R0, Target: 3}, 2, 0, 0),
+		predictedDraws(0, 0, 0, 0)))
+	// An op outside the ISA replaces a learned template and is then stored
+	// at every visit: neither isa.Eval nor isa.BranchTaken ever sees it.
+	f.Add(seedDraws(
+		codeDraw(2, 2, isa.Instruction{Op: isa.ADDI, Dst: 1, Src1: 1, Imm: 1}, 0, 0, 1),
+		codeDraw(2, 2, isa.Instruction{Op: 200, Dst: 5, Src1: 1, Src2: 2}, 1, 2, 3),
+		codeDraw(2, 2, isa.Instruction{Op: 200, Dst: 5, Src1: 1, Src2: 2}, 1, 2, 3),
+		predictedDraws(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzReader(data)
 		var e encoder
@@ -100,14 +131,14 @@ func FuzzRecordingRoundTrip(f *testing.F) {
 		for len(in) > 0 && len(want) < 512 {
 			mode := in.u8() % 3
 			var r Record
-			if pc := e.st.pc; mode == 2 && pc >= 0 && pc < len(e.st.code) && e.st.code[pc].valid {
-				e.st.rebuild(&r, &e.st.code[pc], in.u8()&1 != 0, in.i64())
+			if pc := e.st.pc; mode == 2 && pc >= 0 && pc < len(e.st.code) && e.st.code[pc].derive != deriveNone {
+				e.st.rebuild(&r, &e.st.code[pc], in.i64())
 			} else if mode == 1 {
 				pc, next, target := in.u8()%16, in.u8()%16, in.u8()%16
-				r = normRecord(e.st.seq, int32(pc), int32(next), int32(target), in.u8(), in.u8(), in.u8(), in.u8(),
+				r = normRecord(e.st.seq, int32(pc), int32(next), int32(target), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
 					in.u8()&1 != 0, int64(int8(in.u8())), in.i64(), in.i64(), in.i64(), in.i64())
 			} else {
-				r = normRecord(in.i64(), int32(in.i64()), int32(in.i64()), int32(in.i64()), in.u8(), in.u8(), in.u8(), in.u8(),
+				r = normRecord(in.i64(), int32(in.i64()), int32(in.i64()), int32(in.i64()), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
 					in.u8()&1 != 0, in.i64(), in.i64(), in.i64(), in.i64(), in.i64())
 			}
 			e.append(&r)
@@ -128,6 +159,28 @@ func FuzzRecordingRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// codeDraw encodes one code-space draw of FuzzRecordingRoundTrip: in at pc,
+// continuing at next, having read v0 and v1 and produced dst.
+func codeDraw(pc, next byte, in isa.Instruction, v0, v1, dst int64) []byte {
+	b := []byte{1, pc, next, byte(in.Target), byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2), 0, byte(int8(in.Imm))}
+	for _, v := range []int64{v0, v1, dst, 0} {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// predictedDraws encodes one re-execution draw per load result: the
+// cursor's own record at its expected PC.
+func predictedDraws(loads ...int64) []byte {
+	var b []byte
+	for _, v := range loads {
+		b = binary.BigEndian.AppendUint64(append(b, 2), uint64(v))
+	}
+	return b
+}
+
+func seedDraws(draws ...[]byte) []byte { return bytes.Join(draws, nil) }
 
 // fuzzReader hands out a fuzz input's bytes as fields, zero once drained.
 type fuzzReader []byte

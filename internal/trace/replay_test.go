@@ -33,9 +33,14 @@ func testRecords(n int) []Record {
 //	4: bne r3, r0, @1
 //	5: halt
 func loopRecords(n int) []Record {
+	return countedLoop(n, isa.Instruction{Op: isa.LD, Dst: 2, Src1: 1, Imm: 100})
+}
+
+// countedLoop is loopRecords with body at PC 1 in place of the load.
+func countedLoop(n int, body isa.Instruction) []Record {
 	code := []isa.Instruction{
 		{Op: isa.LDI, Dst: 1},
-		{Op: isa.LD, Dst: 2, Src1: 1, Imm: 100},
+		body,
 		{Op: isa.ADDI, Dst: 1, Src1: 1, Imm: 1},
 		{Op: isa.SLTI, Dst: 3, Src1: 1, Imm: int64(n)},
 		{Op: isa.BNE, Src1: 3, Src2: isa.R0, Target: 1},
@@ -58,7 +63,7 @@ func loopRecords(n int) []Record {
 			if r.Taken = r.SrcVals[0] != r.SrcVals[1]; r.Taken {
 				r.NextPC = in.Target
 			}
-		case isa.LDI, isa.ADDI, isa.SLTI:
+		case isa.LDI, isa.ADDI, isa.XORI, isa.SLTI:
 			r.DstVal = isa.Eval(in.Op, r.SrcVals[0], r.SrcVals[1], in.Imm)
 		}
 		if isa.WritesReg(in.Op) {
@@ -128,14 +133,29 @@ func TestMemorySourceIndependentCursors(t *testing.T) {
 	}
 }
 
-// TestRecordingBytes checks the footprint accounting: a predictable stream
-// costs its flag bytes plus one value per register writer, far below the
-// 104-byte Record.
+// TestRecordingBytes checks the footprint accounting against the 104-byte
+// Record: a load-free loop costs only its six verbatim first visits, since
+// re-execution derives every later record, and a loop with a load adds one
+// varint per load.
 func TestRecordingBytes(t *testing.T) {
-	recs := loopRecords(10000)
-	rec := Encode(&SliceSource{Records: recs})
-	if perRec := float64(rec.Bytes()) / float64(len(recs)); perRec > 8 {
-		t.Errorf("%.2f B/record for a regular loop, want at most 8", perRec)
+	const n = 10000
+	for _, tc := range []struct {
+		name string
+		recs []Record
+		max  float64 // bytes per record
+	}{
+		{"load-free loop", countedLoop(n, isa.Instruction{Op: isa.XORI, Dst: 2, Src1: 1, Imm: 0x5a}), 0.05},
+		{"loop with a load", loopRecords(n), 1},
+	} {
+		rec := Encode(&SliceSource{Records: tc.recs})
+		perRec := float64(rec.Bytes()) / float64(len(tc.recs))
+		t.Logf("%s: %d records in %d bytes, %.3f B/record", tc.name, len(tc.recs), rec.Bytes(), perRec)
+		if perRec > tc.max {
+			t.Errorf("%s: %.3f B/record, want at most %g", tc.name, perRec, tc.max)
+		}
+		if rec.Irregular() != 6 {
+			t.Errorf("%s: %d irregular records, want one per static PC (6)", tc.name, rec.Irregular())
+		}
 	}
 	empty := Encode(&SliceSource{})
 	if empty.Bytes() <= 0 || empty.Len() != 0 {

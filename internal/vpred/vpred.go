@@ -55,22 +55,22 @@ func DefaultFCMConfig() FCMConfig {
 	return FCMConfig{HistoryBits: 16, PredictionBits: 16, HistoryDepth: 4}
 }
 
-type fcmEntry struct {
-	value   int64
-	counter uint8 // 1-bit replacement hint
-}
-
 // FCM is the two-level context-based predictor. In delayed-update mode the
 // lookup history (hist) runs ahead speculatively while histArch tracks the
 // architectural value sequence trained at retirement; a misprediction
 // squashes the speculative history back to the architectural one, modeling
 // the standard recovery of speculatively-updated predictor state.
+//
+// The prediction table is packed: the context-indexed values in one slice
+// and their 1-bit replacement counters in a bitset beside it, 8 bytes and
+// 1 bit per entry, so a recycled predictor has half as much to clear.
 type FCM struct {
 	cfg        FCMConfig
-	hist       []uint32   // per-PC speculative context
-	histArch   []uint32   // per-PC architectural context (delayed mode)
-	pred       []fcmEntry // context-indexed predictions
-	bitsPerVal uint       // context bits contributed by each value
+	hist       []uint32 // per-PC speculative context
+	histArch   []uint32 // per-PC architectural context (delayed mode)
+	vals       []int64  // context-indexed predictions
+	counters   []uint64 // bitset: the 1-bit replacement counter of each vals entry
+	bitsPerVal uint     // context bits contributed by each value
 }
 
 var _ Predictor = (*FCM)(nil)
@@ -89,7 +89,8 @@ func NewFCM(cfg FCMConfig) *FCM {
 		cfg:        cfg,
 		hist:       make([]uint32, 1<<cfg.HistoryBits),
 		histArch:   make([]uint32, 1<<cfg.HistoryBits),
-		pred:       make([]fcmEntry, 1<<cfg.PredictionBits),
+		vals:       make([]int64, 1<<cfg.PredictionBits),
+		counters:   make([]uint64, (1<<cfg.PredictionBits+63)/64),
 		bitsPerVal: bpv,
 	}
 }
@@ -120,7 +121,7 @@ func (f *FCM) pushContext(ctx uint32, v int64) uint32 {
 // Lookup implements Predictor. The cookie is the second-level index used.
 func (f *FCM) Lookup(pc int) (int64, uint64) {
 	ctx := f.hist[f.pcIndex(pc)]
-	return f.pred[ctx].value, uint64(ctx)
+	return f.vals[ctx], uint64(ctx)
 }
 
 // TrainImmediate implements Predictor.
@@ -152,27 +153,24 @@ func (f *FCM) TrainDelayed(pc int, cookie uint64, pred, actual int64) {
 // sets the counter; a mismatch first clears the counter and only replaces
 // the stored value once the counter is already clear.
 func (f *FCM) trainEntry(ctx uint32, actual int64) {
-	e := &f.pred[ctx]
+	word, bit := &f.counters[ctx>>6], uint64(1)<<(ctx&63)
 	switch {
-	case e.value == actual:
-		e.counter = 1
-	case e.counter == 1:
-		e.counter = 0
+	case f.vals[ctx] == actual:
+		*word |= bit
+	case *word&bit != 0:
+		*word &^= bit
 	default:
-		e.value = actual
-		e.counter = 1
+		f.vals[ctx] = actual
+		*word |= bit
 	}
 }
 
 // Reset implements Predictor.
 func (f *FCM) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-		f.histArch[i] = 0
-	}
-	for i := range f.pred {
-		f.pred[i] = fcmEntry{}
-	}
+	clear(f.hist)
+	clear(f.histArch)
+	clear(f.vals)
+	clear(f.counters)
 }
 
 // LastValue predicts that an instruction produces the same value as its

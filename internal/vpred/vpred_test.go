@@ -97,14 +97,21 @@ func TestFCMReplacementCounter(t *testing.T) {
 	f.trainEntry(ctx, 100)
 	f.trainEntry(ctx, 100)
 	f.trainEntry(ctx, 55) // clears counter, keeps 100
-	if f.pred[ctx].value != 100 {
-		t.Fatalf("value replaced on first mismatch: %d", f.pred[ctx].value)
+	if f.vals[ctx] != 100 || counterSet(f, ctx) {
+		t.Fatalf("first mismatch: value %d, counter %t; want 100 kept, counter clear", f.vals[ctx], counterSet(f, ctx))
 	}
 	f.trainEntry(ctx, 55) // now replaces
-	if f.pred[ctx].value != 55 {
-		t.Fatalf("value not replaced on second mismatch: %d", f.pred[ctx].value)
+	if f.vals[ctx] != 55 || !counterSet(f, ctx) {
+		t.Fatalf("second mismatch: value %d, counter %t; want 55, counter set", f.vals[ctx], counterSet(f, ctx))
+	}
+	// Neighbouring entries share the counter word but not the counter.
+	if counterSet(f, ctx-1) || counterSet(f, ctx+1) {
+		t.Fatal("training one entry set a neighbour's counter")
 	}
 }
+
+// counterSet reads the 1-bit replacement counter of prediction entry ctx.
+func counterSet(f *FCM, ctx uint32) bool { return f.counters[ctx>>6]&(1<<(ctx&63)) != 0 }
 
 func TestFCMDelayedRepair(t *testing.T) {
 	// In delayed mode with wrong speculative pushes, TrainDelayed must
