@@ -11,6 +11,12 @@
 // budget of 0 (e.g. BenchmarkPipelineSteadyState) fails on the first heap
 // allocation that creeps into the hot loop, regardless of timing noise.
 //
+// Work counters are gated exactly: a benchmark that reports a custom metric
+// per op (a unit ending in "/op", e.g. sweep-visits/op) must reproduce its
+// baseline value, and every repetition must agree on it. They count what the
+// code does rather than how long it takes, so they move only when the code
+// does, and -update records the new values.
+//
 // Usage:
 //
 //	benchcheck                  # compare against BENCH_BASELINE.json
@@ -31,6 +37,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // targets pins which benchmarks are gated. Patterns are anchored so new
@@ -54,22 +61,39 @@ var targets = []struct{ pkg, pattern string }{
 
 // baseline is the BENCH_BASELINE.json schema. AllocsPerOp entries are
 // budgets: a run may allocate less, never more (beyond tolerance; a budget
-// of 0 admits no tolerance).
+// of 0 admits no tolerance). WorkPerOp holds each benchmark's work counters
+// by unit; they must match exactly.
 type baseline struct {
-	Note        string             `json:"note"`
-	NsPerOp     map[string]float64 `json:"ns_per_op"`
-	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
+	Note        string                        `json:"note"`
+	NsPerOp     map[string]float64            `json:"ns_per_op"`
+	AllocsPerOp map[string]float64            `json:"allocs_per_op"`
+	WorkPerOp   map[string]map[string]float64 `json:"work_per_op,omitempty"`
 }
 
-// measurement is one benchmark's folded (minimum) results.
+// measurement is one benchmark's folded results: the minimum ns/op and
+// allocs/op, and its work counters, which every repetition must agree on.
 type measurement struct {
 	ns     float64
 	allocs float64
+	work   map[string]float64
 }
 
-// benchLine matches "BenchmarkName/sub-8   123   4567 ns/op ... 8 allocs/op"
-// and strips the GOMAXPROCS suffix so baselines are stable across machines.
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9]+) allocs/op)?`)
+// benchLine matches "BenchmarkName/sub-8   123   4567 ns/op   ..." and
+// strips the GOMAXPROCS suffix so baselines are stable across machines; the
+// rest of the line is (value, unit) pairs.
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+
+// isWorkUnit reports whether a reported unit is a work counter: a custom
+// metric per op, such as the sweep visits of one whole simulation, which
+// benchmarks report with b.ReportMetric. Such counts depend only on the
+// code and its input, so the gate holds them exactly.
+func isWorkUnit(unit string) bool {
+	switch unit {
+	case "ns/op", "B/op", "allocs/op":
+		return false
+	}
+	return strings.HasSuffix(unit, "/op")
+}
 
 func main() {
 	log.SetFlags(0)
@@ -133,6 +157,7 @@ func writeBaseline(path string, got map[string]measurement) error {
 		Note:        defaultNote,
 		NsPerOp:     make(map[string]float64, len(got)),
 		AllocsPerOp: make(map[string]float64, len(got)),
+		WorkPerOp:   make(map[string]map[string]float64),
 	}
 	if prev, err := readBaseline(path); err == nil && prev.Note != "" {
 		b.Note = prev.Note
@@ -140,6 +165,9 @@ func writeBaseline(path string, got map[string]measurement) error {
 	for name, m := range got {
 		b.NsPerOp[name] = m.ns
 		b.AllocsPerOp[name] = m.allocs
+		if len(m.work) > 0 {
+			b.WorkPerOp[name] = m.work
+		}
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
@@ -150,8 +178,8 @@ func writeBaseline(path string, got map[string]measurement) error {
 
 // compare reports each measurement in got against the baseline on w and
 // returns whether the gate passes: every baseline entry was measured, every
-// measurement has a baseline entry, none is more than tolerance slower, and
-// none allocates beyond its budget.
+// measurement has a baseline entry, none is more than tolerance slower, none
+// allocates beyond its budget, and every work counter equals its baseline.
 func compare(w io.Writer, base baseline, got map[string]measurement, tolerance float64) bool {
 	names := make([]string, 0, len(base.NsPerOp))
 	for name := range base.NsPerOp {
@@ -185,6 +213,9 @@ func compare(w io.Writer, base baseline, got map[string]measurement, tolerance f
 					name, have.allocs, budget)
 			}
 		}
+		if !compareWork(w, name, base.WorkPerOp[name], have.work) {
+			ok = false
+		}
 	}
 	var extra []string
 	for name := range got {
@@ -200,8 +231,44 @@ func compare(w io.Writer, base baseline, got map[string]measurement, tolerance f
 	return ok
 }
 
-// runBench executes one `go test -bench` invocation and folds the minimum
-// ns/op and allocs/op per benchmark into out.
+// compareWork reports one benchmark's work counters against their baseline
+// values on w and returns whether each was measured and matches exactly,
+// with no counter missing from the baseline.
+func compareWork(w io.Writer, name string, want, have map[string]float64) bool {
+	units := make([]string, 0, len(want)+len(have))
+	for unit := range want {
+		units = append(units, unit)
+	}
+	for unit := range have {
+		if _, ok := want[unit]; !ok {
+			units = append(units, unit)
+		}
+	}
+	sort.Strings(units)
+	ok := true
+	for _, unit := range units {
+		wv, inBase := want[unit]
+		hv, measured := have[unit]
+		switch {
+		case !inBase:
+			fmt.Fprintf(w, "FAIL %-45s %s not in baseline; add it with -update\n", name, unit)
+			ok = false
+		case !measured:
+			fmt.Fprintf(w, "FAIL %-45s %s missing from this run\n", name, unit)
+			ok = false
+		case hv != wv:
+			fmt.Fprintf(w, "FAIL %-45s %12.0f %s  baseline %12.0f  (%+.2f%%; work counters must match exactly, rerun -update if intended)\n",
+				name, hv, unit, wv, 100*(hv/wv-1))
+			ok = false
+		default:
+			fmt.Fprintf(w, "ok   %-45s %12.0f %s  matches baseline\n", name, hv, unit)
+		}
+	}
+	return ok
+}
+
+// runBench executes one `go test -bench` invocation and folds its results
+// into out (see parseBench).
 func runBench(pkg, pattern string, count int, out map[string]measurement) error {
 	cmd := exec.Command("go", "test", "-run", "^$",
 		"-bench", pattern, "-count", strconv.Itoa(count), "-benchmem", pkg)
@@ -212,39 +279,69 @@ func runBench(pkg, pattern string, count int, out map[string]measurement) error 
 	if err := cmd.Run(); err != nil {
 		return fmt.Errorf("%s: %w\n%s", pkg, err, buf.String())
 	}
+	matched, err := parseBench(&buf, out)
+	if err != nil {
+		return fmt.Errorf("%s: %w", pkg, err)
+	}
+	if !matched {
+		return fmt.Errorf("%s: no benchmarks matched %q", pkg, pattern)
+	}
+	return nil
+}
+
+// parseBench folds the benchmark lines of r into out: the minimum ns/op and
+// allocs/op per benchmark over repetitions, and its work counters, which
+// must agree across repetitions. It reports whether any line matched.
+func parseBench(r io.Reader, out map[string]measurement) (bool, error) {
 	matched := false
-	sc := bufio.NewScanner(&buf)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return fmt.Errorf("%s: parsing %q: %w", pkg, sc.Text(), err)
+		fields := strings.Fields(m[2])
+		if len(fields)%2 != 0 {
+			return matched, fmt.Errorf("parsing %q: odd number of value/unit fields", sc.Text())
 		}
-		allocs := 0.0
-		if m[3] != "" {
-			if allocs, err = strconv.ParseFloat(m[3], 64); err != nil {
-				return fmt.Errorf("%s: parsing %q: %w", pkg, sc.Text(), err)
+		cur := measurement{ns: -1}
+		for i := 0; i < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return matched, fmt.Errorf("parsing %q: %w", sc.Text(), err)
 			}
+			switch unit := fields[i+1]; {
+			case unit == "ns/op":
+				cur.ns = v
+			case unit == "allocs/op":
+				cur.allocs = v
+			case isWorkUnit(unit):
+				if cur.work == nil {
+					cur.work = make(map[string]float64)
+				}
+				cur.work[unit] = v
+			}
+		}
+		if cur.ns < 0 {
+			return matched, fmt.Errorf("parsing %q: no ns/op", sc.Text())
 		}
 		prev, ok := out[m[1]]
 		if !ok {
-			out[m[1]] = measurement{ns: ns, allocs: allocs}
+			out[m[1]] = cur
 		} else {
-			if ns < prev.ns {
-				prev.ns = ns
+			prev.ns = min(prev.ns, cur.ns)
+			prev.allocs = min(prev.allocs, cur.allocs)
+			if len(prev.work) != len(cur.work) {
+				return matched, fmt.Errorf("%s: repetitions report different work counters", m[1])
 			}
-			if allocs < prev.allocs {
-				prev.allocs = allocs
+			for unit, v := range cur.work {
+				if pv, ok := prev.work[unit]; !ok || pv != v {
+					return matched, fmt.Errorf("%s: %s differs between repetitions (%v, %v): a work counter must be deterministic", m[1], unit, pv, v)
+				}
 			}
 			out[m[1]] = prev
 		}
 		matched = true
 	}
-	if !matched {
-		return fmt.Errorf("%s: no benchmarks matched %q", pkg, pattern)
-	}
-	return sc.Err()
+	return matched, sc.Err()
 }

@@ -59,20 +59,26 @@ func (o *operand) validBy(c int64) bool {
 //
 // Field order is deliberate: the leading group is the entry's "broadcast
 // header" — everything a consumer's syncOperand reads from its producer
-// (used, age, the out* view, validAt) plus the class/nsrc bytes the sweep
-// and wakeup walks test first — so those walks touch one cache line of a
-// ~350-byte entry instead of several. The rarely-read rec (104 bytes) sits
-// at the tail.
+// (used, age, the out* view, validAt) plus the opcode-derived bytes and nsrc
+// that the sweep, issue and writeback test first — so those stages touch one
+// cache line of a ~460-byte entry instead of several. The rarely-read rec
+// (104 bytes) sits at the tail.
 type entry struct {
 	used       bool
 	outCorrect bool
 	outState   core.ValueState
-	cls        isa.Class
-	nsrc       int
-	idx        int   // ring index of this entry (fixed for its lifetime)
-	age        int64 // dispatch order, unique across the run
-	outReady   int64
-	validAt    int64 // cycle output became known-valid (never until then)
+
+	// Decoded from the opcode at dispatch (see decode).
+	cls      isa.Class
+	isCtrl   bool  // conditional branch or JR: resolves from its operands
+	writes   bool  // produces a register result
+	issueLat uint8 // cycles from issue to completion (1 for address generation)
+
+	nsrc     int
+	idx      int   // ring index of this entry (fixed for its lifetime)
+	age      int64 // dispatch order, unique across the run
+	outReady int64
+	validAt  int64 // cycle output became known-valid (never until then)
 
 	dispatchCycle int64
 	src           [2]operand
@@ -142,15 +148,42 @@ type entry struct {
 	cons []int
 }
 
-func (e *entry) writesReg() bool { return isa.WritesReg(e.rec.Instr.Op) }
+// decode sets the fields dispatch derives from the opcode.
+func (e *entry) decode(op isa.Op) {
+	d := &opTable[op]
+	e.cls, e.isCtrl, e.writes, e.issueLat = d.cls, d.isCtrl, d.writes, d.issueLat
+}
+
+// opTable holds decode's fields for every value of an opcode byte, derived
+// once from the isa package, so that dispatch reads one entry instead of
+// evaluating the isa switches.
+var opTable = func() (t [256]struct {
+	cls      isa.Class
+	isCtrl   bool
+	writes   bool
+	issueLat uint8
+}) {
+	for i := range t {
+		op, d := isa.Op(i), &t[i]
+		d.cls = isa.ClassOf(op)
+		d.isCtrl = d.cls == isa.ClassBranch || op == isa.JR
+		d.writes = isa.WritesReg(op)
+		d.issueLat = uint8(isa.Latency(op))
+		if isa.IsMem(op) {
+			d.issueLat = 1 // address generation
+		}
+	}
+	return t
+}()
 
 // reset prepares a slot for a new dispatch. It deliberately does NOT touch
 // the fields its only caller (dispatch) assigns unconditionally right after —
-// used, idx, age, rec, cls, replayed, dispatchCycle, earliestIssue, nsrc and
-// src[0:nsrc] — nor src slots at or past nsrc, which no reader ever consults:
-// a whole-struct `*e = entry{...}` re-zeroed the ~350-byte entry (104 of
-// which is rec) on every dispatch, and the resulting duffcopy was one of the
-// hottest instructions in the sweep profile.
+// used, idx, age, rec, the decoded opcode fields, replayed, dispatchCycle,
+// earliestIssue, nsrc and src[0:nsrc] — nor src slots at or past nsrc,
+// which no reader ever consults: a whole-struct `*e = entry{...}` re-zeroed
+// the ~460-byte entry (104 of which is rec) on every dispatch, and the
+// resulting duffcopy was one of the hottest instructions in the sweep
+// profile.
 func (e *entry) reset() {
 	e.vpMade = false
 	e.vpUsed = false

@@ -59,10 +59,18 @@ type Observer interface {
 // before Run.
 func (p *Pipeline) SetObserver(o Observer) { p.obs = o }
 
+// emit reports an event of e at cycle c to the observer, if one is set. It
+// inlines into every stage as a nil check; building and delivering the
+// event stays out of line in observe.
 func (p *Pipeline) emit(c int64, kind EventKind, e *entry) {
 	if p.obs != nil {
-		p.obs.Observe(Event{Cycle: c, Kind: kind, Seq: e.rec.Seq, PC: e.rec.PC, Slot: e.idx})
+		p.observe(c, kind, e)
 	}
+}
+
+//go:noinline
+func (p *Pipeline) observe(c int64, kind EventKind, e *entry) {
+	p.obs.Observe(Event{Cycle: c, Kind: kind, Seq: e.rec.Seq, PC: e.rec.PC, Slot: e.idx})
 }
 
 // EventLog is an Observer that records everything, indexed by Seq.

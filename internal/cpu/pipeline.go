@@ -76,6 +76,7 @@ type Pipeline struct {
 	// with bits.TrailingZeros64 in ring (= age) order.
 	occBits     []uint64  // slot holds a live entry
 	readyBits   []uint64  // wakeup candidates: used && !issued && !inFlight
+	blockedBits []uint64  // candidates whose issue gate waits on operand state
 	settledBits []uint64  // sweep work provably a no-op until nullify/reuse
 	dormantBits []uint64  // sweep work a no-op until a wake (see sweepSeg)
 	loadBits    []uint64  // loads still awaiting their memory access
@@ -85,12 +86,32 @@ type Pipeline struct {
 	outViews    []outView // entries[i] broadcast-header mirror (see pubOut)
 	slotNextTry []int64   // issue-recheck gate per slot (see checkIssue)
 
-	// Per-cycle selection scratch: issue candidates split into the two
-	// priority groups (branches/loads, then the rest), reused across cycles.
-	selMem   []selCand
-	selOther []selCand
+	// Per-cycle selection scratch: the ring indices of this cycle's issue
+	// candidates, filed by selection priority (see collectReady) and reused
+	// across cycles.
+	issueBuckets [4][]int32
+
+	// Model tests the stages would otherwise re-derive on every call,
+	// computed once by Reset. The verify* flags select the verification
+	// scheme's gating terms in refreshOutput; all are false on the base
+	// processor.
+	verifyHier    bool
+	verifyRetire  bool
+	verifyHybrid  bool
+	ctrlValidOnly bool // control transfers resolve on valid operands only
+	limitedWakeup bool // the third execution waits for valid operands
+	fwdSpec       bool // speculative results feed dependents
+	oldestFirst   bool // selection ignores operands' speculative state
 
 	portsUsed int // D-cache ports consumed this cycle
+
+	// Work counters: how many entries the per-cycle stages touched over the
+	// run. They depend only on the trace, configuration and code, so the
+	// whole-simulation benchmarks report them and cmd/benchcheck gates them
+	// exactly. They stay out of Stats, whose JSON is part of the results.
+	sweepVisits int64 // entries the sweep synced and refreshed
+	issueChecks int64 // checkIssue evaluations
+	loadVisits  int64 // pending loads the memory phase examined
 
 	obs     Observer
 	metrics *Metrics
@@ -148,9 +169,18 @@ func (p *Pipeline) Reset(cfg Config, spec *SpecOptions, src trace.Source) error 
 		wbWheel:      old.wbWheel,
 		waveCand:     old.waveCand[:0],
 		waveFrontier: old.waveFrontier[:0],
-		selMem:       old.selMem[:0],
-		selOther:     old.selOther[:0],
 	}
+	for i, b := range old.issueBuckets {
+		p.issueBuckets[i] = b[:0]
+	}
+	on := spec != nil
+	p.verifyHier = on && model.Verification == core.VerifyHierarchical
+	p.verifyRetire = on && model.Verification == core.VerifyRetirement
+	p.verifyHybrid = on && model.Verification == core.VerifyHybrid
+	p.ctrlValidOnly = !on || model.BranchResolution == core.ResolveValidOnly
+	p.limitedWakeup = on && model.Wakeup == core.WakeupLimited
+	p.fwdSpec = !on || model.ForwardSpeculative
+	p.oldestFirst = on && model.Selection == core.SelectOldestFirst
 	if h := old.hier; h != nil && h.Config() == cfg.Mem {
 		h.Reset()
 		p.hier = h
@@ -182,6 +212,7 @@ func (p *Pipeline) Reset(cfg Config, spec *SpecOptions, src trace.Source) error 
 	p.waveMark = recycle(old.waveMark, n)
 	p.occBits = recycle(old.occBits, words)
 	p.readyBits = recycle(old.readyBits, words)
+	p.blockedBits = recycle(old.blockedBits, words)
 	p.settledBits = recycle(old.settledBits, words)
 	p.dormantBits = recycle(old.dormantBits, words)
 	p.loadBits = recycle(old.loadBits, words)
@@ -462,21 +493,25 @@ func (p *Pipeline) writeback(c int64) {
 // write/verification stage).
 func (p *Pipeline) completeExec(e *entry, c int64) {
 	p.emit(c, EvExecDone, e)
-	clearBit(p.dormantBits, e.idx) // completion flags changed: re-sweep
 	e.inFlight = false
-	e.doneExec = true
 	e.execClean = e.inFlightClean
 	e.doneCycle = c - 1
 
-	switch e.cls {
-	case isa.ClassLoad:
+	if e.cls == isa.ClassLoad {
 		// Execution was address generation only; the access is a separate
-		// phase. Mark the address generated; output broadcasts at access
-		// completion.
+		// phase, which this cycle's memory phase may start. The output
+		// broadcasts at access completion, so the sweep has nothing new to
+		// do for the load until then.
 		e.agDone = true
 		e.agCycle = c
-		e.doneExec = false // the load's result is not produced yet
+		setBit(p.loadBits, e.idx)
 		return
+	}
+	e.doneExec = true
+	if !e.writes && e.execClean {
+		p.wakeToSettle(e) // a register writer's broadcast wakes it instead
+	}
+	switch e.cls {
 	case isa.ClassStore:
 		// Address generation complete; data flows at retirement.
 		e.agDone = true
@@ -486,9 +521,9 @@ func (p *Pipeline) completeExec(e *entry, c int64) {
 		p.resolveBranch(e, c)
 		return
 	case isa.ClassJump:
-		if e.rec.Instr.Op == isa.JR {
+		if e.isCtrl { // JR
 			p.resolveBranch(e, c)
-			if !e.writesReg() {
+			if !e.writes {
 				return
 			}
 		}
@@ -499,7 +534,6 @@ func (p *Pipeline) completeExec(e *entry, c int64) {
 // completeLoad finishes the memory access of a load.
 func (p *Pipeline) completeLoad(e *entry, c int64) {
 	p.emit(c, EvMemAccess, e)
-	clearBit(p.dormantBits, e.idx) // completion flags changed: re-sweep
 	e.memDone = true
 	e.doneExec = true
 	e.execClean = e.inFlightClean && e.fwdDataOK
@@ -508,9 +542,11 @@ func (p *Pipeline) completeLoad(e *entry, c int64) {
 }
 
 // broadcast publishes e's computed result to consumers at cycle c and, for
-// speculated predictions, schedules the equality outcome.
+// speculated predictions, schedules the equality outcome. After a clean
+// execution it wakes e to settle, unless a standing prediction defers that
+// to the equality outcome.
 func (p *Pipeline) broadcast(e *entry, c int64) {
-	if !e.writesReg() {
+	if !e.writes {
 		return
 	}
 	if e.vpUsed && !e.vpDead {
@@ -531,6 +567,9 @@ func (p *Pipeline) broadcast(e *entry, c int64) {
 		e.outState = core.StateSpeculative // sweep upgrades to Valid
 	}
 	p.pubOut(e)
+	if e.execClean {
+		p.wakeToSettle(e)
+	}
 }
 
 // resolveBranch handles the completion of a control-transfer execution.
@@ -615,6 +654,7 @@ func (p *Pipeline) equalityOutcomes(c int64) *waveSet {
 			e.outCorrect = e.execClean
 			e.outReady = min64(e.outReady, c)
 			p.pubOut(e)
+			p.wakeToSettle(e)
 			continue
 		}
 		// Misprediction detected: the entry's prediction is dead and its
@@ -629,6 +669,9 @@ func (p *Pipeline) equalityOutcomes(c int64) *waveSet {
 		e.outCorrect = e.execClean
 		e.outReady = c
 		p.pubOut(e)
+		if e.execClean {
+			p.wakeToSettle(e)
+		}
 		if complete {
 			p.squashYounger(e.age, c)
 			p.fetchResume = maxi64(p.fetchResume, c+1)
@@ -671,11 +714,9 @@ func (p *Pipeline) nullifyWave(w *waveSet, cand []int, c int64) {
 		nulled++
 		e.nullify(c, reissue)
 		p.pubOut(e)
-		p.slotNextTry[e.idx] = 0
+		p.setGate(e.idx, 0)
 		clearBit(p.settledBits, e.idx)
-		if e.cls == isa.ClassLoad {
-			setBit(p.loadBits, e.idx) // nullify reset memStarted
-		}
+		clearBit(p.loadBits, e.idx) // the address is generated again
 		setBit(p.readyBits, e.idx)
 		if hier {
 			if next == nil {
@@ -754,7 +795,7 @@ func (p *Pipeline) rebuildRegProd() {
 	for i := 0; i < p.count; i++ {
 		idx := p.slot(i)
 		e := &p.entries[idx]
-		if e.writesReg() && e.rec.Instr.Dst != isa.R0 {
+		if e.writes && e.rec.Instr.Dst != isa.R0 {
 			p.regProd[e.rec.Instr.Dst] = idx
 			p.regProdAge[e.rec.Instr.Dst] = e.age
 		}

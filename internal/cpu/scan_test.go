@@ -9,10 +9,12 @@ import (
 // stage replaced by a plain walk of the whole window in age order. Writeback
 // scans for due completions instead of draining the writeback wheel, the
 // sweep visits every entry every cycle, issue re-checks every entry on each
-// selection pass, and an invalidation wave tests every entry instead of the
+// selection pass, the memory phase tests every load instead of the ones
+// loadBits holds, and an invalidation wave tests every entry instead of the
 // producers' consumer lists. The stages that have no faster twin — equality
-// outcomes, retirement, the memory phase, fetch and dispatch — are shared
-// with step. TestEventWakeupMatchesScan holds the two byte-identical.
+// outcomes, retirement, fetch and dispatch — are shared with step, as is
+// each load's access once found. TestEventWakeupMatchesScan holds the two
+// byte-identical.
 
 // runScan drives p with scanStep until the window drains or maxCycles
 // cycles have run, and returns the statistics.
@@ -46,7 +48,7 @@ func (p *Pipeline) scanStep() {
 	p.sweepScan(c)
 	p.retire(c)
 	p.issueScan(c)
-	p.startAccesses(c)
+	p.startAccessesScan(c)
 	p.fetch(c)
 
 	p.cycle++
@@ -119,4 +121,17 @@ func (p *Pipeline) issueScan(c int64) {
 		}
 	}
 	p.stats.Issues += int64(grants)
+}
+
+// startAccessesScan is the memory phase as a walk of the whole window in age
+// order: every load whose address is generated and whose access has not
+// started may begin it this cycle.
+func (p *Pipeline) startAccessesScan(c int64) {
+	validOnly := !p.specOn() || p.model.MemResolution == core.ResolveValidOnly
+	for i := 0; i < p.count; i++ {
+		e := &p.entries[p.slot(i)]
+		if e.cls == isa.ClassLoad && e.agDone && c >= e.agCycle && !e.memStarted {
+			p.startAccess(e, i, c, validOnly)
+		}
+	}
 }

@@ -31,7 +31,7 @@ import (
 // fields a consumer's syncOperand reads from its producer. The mirror packs
 // the whole window into ~24 bytes per slot, so producer lookups — the
 // hottest loads of the per-cycle sweep — stay in a few KiB instead of
-// striding through ~350-byte entries. The entry remains the source of truth;
+// striding through ~460-byte entries. The entry remains the source of truth;
 // every site that mutates outState/outCorrect/outReady/validAt republishes
 // with pubOut. Liveness is NOT mirrored here: syncOperand checks occBits and
 // slotAge, which are maintained at exactly the sites entry.used changes, so
@@ -43,18 +43,38 @@ type outView struct {
 	validAt int64
 }
 
-// pubOut republishes e's broadcast header into the dense mirror and wakes
-// the dormant sweep for e and its registered consumers: every pubOut call
-// site is a real view change (dispatch, broadcast, equality outcomes,
-// nullification, validation), which is exactly when a skipped sweep visit
-// could next do something. Stale consumer registrations cause at worst a
-// spurious visit.
+// pubOut republishes e's broadcast header into the dense mirror. When the
+// view changed it wakes the dormant sweep for e's registered consumers,
+// whose syncOperand reads nothing else of e, so a republish that changes
+// nothing (an equality match only confirms what consumers already hold)
+// wakes nobody. Stale consumer registrations cause at worst a spurious
+// visit. Waking e itself is up to the caller: only the sites after which
+// refreshOutput can act do it.
 func (p *Pipeline) pubOut(e *entry) {
-	p.outViews[e.idx] = outView{e.outState, e.outCorrect, e.outReady, e.validAt}
-	clearBit(p.dormantBits, e.idx)
+	v := outView{e.outState, e.outCorrect, e.outReady, e.validAt}
+	if p.outViews[e.idx] == v {
+		return
+	}
+	p.outViews[e.idx] = v
 	for _, ci := range e.cons {
 		clearBit(p.dormantBits, ci)
 	}
+}
+
+// wakeToSettle wakes e's sweep visit after a change to its own execution
+// state, when refreshOutput may now settle it. A branch settles on its
+// resolution alone; any other entry only once every in-window operand holds
+// a Valid value, since until then refreshOutput stops at an operand, and the
+// producer's republish wakes e when that operand moves.
+func (p *Pipeline) wakeToSettle(e *entry) {
+	if e.cls != isa.ClassBranch {
+		for s := 0; s < e.nsrc; s++ {
+			if o := &e.src[s]; o.inWindow && o.state != core.StateValid {
+				return
+			}
+		}
+	}
+	clearBit(p.dormantBits, e.idx)
 }
 
 // setBit sets bit i of the window-sized bitset w.
@@ -63,16 +83,18 @@ func setBit(w []uint64, i int) { w[i>>6] |= 1 << (uint(i) & 63) }
 // clearBit clears bit i of the window-sized bitset w.
 func clearBit(w []uint64, i int) { w[i>>6] &^= 1 << (uint(i) & 63) }
 
-// collectReady appends the issue candidates among the ready slots in
-// [lo, hi) to the two priority-group lists, in slot (= age, within a ring
-// segment) order.
-func (p *Pipeline) collectReady(lo, hi int, c int64, selMem, selOther []selCand) ([]selCand, []selCand) {
+// collectReady files the issue candidates among the ready slots in
+// [lo, hi) that are not blocked on operand state into the selection
+// buckets, each in slot (= age, within a ring segment) order. The buckets
+// are the priority classes in grant order: branches and loads on
+// non-speculative inputs, then on speculative ones, then the same two for
+// the rest; the oldest-first policy ignores the speculative split.
+func (p *Pipeline) collectReady(lo, hi int, c int64) {
 	if lo >= hi {
-		return selMem, selOther
+		return
 	}
-	words := p.readyBits
 	wi, last := lo>>6, (hi-1)>>6
-	w := words[wi] >> (uint(lo) & 63) << (uint(lo) & 63)
+	w := (p.readyBits[wi] &^ p.blockedBits[wi]) >> (uint(lo) & 63) << (uint(lo) & 63)
 	for {
 		if wi == last {
 			if r := uint(hi) & 63; r != 0 {
@@ -83,24 +105,27 @@ func (p *Pipeline) collectReady(lo, hi int, c int64, selMem, selOther []selCand)
 			idx := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			if c < p.slotNextTry[idx] {
-				continue // still blocked; see checkIssue
+				continue // time-gated; see checkIssue
 			}
+			p.issueChecks++
 			ok, spec := p.checkIssue(&p.entries[idx], c)
 			if !ok {
 				continue
 			}
-			cand := selCand{idx: int32(idx), spec: spec}
+			b := 2
 			if cls := isa.Class(p.slotCls[idx]); cls == isa.ClassBranch || cls == isa.ClassLoad {
-				selMem = append(selMem, cand)
-			} else {
-				selOther = append(selOther, cand)
+				b = 0
 			}
+			if spec && !p.oldestFirst {
+				b++
+			}
+			p.issueBuckets[b] = append(p.issueBuckets[b], int32(idx))
 		}
 		if wi == last {
-			return selMem, selOther
+			return
 		}
 		wi++
-		w = words[wi]
+		w = p.readyBits[wi] &^ p.blockedBits[wi]
 	}
 }
 
@@ -129,14 +154,22 @@ func (p *Pipeline) sweepSeg(lo, hi int, c int64) {
 			b := bits.TrailingZeros64(w)
 			idx := wi<<6 + b
 			e := &p.entries[idx]
+			p.sweepVisits++
+			// settled: every in-window operand holds a correct Valid value,
+			// the condition under which syncOperand returns at its settled
+			// early-out forever (operand state is only displaced while wrong
+			// or upgraded while unverified, and dispatch reinitializes on
+			// slot reuse).
+			settled := true
 			for o := 0; o < e.nsrc; o++ {
 				// The guard is syncOperand's own settled early-out, hoisted
 				// to skip the call (regfile operands and correct Valid
 				// captures are the common case on a not-yet-settled entry).
 				if op := &e.src[o]; op.inWindow && (op.state != core.StateValid || !op.correct) {
-					if p.syncOperand(op) {
-						p.slotNextTry[idx] = 0 // operand moved: recheck issue
+					if p.syncOperand(op) && o < e.issueSrcs() {
+						p.regate(e, idx, op)
 					}
+					settled = settled && op.state == core.StateValid && op.correct
 				}
 			}
 			retry := never
@@ -148,11 +181,12 @@ func (p *Pipeline) sweepSeg(lo, hi int, c int64) {
 				retry = p.refreshOutput(e, c, pos)
 			}
 			switch {
-			case e.validAt != never && p.operandsSettled(e):
+			case e.validAt != never && settled:
 				setBit(p.settledBits, idx)
 			case retry == never:
 				// Blocked on instrumented events only (completion, equality,
-				// nullification, producer republish) — all of which wake us.
+				// producer republish), all of which wake us when refreshOutput
+				// can act on them (wakeToSettle, pubOut).
 				setBit(p.dormantBits, idx)
 			case retry > c+1:
 				// Pure time gate: sleep until the retry cycle.
@@ -168,19 +202,4 @@ func (p *Pipeline) sweepSeg(lo, hi int, c int64) {
 		wi++
 		loMask = ^uint64(0)
 	}
-}
-
-// operandsSettled reports whether every in-window operand of e holds a
-// correct Valid value — the condition under which each syncOperand call
-// returns at its settled early-out forever (operand state is only displaced
-// while wrong or upgraded while unverified, and dispatch reinitializes on
-// slot reuse).
-func (p *Pipeline) operandsSettled(e *entry) bool {
-	for s := 0; s < e.nsrc; s++ {
-		o := &e.src[s]
-		if o.inWindow && (o.state != core.StateValid || !o.correct) {
-			return false
-		}
-	}
-	return true
 }

@@ -35,9 +35,9 @@ func (p *Pipeline) sweep(c int64) {
 // value is never displaced, only upgraded to Valid when the producer
 // verifies; a wrong or missing value adopts whatever the producer currently
 // broadcasts.
-// syncOperand returns whether it rewrote the operand's view; the bitset
-// sweep uses that to re-open the owning entry's issue-recheck gate
-// (slotNextTry), which assumes operand views only move through here.
+// syncOperand returns whether it rewrote the operand's view; the sweep then
+// re-derives the owning entry's issue gate (regate), which assumes operand
+// views only move through here.
 func (p *Pipeline) syncOperand(o *operand) bool {
 	if !o.inWindow {
 		return false
@@ -65,8 +65,8 @@ func (p *Pipeline) syncOperand(o *operand) bool {
 	case !o.correct:
 		// Holding a wrong value: adopt the producer's current broadcast
 		// (possibly Invalid, meaning wait for the re-execution).
+		changed = o.state != v.state || v.correct || o.ready != v.ready || o.validAt != v.validAt
 		o.state, o.correct, o.ready, o.validAt = v.state, v.correct, v.ready, v.validAt
-		changed = true
 	case v.correct && v.state == core.StateValid && o.state != core.StateValid:
 		// Same (correct) value verified: upgrade in place.
 		o.state, o.validAt = core.StateValid, v.validAt
@@ -84,8 +84,8 @@ func (p *Pipeline) syncOperand(o *operand) bool {
 //
 // The return value is the dormant-sweep retry hint: never means the blocked
 // condition can only be lifted by an already-instrumented wake
-// (execution/access completion, an equality outcome, a nullification, or a
-// producer republish — see pubOut); a cycle t > c means the entry is blocked
+// (execution/access completion, an equality outcome or a producer republish
+// — see wakeToSettle and pubOut); a cycle t > c means the entry is blocked
 // purely on time and need not be revisited before t; c+1 means it must stay
 // hot (retirement-based verification depends on the head position, which
 // moves without any wake).
@@ -117,9 +117,6 @@ func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
 	if e.vpUsed && e.eqReady != never {
 		t = maxi64(t, e.eqReady)
 	}
-	hier := p.specOn() && p.model.Verification == core.VerifyHierarchical
-	retOnly := p.specOn() && p.model.Verification == core.VerifyRetirement
-	hybrid := p.specOn() && p.model.Verification == core.VerifyHybrid
 	specInvolved := e.vpUsed
 	for s := 0; s < e.nsrc; s++ {
 		o := &e.src[s]
@@ -133,7 +130,7 @@ func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
 			ot := o.validAt
 			if o.everSpec {
 				specInvolved = true
-				if hier || hybrid {
+				if p.verifyHier || p.verifyHybrid {
 					ot++ // one dependence level per cycle
 				}
 			}
@@ -141,14 +138,14 @@ func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
 		}
 	}
 	headBound := false
-	if specInvolved && (retOnly || hybrid) {
+	if specInvolved && (p.verifyRetire || p.verifyHybrid) {
 		// Retirement-based verification: only the retire-width oldest
 		// instructions can be validated each cycle.
 		atHead := pos < p.cfg.IssueWidth
-		if retOnly && !atHead {
+		if p.verifyRetire && !atHead {
 			return c + 1 // head advance may release it any cycle
 		}
-		if hybrid {
+		if p.verifyHybrid {
 			if atHead {
 				// Retirement releases it now even if the hierarchical chain
 				// has not caught up.
@@ -240,7 +237,7 @@ func (p *Pipeline) retire(c int64) {
 // finishRetire performs retirement-time training (delayed predictor update
 // and confidence update) and releases the register-producer mapping.
 func (p *Pipeline) finishRetire(e *entry) {
-	if e.writesReg() && e.rec.Instr.Dst != isa.R0 {
+	if e.writes && e.rec.Instr.Dst != isa.R0 {
 		d := e.rec.Instr.Dst
 		if p.regProd[d] == e.idx && p.regProdAge[d] == e.age {
 			p.regProd[d] = -1
@@ -260,126 +257,125 @@ func (p *Pipeline) finishRetire(e *entry) {
 // scheme non-speculative candidates precede speculative ones within each
 // group, oldest first, while the oldest-first policy ignores the speculative
 // state of operands.
+//
+// Readiness is invariant within the cycle — granting one entry never
+// changes another's operands mid-issue — so one walk of the ready bits
+// (collectReady, soa.go) evaluates every candidate once and files it into
+// its priority bucket, and the grants take the buckets in priority order.
 func (p *Pipeline) issue(c int64) {
-	oldestFirst := p.specOn() && p.model.Selection == core.SelectOldestFirst
-
-	// Readiness is pass-invariant within the cycle — granting one entry
-	// never changes another's operands mid-issue — so one walk of the ready
-	// bits (collectReady, soa.go) evaluates every candidate once, and the
-	// priority passes below pick from the two group lists.
-	selMem, selOther := p.selMem[:0], p.selOther[:0]
+	for i := range p.issueBuckets {
+		p.issueBuckets[i] = p.issueBuckets[i][:0]
+	}
 	n := len(p.entries)
 	if hi := p.head + p.count; hi <= n {
-		selMem, selOther = p.collectReady(p.head, hi, c, selMem, selOther)
+		p.collectReady(p.head, hi, c)
 	} else {
-		selMem, selOther = p.collectReady(p.head, n, c, selMem, selOther)
-		selMem, selOther = p.collectReady(0, hi-n, c, selMem, selOther)
+		p.collectReady(p.head, n, c)
+		p.collectReady(0, hi-n, c)
 	}
-	p.selMem, p.selOther = selMem, selOther
-
 	grants := 0
-	for group := 0; group < 2 && grants < p.cfg.IssueWidth; group++ {
-		sel := selMem
-		if group == 1 {
-			sel = selOther
-		}
-		for specPass := 0; specPass < 2 && grants < p.cfg.IssueWidth; specPass++ {
-			for i := range sel {
-				if grants == p.cfg.IssueWidth {
-					break
-				}
-				cand := &sel[i]
-				if cand.idx < 0 {
-					continue // granted in a previous pass
-				}
-				// Non-speculative candidates precede speculative ones under
-				// the paper's scheme; oldest-first ignores the distinction.
-				if !oldestFirst && cand.spec != (specPass == 1) {
-					continue
-				}
-				p.grantIssue(&p.entries[cand.idx], c)
-				cand.idx = -1
-				grants++
+grant:
+	for b := range p.issueBuckets {
+		for _, idx := range p.issueBuckets[b] {
+			if grants == p.cfg.IssueWidth {
+				break grant
 			}
-			if oldestFirst {
-				break // a single pass took candidates regardless of spec state
-			}
+			p.grantIssue(&p.entries[idx], c)
+			grants++
 		}
 	}
 	p.stats.Issues += int64(grants)
 }
 
-// selCand is one issue candidate: its ring index and whether it would
-// consume a speculative input.
-type selCand struct {
-	idx  int32
-	spec bool
+// untilChange is the slotNextTry sentinel for a candidate blocked on
+// operand state rather than on time: it waits for an operand to reach a
+// state issue can consume, and lies past every cycle. Operand views move
+// only through syncOperand, after which the sweep re-derives the gate
+// (regate).
+const untilChange = int64(1) << 62
+
+// validOnly reports whether e issues on valid operands only: a control
+// transfer under valid-only resolution, or, under the limited-wakeup
+// policy, an instruction that has already executed twice (Section 3.4).
+func (p *Pipeline) validOnly(e *entry) bool {
+	return e.isCtrl && p.ctrlValidOnly || p.limitedWakeup && e.execCount >= 2
 }
 
-// untilChange is the slotNextTry sentinel for "blocked until an operand view
-// changes": the sweep resets the slot's gate to 0 whenever syncOperand
-// rewrites one of the entry's operands, so a state-blocked candidate is
-// re-evaluated exactly when something it depends on moved.
-const untilChange = int64(1) << 62
+// issueSrcs returns how many operands issue reads: address generation of a
+// store reads only the base register.
+func (e *entry) issueSrcs() int {
+	if e.cls == isa.ClassStore {
+		return 1
+	}
+	return e.nsrc
+}
+
+// operandGate returns the earliest cycle the operand o can feed e's issue
+// with its view held fixed: a ready or validity stamp, or untilChange while
+// its state blocks issue.
+func (p *Pipeline) operandGate(e *entry, o *operand, validOnly bool) int64 {
+	if validOnly {
+		if o.state != core.StateValid {
+			return untilChange
+		}
+		if e.isCtrl && o.everSpec {
+			return o.validAt + int64(p.model.Lat.VerifyBranch)
+		}
+		return o.validAt
+	}
+	if !o.state.Available() || o.ready == never || (!p.fwdSpec && o.state == core.StateSpeculative) {
+		return untilChange
+	}
+	return o.ready
+}
 
 // checkIssue reports whether e can issue at cycle c and whether it would
 // consume a speculative input. Entry and operand state are not mutated, so
 // the answer may be evaluated once per cycle and reused across selection
 // passes. On failure it records in slotNextTry the earliest cycle the
-// verdict could flip with the operand views held fixed — every gate below is
-// either monotone in c (validAt, verify latencies, ready stamps,
-// earliestIssue) or can only be lifted by an operand change, which resets
-// the gate — letting collectReady skip the re-check until then.
+// verdict could flip with the operand views held fixed, the latest of
+// earliestIssue and the operands' gates, so collectReady skips the
+// re-check until then.
 func (p *Pipeline) checkIssue(e *entry, c int64) (ok, spec bool) {
 	if e.issued || e.inFlight {
 		return false, false
 	}
-	if c < e.earliestIssue {
-		p.slotNextTry[e.idx] = e.earliestIssue
+	validOnly := p.validOnly(e)
+	gate := e.earliestIssue
+	for s := 0; s < e.issueSrcs(); s++ {
+		o := &e.src[s]
+		gate = max(gate, p.operandGate(e, o, validOnly))
+		spec = spec || o.state.Speculative()
+	}
+	if gate > c {
+		p.setGate(e.idx, gate)
 		return false, false
 	}
-	isCtrl := e.cls == isa.ClassBranch || e.rec.Instr.Op == isa.JR
-	validOnly := isCtrl && (!p.specOn() || p.model.BranchResolution == core.ResolveValidOnly)
-	// Under the limited-wakeup policy an instruction that has already
-	// executed twice waits for valid operands (Section 3.4).
-	if p.specOn() && p.model.Wakeup == core.WakeupLimited && e.execCount >= 2 {
-		validOnly = true
-	}
-	nsrc := e.nsrc
-	if e.cls == isa.ClassStore {
-		nsrc = 1 // address generation reads only the base register
-	}
-	for s := 0; s < nsrc; s++ {
-		o := &e.src[s]
-		if validOnly {
-			if !o.validBy(c) {
-				if o.state == core.StateValid && o.validAt != never && o.validAt > c {
-					p.slotNextTry[e.idx] = o.validAt
-				} else {
-					p.slotNextTry[e.idx] = untilChange
-				}
-				return false, false
-			}
-			if isCtrl && o.everSpec && c < o.validAt+int64(p.model.Lat.VerifyBranch) {
-				p.slotNextTry[e.idx] = o.validAt + int64(p.model.Lat.VerifyBranch)
-				return false, false
-			}
-			continue
-		}
-		if fwd := !p.specOn() || p.model.ForwardSpeculative; !o.available(c, fwd) {
-			if o.state.Available() && (fwd || o.state != core.StateSpeculative) &&
-				o.ready != never && o.ready > c {
-				p.slotNextTry[e.idx] = o.ready
-			} else {
-				p.slotNextTry[e.idx] = untilChange
-			}
-			return false, false
-		}
-		if o.state.Speculative() {
-			spec = true
-		}
-	}
 	return true, spec
+}
+
+// regate re-derives the issue gate of e, at ring slot idx, after
+// syncOperand rewrote its issue operand o. The verdict can flip no earlier
+// than o can feed the issue, so the gate drops to that bound. A gate that
+// waits on operand state stays put while o's state blocks issue too: the
+// operand it waits for is o, or has not moved.
+func (p *Pipeline) regate(e *entry, idx int, o *operand) {
+	g := max(e.earliestIssue, p.operandGate(e, o, p.validOnly(e)))
+	if g < untilChange || p.slotNextTry[idx] < untilChange {
+		p.setGate(idx, g)
+	}
+}
+
+// setGate records the issue gate g of ring slot idx. A slot waiting on
+// operand state leaves the readiness walk (blockedBits) until an operand
+// change re-gates it.
+func (p *Pipeline) setGate(idx int, g int64) {
+	p.slotNextTry[idx] = g
+	if g >= untilChange {
+		setBit(p.blockedBits, idx)
+	} else {
+		clearBit(p.blockedBits, idx)
+	}
 }
 
 // grantIssue performs the state mutations of issuing e at cycle c.
@@ -410,11 +406,7 @@ func (p *Pipeline) grantIssue(e *entry, c int64) {
 	}
 	e.inFlightClean = clean
 	e.usedSpec = specUsed
-	lat := int64(isa.Latency(e.rec.Instr.Op))
-	if isa.IsMem(e.rec.Instr.Op) {
-		lat = 1 // address generation
-	}
-	e.inFlightDone = c + lat - 1
+	e.inFlightDone = c + int64(e.issueLat) - 1
 	p.wbWheel.schedule(c, e.inFlightDone+1,
 		wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbExec})
 	if e.wasNullified {
@@ -428,8 +420,9 @@ func (p *Pipeline) grantIssue(e *entry, c int64) {
 // startAccesses begins data-cache accesses (or store forwards) for loads
 // whose address is resolved per the memory-resolution policy, subject to the
 // memory-ordering constraint and data-cache port limits. Candidates come from
-// loadBits — set at dispatch for loads, cleared when the access starts,
-// re-set on nullify — so cycles with no pending load skip the window walk.
+// loadBits — set when a load's address generation completes, cleared when
+// its access starts, at dispatch and on nullify — so the walk visits only
+// loads whose address is known.
 func (p *Pipeline) startAccesses(c int64) {
 	validOnly := !p.specOn() || p.model.MemResolution == core.ResolveValidOnly
 	n := len(p.entries)
@@ -460,64 +453,12 @@ func (p *Pipeline) startAccessSeg(lo, hi int, c int64, validOnly bool) {
 		for w != 0 {
 			idx := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			e := &p.entries[idx]
-			if !e.agDone || c < e.agCycle {
-				continue
-			}
-			o := &e.src[0]
-			if validOnly {
-				if !o.inWindowRegfileValid(c) {
-					continue
-				}
-				if o.everSpec && c < o.validAt+int64(p.model.Lat.VerifyAddrMem) {
-					continue
-				}
-			}
+			p.loadVisits++
 			pos := idx - p.head
 			if pos < 0 {
 				pos += n
 			}
-			if !p.olderStoreAddrsKnown(pos, c, validOnly) {
-				continue
-			}
-			st := p.forwardingStore(e, pos)
-			if st != nil {
-				// Store-to-load forwarding: single-cycle once the store data is
-				// available under the resolution policy.
-				d := &st.src[1]
-				if validOnly {
-					if !d.validBy(c) {
-						continue
-					}
-				} else if !d.available(c, p.model.ForwardSpeculative) {
-					continue
-				}
-				e.memStarted = true
-				clearBit(p.loadBits, idx)
-				e.memDoneAt = c
-				p.wbWheel.schedule(c, c+1,
-					wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
-				e.fwdStore = st.age
-				e.fwdDataOK = d.correct
-				if d.inWindow {
-					e.fwdProdAge = d.prodAge
-					e.fwdProdIdx = int(d.prodIdx)
-					p.addConsumer(int(d.prodIdx), e.idx)
-				}
-				p.stats.StoreForwards++
-				continue
-			}
-			if p.portsUsed >= p.cfg.DCachePorts {
-				continue
-			}
-			p.portsUsed++
-			lat := int64(p.hier.Data(uint64(e.rec.Addr) * 8))
-			e.memStarted = true
-			clearBit(p.loadBits, idx)
-			e.memDoneAt = c + lat - 1
-			p.wbWheel.schedule(c, e.memDoneAt+1,
-				wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
-			e.fwdDataOK = true
+			p.startAccess(&p.entries[idx], pos, c, validOnly)
 		}
 		if wi == last {
 			return
@@ -525,6 +466,62 @@ func (p *Pipeline) startAccessSeg(lo, hi int, c int64, validOnly bool) {
 		wi++
 		w = p.loadBits[wi]
 	}
+}
+
+// startAccess begins the memory access of the load e, whose address is
+// generated, at cycle c if the memory-resolution policy, the memory-ordering
+// rule and a store forward or a free data-cache port allow it; pos is the
+// load's age-order position.
+func (p *Pipeline) startAccess(e *entry, pos int, c int64, validOnly bool) {
+	o := &e.src[0]
+	if validOnly {
+		if !o.inWindowRegfileValid(c) {
+			return
+		}
+		if o.everSpec && c < o.validAt+int64(p.model.Lat.VerifyAddrMem) {
+			return
+		}
+	}
+	if !p.olderStoreAddrsKnown(pos, c, validOnly) {
+		return
+	}
+	if st := p.forwardingStore(e, pos); st != nil {
+		// Store-to-load forwarding: single-cycle once the store data is
+		// available under the resolution policy.
+		d := &st.src[1]
+		if validOnly {
+			if !d.validBy(c) {
+				return
+			}
+		} else if !d.available(c, p.model.ForwardSpeculative) {
+			return
+		}
+		e.memStarted = true
+		clearBit(p.loadBits, e.idx)
+		e.memDoneAt = c
+		p.wbWheel.schedule(c, c+1,
+			wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
+		e.fwdStore = st.age
+		e.fwdDataOK = d.correct
+		if d.inWindow {
+			e.fwdProdAge = d.prodAge
+			e.fwdProdIdx = int(d.prodIdx)
+			p.addConsumer(int(d.prodIdx), e.idx)
+		}
+		p.stats.StoreForwards++
+		return
+	}
+	if p.portsUsed >= p.cfg.DCachePorts {
+		return
+	}
+	p.portsUsed++
+	lat := int64(p.hier.Data(uint64(e.rec.Addr) * 8))
+	e.memStarted = true
+	clearBit(p.loadBits, e.idx)
+	e.memDoneAt = c + lat - 1
+	p.wbWheel.schedule(c, e.memDoneAt+1,
+		wbEvent{age: e.age, token: e.execToken, idx: int32(e.idx), kind: wbMem})
+	e.fwdDataOK = true
 }
 
 // inWindowRegfileValid reports whether the operand is valid by cycle c,
@@ -652,7 +649,9 @@ func (p *Pipeline) fetch(c int64) {
 		}
 		// Instruction cache: one access per distinct block per cycle; the
 		// ideal fetch engine reads across basic blocks as long as it hits.
-		block := uint64(rec.PC) * 4 / uint64(p.cfg.Mem.L1I.BlockBytes)
+		// Blocks are a power of two bytes, so masking the address names the
+		// block without a division.
+		block := uint64(rec.PC) * 4 &^ uint64(p.cfg.Mem.L1I.BlockBytes-1)
 		if block != lastBlock {
 			lat := int64(p.hier.Inst(uint64(rec.PC) * 4))
 			if lat > 1 {
@@ -664,7 +663,7 @@ func (p *Pipeline) fetch(c int64) {
 			lastBlock = block
 		}
 		e := p.dispatch(rec, replayed, c)
-		if isa.IsCondBranch(rec.Instr.Op) {
+		if e.cls == isa.ClassBranch {
 			correct := true
 			if !p.cfg.PerfectBranches {
 				_, correct = p.bp.PredictAndUpdate(rec.PC, rec.Taken)
@@ -725,28 +724,22 @@ func (p *Pipeline) dispatch(rec *trace.Record, replayed bool, c int64) *entry {
 	e.age = p.nextAge
 	p.nextAge++
 	e.rec = *rec
-	e.cls = isa.ClassOf(rec.Instr.Op)
+	e.decode(rec.Instr.Op)
 	e.replayed = replayed
 	e.dispatchCycle = c
 	e.earliestIssue = c + 1
 	e.nsrc = rec.NSrc
 	p.slotAge[idx] = e.age
 	p.slotCls[idx] = uint8(e.cls)
-	p.slotNextTry[idx] = 0
 	setBit(p.occBits, idx)
 	clearBit(p.settledBits, idx)
 	// Memory-class bits for the startAccesses walks. Stale bits on slots
 	// outside the live ring range are harmless: every walk masks to
 	// [head, head+count), so only reuse inside the range must be exact.
-	switch e.cls {
-	case isa.ClassLoad:
-		setBit(p.loadBits, idx)
-		clearBit(p.storeBits, idx)
-	case isa.ClassStore:
+	clearBit(p.loadBits, idx) // set when the address is generated
+	if e.cls == isa.ClassStore {
 		setBit(p.storeBits, idx)
-		clearBit(p.loadBits, idx)
-	default:
-		clearBit(p.loadBits, idx)
+	} else {
 		clearBit(p.storeBits, idx)
 	}
 	p.emit(c, EvDispatch, e)
@@ -761,6 +754,9 @@ func (p *Pipeline) dispatch(rec *trace.Record, replayed bool, c int64) *entry {
 	}
 
 	setBit(p.readyBits, idx)
+	// Seed the issue gate (see checkIssue) from the in-window operands; a
+	// register-file operand is usable at once.
+	gate, validOnly := e.earliestIssue, p.validOnly(e)
 	for s := 0; s < e.nsrc; s++ {
 		o := &e.src[s]
 		*o = operand{reg: rec.SrcRegs[s], validAt: never, ready: never}
@@ -772,6 +768,9 @@ func (p *Pipeline) dispatch(rec *trace.Record, replayed bool, c int64) *entry {
 			o.state = core.StateInvalid
 			p.addConsumer(prod, idx)
 			p.syncOperand(o)
+			if s < e.issueSrcs() {
+				gate = max(gate, p.operandGate(e, o, validOnly))
+			}
 		} else {
 			o.state = core.StateValid
 			o.correct = true
@@ -779,8 +778,9 @@ func (p *Pipeline) dispatch(rec *trace.Record, replayed bool, c int64) *entry {
 			o.validAt = c
 		}
 	}
+	p.setGate(idx, gate)
 
-	if e.writesReg() {
+	if e.writes {
 		p.predictValue(e, c)
 		if rec.Instr.Dst != isa.R0 {
 			p.regProd[rec.Instr.Dst] = idx
@@ -792,6 +792,11 @@ func (p *Pipeline) dispatch(rec *trace.Record, replayed bool, c int64) *entry {
 		e.outReady = never
 	}
 	p.pubOut(e) // covers reset, predictValue and the line above
+	// The first sweep visit would find nothing to do: the operands were
+	// just synced, and the output waits on an execution that cannot
+	// complete before the entry issues. A producer republish wakes it
+	// earlier, through the consumer registration above.
+	setBit(p.dormantBits, idx)
 	// NOP and HALT execute trivially; give them a one-cycle pass through
 	// the pipeline like any simple operation.
 	return e

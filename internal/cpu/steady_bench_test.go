@@ -131,15 +131,36 @@ func BenchmarkReplayRequeue(b *testing.B) {
 	}
 }
 
+// workCounts sums the work counters of whole simulations.
+type workCounts struct{ sweepVisits, issueChecks, loadVisits int64 }
+
+func (w *workCounts) add(p *Pipeline) {
+	w.sweepVisits += p.sweepVisits
+	w.issueChecks += p.issueChecks
+	w.loadVisits += p.loadVisits
+}
+
+// report reports the counters per op. Each op is one whole simulation of the
+// same trace, so the figures repeat exactly, and cmd/benchcheck gates them
+// against BENCH_BASELINE.json's work_per_op.
+func (w *workCounts) report(b *testing.B) {
+	n := float64(b.N)
+	b.ReportMetric(float64(w.sweepVisits)/n, "sweep-visits/op")
+	b.ReportMetric(float64(w.issueChecks)/n, "issue-checks/op")
+	b.ReportMetric(float64(w.loadVisits)/n, "load-visits/op")
+}
+
 // BenchmarkReadyQueueWide runs whole simulations on a window far wider than
 // the paper's largest configuration (16-wide, 512 entries), where the
 // per-cycle selection and sweep walks span eight bitset words. The trace is
 // recorded once outside the timed loop; each iteration replays it through a
-// fresh cursor, as a cached sweep does.
+// fresh cursor, as a cached sweep does. It reports the work counters per
+// simulation.
 func BenchmarkReadyQueueWide(b *testing.B) {
 	rec := trace.Encode(&trace.SliceSource{Records: wakeupRecs(b, 99, 20000)})
 	cfg := flatMemConfig(Config{IssueWidth: 16, WindowSize: 512})
 	var retired int64
+	var work workCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,8 +173,10 @@ func BenchmarkReadyQueueWide(b *testing.B) {
 			b.Fatal(err)
 		}
 		retired += st.Retired
+		work.add(p)
 	}
 	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instrs/s")
+	work.report(b)
 }
 
 // BenchmarkBitsetSelect isolates the per-cycle cost of the wakeup/selection

@@ -35,12 +35,40 @@ func plant(p *Pipeline, idx int, age int64) *entry {
 	e.idx = idx
 	e.age = age
 	e.rec = trace.Record{Instr: isa.Instruction{Op: isa.ADD, Dst: 1}}
-	e.cls = isa.ClassALU
+	e.decode(isa.ADD)
 	p.slotAge[idx] = age
 	p.slotCls[idx] = uint8(e.cls)
 	setBit(p.occBits, idx)
 	p.pubOut(e)
 	return e
+}
+
+// TestDispatchDecodesEveryOpcode checks that the fields dispatch decodes
+// from the opcode, which the stages read instead of the record, agree with
+// the isa package for every value of the opcode byte, the ones outside the
+// ISA included.
+func TestDispatchDecodesEveryOpcode(t *testing.T) {
+	type decoded struct {
+		cls      isa.Class
+		isCtrl   bool
+		writes   bool
+		issueLat int
+	}
+	p := newTestPipeline(t)
+	for i := 0; i < 256; i++ {
+		op := isa.Op(i)
+		want := decoded{isa.ClassOf(op), isa.IsCondBranch(op) || isa.IsIndirect(op),
+			isa.WritesReg(op), isa.Latency(op)}
+		if isa.IsMem(op) {
+			want.issueLat = 1 // issue generates the address
+		}
+		p.head, p.count = 0, 0
+		rec := trace.Record{Instr: isa.Instruction{Op: op, Dst: 1}}
+		e := p.dispatch(&rec, false, 0)
+		if got := (decoded{e.cls, e.isCtrl, e.writes, int(e.issueLat)}); got != want {
+			t.Errorf("%v: dispatch decoded %+v, want %+v", op, got, want)
+		}
+	}
 }
 
 func TestSyncOperandCapturesFromInvalid(t *testing.T) {

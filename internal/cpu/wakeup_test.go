@@ -32,8 +32,10 @@ func fcmSpec(m core.Model, conf confidence.Estimator) *SpecOptions {
 
 // diffVariants are the speculation settings the differential runs on every
 // trace: the base processor, every preset, and always-speculate ablations
-// of Great that maximize invalidation-wave traffic, the path where the
-// consumer-list walk replaces the window scan.
+// of Great. The ablations maximize invalidation-wave traffic, the path where
+// the consumer-list walk replaces the window scan, and reach the
+// verification schemes and forwarding policy whose gates decide when the
+// sweep must wake an entry.
 func diffVariants() []func() *SpecOptions {
 	variants := []func() *SpecOptions{
 		func() *SpecOptions { return nil },
@@ -49,6 +51,9 @@ func diffVariants() []func() *SpecOptions {
 		func(m *core.Model) { m.Invalidation = core.InvalidateComplete },
 		func(m *core.Model) { m.Wakeup = core.WakeupLimited },
 		func(m *core.Model) { m.Selection = core.SelectOldestFirst },
+		func(m *core.Model) { m.Verification = core.VerifyRetirement },
+		func(m *core.Model) { m.Verification = core.VerifyHybrid },
+		func(m *core.Model) { m.ForwardSpeculative = false },
 		func(m *core.Model) {
 			m.Invalidation = core.InvalidateHierarchical
 			m.BranchResolution = core.ResolveSpeculative
@@ -199,11 +204,12 @@ func wakeupRecs(tb testing.TB, seed int64, n int) []trace.Record {
 // BenchmarkWakeup runs whole simulations on the 16-wide/96-entry
 // configuration, where the per-cycle wakeup and selection work is largest.
 // The trace is recorded once outside the timed loop; each iteration replays
-// it through a fresh cursor.
+// it through a fresh cursor. It reports the work counters per simulation.
 func BenchmarkWakeup(b *testing.B) {
 	rec := trace.Encode(&trace.SliceSource{Records: wakeupRecs(b, 99, 20000)})
 	cfg := flatMemConfig(Config16x96())
 	var retired int64
+	var work workCounts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), rec.Source())
@@ -215,6 +221,8 @@ func BenchmarkWakeup(b *testing.B) {
 			b.Fatal(err)
 		}
 		retired += st.Retired
+		work.add(p)
 	}
 	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instrs/s")
+	work.report(b)
 }

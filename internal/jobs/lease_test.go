@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"container/heap"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,6 +28,36 @@ func leaseQueue(t *testing.T) (*Queue, Job, Job) {
 		t.Fatal(err)
 	}
 	return q, ja, jb
+}
+
+// TestLeaseTokensUnguessable drives 10,000 grants of one job through the
+// grant path and checks that every token is 32 hex digits (16 random bytes)
+// and that none repeats, so a client cannot derive another holder's token
+// from its own.
+func TestLeaseTokensUnguessable(t *testing.T) {
+	q, ja, _ := leaseQueue(t)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	j := q.jobs[ja.ID]
+	seen := make(map[string]bool, 10000)
+	for i := 0; i < 10000; i++ {
+		for q.pending.Len() > 0 {
+			heap.Pop(&q.pending)
+		}
+		heap.Push(&q.pending, j)
+		g, _, err := q.grantLocked("w", time.Now().Add(time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tok := g.LeaseToken
+		if _, err := hex.DecodeString(tok); err != nil || len(tok) != 32 {
+			t.Fatalf("grant %d: token %q is not 32 hex digits", i, tok)
+		}
+		if seen[tok] {
+			t.Fatalf("grant %d: token %q repeats", i, tok)
+		}
+		seen[tok] = true
+	}
 }
 
 func TestQueueLeaseBasics(t *testing.T) {

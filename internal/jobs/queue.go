@@ -2,11 +2,12 @@ package jobs
 
 import (
 	"container/heap"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -111,12 +112,8 @@ type Queue struct {
 	jobs      map[string]*Job
 	pending   jobHeap
 	nextSeq   int64
-	nextToken int64
-	// tokenPrefix is the open time in hex nanos plus a dot: lease tokens are
-	// tokenPrefix+counter, unique across restarts.
-	tokenPrefix string
-	closed      bool
-	recovered   int
+	closed    bool
+	recovered int
 
 	// onTerminal, when set, runs under mu as a transition moves a job into
 	// a terminal state, so whatever it publishes is visible no later than
@@ -150,8 +147,7 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: queue: %w", err)
 	}
-	q := &Queue{jobs: make(map[string]*Job), nextSeq: 1,
-		tokenPrefix: strconv.FormatInt(time.Now().UnixNano(), 16) + "."}
+	q := &Queue{jobs: make(map[string]*Job), nextSeq: 1}
 	q.cond = sync.NewCond(&q.mu)
 
 	j, err := openJournal(dir, commitInterval, func(job Job) {
@@ -317,8 +313,10 @@ func (q *Queue) submit(req Request, hash string, state State) (Job, error) {
 
 // grantLocked takes the best pending job and grants it as a lease: running,
 // one attempt charged, a fresh token that fences its settle calls, held by
-// worker until expiry. Pop grants with no worker and no expiry — the
-// daemon's own runs, which ExpireLeases, Leased and the fleet view ignore.
+// worker until expiry. The token is 16 bytes from crypto/rand in hex, so no
+// client can derive another holder's token from its own. Pop grants with no
+// worker and no expiry — the daemon's own runs, which ExpireLeases, Leased
+// and the fleet view ignore.
 // The record is staged; the returned sequence is what to wait on. Caller
 // holds q.mu and has checked pending is non-empty.
 func (q *Queue) grantLocked(worker string, expiry time.Time) (*Job, uint64, error) {
@@ -328,9 +326,16 @@ func (q *Queue) grantLocked(worker string, expiry time.Time) (*Job, uint64, erro
 	j.StartedAt = time.Now().UTC()
 	j.Worker = worker
 	j.LeaseExpiry = expiry
-	var buf [40]byte
-	j.LeaseToken = string(strconv.AppendInt(append(buf[:0], q.tokenPrefix...), q.nextToken, 10))
-	q.nextToken++
+	var raw [16]byte
+	if _, err := rand.Read(raw[:]); err != nil {
+		// From Go 1.24 on, Read crashes the process itself when the
+		// system's random source fails; older toolchains return the error
+		// instead, and a queue that cannot draw tokens cannot fence leases.
+		panic("jobs: drawing a lease token: " + err.Error())
+	}
+	var buf [32]byte
+	hex.Encode(buf[:], raw[:])
+	j.LeaseToken = string(buf[:])
 	seq, err := q.stageLocked(j)
 	return j, seq, err
 }
