@@ -45,6 +45,10 @@ import (
 var targets = []struct{ pkg, pattern string }{
 	{"./internal/cpu", "^(BenchmarkEmitNilObserver|BenchmarkWakeup|BenchmarkPipelineSteadyState|BenchmarkReplayRequeue|BenchmarkReadyQueueWide|BenchmarkBitsetSelect|BenchmarkIntervalSampler)$"},
 	{"./internal/harness", "^BenchmarkSimulateAllCached$"},
+	// BenchmarkRecordKernels is the trace cache's cold start: its work
+	// counters pin every kernel's recording length, verbatim records and
+	// bytes.
+	{"./internal/trace", "^BenchmarkRecordKernels$"},
 	// The jobs benchmarks are disk-bound (atomic file writes), so their
 	// checked-in ns/op baselines are hand-slackened above any observed run —
 	// a gross-regression gate; their allocation budgets are the tight gate.

@@ -103,12 +103,8 @@ func Characterize(w Workload, scale int) (Characteristics, error) {
 		return Characteristics{}, err
 	}
 	var mix trace.Mix
-	for {
-		rec, ok := m.Next()
-		if !ok {
-			break
-		}
-		mix.Observe(&rec)
+	for r, ok := m.NextRef(); ok; r, ok = m.NextRef() {
+		mix.Observe(r)
 	}
 	if !m.Halted() {
 		return Characteristics{}, fmt.Errorf("bench: %s did not halt", w.Name)

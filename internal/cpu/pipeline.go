@@ -31,11 +31,11 @@ type Pipeline struct {
 	bp   *bpred.Gshare
 
 	src trace.Source
-	// srcRef is src's copy-free cursor when it offers one (a cached
-	// MemorySource does): fetch reads each record in place where the
-	// cursor decoded it instead of copying 100+ bytes per Next. recScratch
-	// backs the same pointer protocol for plain sources.
-	srcRef     refSource
+	// srcRef is src when it is a trace.RefSource (a cached MemorySource
+	// and the emulator are): fetch reads each record in place where the
+	// source produced it instead of copying 100+ bytes per Next.
+	// recScratch backs the same pointer protocol for plain sources.
+	srcRef     trace.RefSource
 	recScratch trace.Record
 	srcDone    bool
 	pending    recDeque // replay queue, consumed before src
@@ -224,7 +224,7 @@ func (p *Pipeline) Reset(cfg Config, spec *SpecOptions, src trace.Source) error 
 	for i := range p.regProd {
 		p.regProd[i] = -1
 	}
-	if rs, ok := src.(refSource); ok {
+	if rs, ok := src.(trace.RefSource); ok {
 		p.srcRef = rs
 	}
 	return nil
@@ -248,13 +248,6 @@ func (p *Pipeline) Detach() {
 	p.spec = nil
 	p.src, p.srcRef = nil, nil
 	p.obs, p.metrics, p.telem, p.phases = nil, nil, nil, nil
-}
-
-// refSource is the optional copy-free cursor a Source may offer (see
-// trace.MemorySource.NextRef). The returned pointer is read-only and valid
-// only until the next call.
-type refSource interface {
-	NextRef() (*trace.Record, bool)
 }
 
 // Stats returns the accumulated statistics.

@@ -2,7 +2,10 @@
 //
 // The emulator executes a program architecturally (no timing) and emits one
 // trace.Record per dynamic instruction. It is the substitute for running
-// SPEC binaries under SimpleScalar's functional front end.
+// SPEC binaries under SimpleScalar's functional front end. Instructions
+// execute on a trace.Exec, the replay cursor's own rules over templates
+// decoded once per program; the emulator adds only data memory, HALT, the
+// instruction budget and the PC range check.
 package emu
 
 import (
@@ -21,11 +24,10 @@ var ErrHalted = errors.New("emu: machine halted")
 // Machine is the architectural state of one running program.
 type Machine struct {
 	prog   *program.Program
-	regs   [isa.NumRegs]int64
+	x      trace.Exec
 	mem    memImage
-	pc     int
-	seq    int64
-	budget int64 // remaining instructions, <0 means unlimited
+	out    trace.Record // the record NextRef hands over
+	budget int64        // instruction limit, <0 means unlimited
 	halted bool
 }
 
@@ -49,7 +51,7 @@ func New(p *program.Program, opts ...Option) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{prog: p, pc: p.Entry, budget: -1}
+	m := &Machine{prog: p, x: trace.NewExec(p.Code, p.Entry), budget: -1}
 	for addr, val := range p.Data {
 		m.mem.write(addr, val)
 	}
@@ -63,13 +65,13 @@ func New(p *program.Program, opts ...Option) (*Machine, error) {
 func (m *Machine) Halted() bool { return m.halted }
 
 // PC returns the current program counter (static instruction index).
-func (m *Machine) PC() int { return m.pc }
+func (m *Machine) PC() int { return m.x.PC }
 
 // Executed returns the number of dynamic instructions executed so far.
-func (m *Machine) Executed() int64 { return m.seq }
+func (m *Machine) Executed() int64 { return m.x.Seq }
 
 // Reg returns the architectural value of register r.
-func (m *Machine) Reg(r isa.Reg) int64 { return m.regs[r] }
+func (m *Machine) Reg(r isa.Reg) int64 { return m.x.Regs[r] }
 
 // Mem returns the architectural value of data-memory word addr.
 func (m *Machine) Mem(addr int64) int64 { return m.mem.read(addr) }
@@ -77,85 +79,55 @@ func (m *Machine) Mem(addr int64) int64 { return m.mem.read(addr) }
 // Step executes one dynamic instruction and returns its record.
 // It returns ErrHalted once the program has stopped.
 func (m *Machine) Step() (trace.Record, error) {
-	if m.halted {
-		return trace.Record{}, ErrHalted
+	if err := m.step(); err != nil {
+		return trace.Record{}, err
 	}
-	if m.pc < 0 || m.pc >= len(m.prog.Code) {
-		m.halted = true
-		return trace.Record{}, fmt.Errorf("emu: pc %d out of range [0,%d)", m.pc, len(m.prog.Code))
-	}
-	in := m.prog.Code[m.pc]
-	rec := trace.Record{Seq: m.seq, PC: m.pc, Instr: in, NextPC: m.pc + 1}
-	srcs, n := in.SrcRegs()
-	rec.SrcRegs, rec.NSrc = srcs, n
-	for i := 0; i < n; i++ {
-		rec.SrcVals[i] = m.regs[srcs[i]]
-	}
-
-	switch isa.ClassOf(in.Op) {
-	case isa.ClassALU, isa.ClassComplex:
-		rec.DstVal = isa.Eval(in.Op, rec.SrcVals[0], rec.SrcVals[1], in.Imm)
-		m.setReg(in.Dst, rec.DstVal)
-
-	case isa.ClassLoad:
-		rec.Addr = rec.SrcVals[0] + in.Imm
-		rec.DstVal = m.mem.read(rec.Addr)
-		m.setReg(in.Dst, rec.DstVal)
-
-	case isa.ClassStore:
-		rec.Addr = rec.SrcVals[0] + in.Imm
-		m.mem.write(rec.Addr, rec.SrcVals[1]) // Src2 value is SrcVals[1]
-
-	case isa.ClassBranch:
-		rec.Taken = isa.BranchTaken(in.Op, rec.SrcVals[0], rec.SrcVals[1])
-		if rec.Taken {
-			rec.NextPC = in.Target
-		}
-
-	case isa.ClassJump:
-		rec.Taken = true
-		switch in.Op {
-		case isa.JMP:
-			rec.NextPC = in.Target
-		case isa.JAL:
-			rec.DstVal = int64(m.pc + 1)
-			m.setReg(in.Dst, rec.DstVal)
-			rec.NextPC = in.Target
-		case isa.JR:
-			rec.NextPC = int(rec.SrcVals[0])
-		}
-
-	case isa.ClassNop:
-		if in.Op == isa.HALT {
-			m.halted = true
-		}
-	}
-
-	m.pc = rec.NextPC
-	m.seq++
-	if m.budget > 0 && m.seq >= m.budget {
-		m.halted = true
-	}
-	return rec, nil
+	return m.out, nil
 }
 
-func (m *Machine) setReg(r isa.Reg, v int64) {
-	if r != isa.R0 {
-		m.regs[r] = v
+// step executes one dynamic instruction into m.out.
+func (m *Machine) step() error {
+	if m.halted {
+		return ErrHalted
 	}
+	if pc := m.x.PC; pc < 0 || pc >= len(m.prog.Code) {
+		m.halted = true
+		return fmt.Errorf("emu: pc %d out of range [0,%d)", pc, len(m.prog.Code))
+	}
+	r := &m.out
+	m.x.Rebuild(r)
+	switch r.Instr.Op {
+	case isa.LD:
+		r.DstVal = m.mem.read(r.Addr)
+	case isa.ST:
+		m.mem.write(r.Addr, r.SrcVals[1])
+	case isa.HALT:
+		m.halted = true
+	}
+	m.x.Advance(r)
+	if m.budget > 0 && m.x.Seq >= m.budget {
+		m.halted = true
+	}
+	return nil
 }
 
 // Next implements trace.Source: it steps the machine, reporting false at
 // halt or on an execution fault.
 func (m *Machine) Next() (trace.Record, bool) {
-	if m.halted {
+	if m.step() != nil {
 		return trace.Record{}, false
 	}
-	rec, err := m.Step()
-	if err != nil {
-		return trace.Record{}, false
+	return m.out, true
+}
+
+// NextRef implements trace.RefSource: it steps the machine into its own
+// scratch record and returns a pointer to it, reporting false at halt or on
+// an execution fault.
+func (m *Machine) NextRef() (*trace.Record, bool) {
+	if m.step() != nil {
+		return nil, false
 	}
-	return rec, true
+	return &m.out, true
 }
 
 // Run executes until halt or until limit instructions have run (limit <= 0
@@ -167,7 +139,7 @@ func (m *Machine) Run(limit int64) (int64, error) {
 		if limit > 0 && n >= limit {
 			break
 		}
-		if _, err := m.Step(); err != nil {
+		if err := m.step(); err != nil {
 			return n, err
 		}
 		n++

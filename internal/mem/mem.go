@@ -11,7 +11,10 @@
 // view of the machine.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
@@ -54,6 +57,7 @@ type Cache struct {
 	lines     []line
 	blockBits uint
 	setMask   uint64
+	tagShift  uint // bits of setMask: a block's tag is block >> tagShift
 	clock     uint64
 
 	// Stats
@@ -70,6 +74,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	nsets := cfg.SizeBytes / (cfg.BlockBytes * cfg.Assoc)
 	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), setMask: uint64(nsets - 1)}
+	c.tagShift = uint(bits.OnesCount64(c.setMask))
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.blockBits++
 	}
@@ -93,7 +98,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.clock++
 	block := addr >> c.blockBits
 	set := c.set(block)
-	tag := block >> uint(popcount(c.setMask))
+	tag := block >> c.tagShift
 
 	victim := 0
 	for i := range set {
@@ -125,14 +130,6 @@ func (c *Cache) MissRate() float64 {
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.clock, c.Accesses, c.Misses = 0, 0, 0
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // HierarchyConfig carries the latency parameters of the full hierarchy.
@@ -214,7 +211,7 @@ func (h *Hierarchy) Data(addr uint64) int {
 func (h *Hierarchy) DataHit(addr uint64) bool {
 	block := addr >> h.l1d.blockBits
 	set := h.l1d.set(block)
-	tag := block >> uint(popcount(h.l1d.setMask))
+	tag := block >> h.l1d.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true

@@ -6,6 +6,7 @@ import (
 	"valuespec/internal/bench"
 	"valuespec/internal/emu"
 	"valuespec/internal/isa"
+	"valuespec/internal/program"
 	"valuespec/internal/trace"
 )
 
@@ -52,4 +53,36 @@ func TestRecordingConcatenatedPrograms(t *testing.T) {
 	if rec.Irregular() > bound {
 		t.Errorf("%d irregular records, want at most %d", rec.Irregular(), bound)
 	}
+}
+
+// BenchmarkRecordKernels emulates and encodes the eight kernels at their
+// default scale, the trace cache's cold-start work. Its work counters pin
+// what the recordings hold: the records, how many of them are stored
+// verbatim, and the recordings' bytes. They move only when a kernel, the
+// emulator or the encoding does.
+func BenchmarkRecordKernels(b *testing.B) {
+	ws := bench.All()
+	progs := make([]*program.Program, len(ws))
+	for i, w := range ws {
+		progs[i] = w.Program()
+	}
+	var records, irregular, bytes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		records, irregular, bytes = 0, 0, 0
+		for _, p := range progs {
+			m, err := emu.New(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := trace.Encode(m)
+			records += int64(rec.Len())
+			irregular += int64(rec.Irregular())
+			bytes += rec.Bytes()
+		}
+	}
+	b.ReportMetric(float64(records), "records/op")
+	b.ReportMetric(float64(irregular), "irregular/op")
+	b.ReportMetric(float64(bytes), "recording-bytes/op")
 }

@@ -131,11 +131,11 @@ func FuzzRecordingRoundTrip(f *testing.F) {
 		for len(in) > 0 && len(want) < 512 {
 			mode := in.u8() % 3
 			var r Record
-			if pc := e.st.pc; mode == 2 && pc >= 0 && pc < len(e.st.code) && e.st.code[pc].derive != deriveNone {
-				e.st.rebuild(&r, &e.st.code[pc], in.i64())
+			if pc := e.x.PC; mode == 2 && pc >= 0 && pc < len(e.x.code) && e.x.code[pc].derive != deriveNone {
+				e.x.rebuild(&r, &e.x.code[pc], in.i64())
 			} else if mode == 1 {
 				pc, next, target := in.u8()%16, in.u8()%16, in.u8()%16
-				r = normRecord(e.st.seq, int32(pc), int32(next), int32(target), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
+				r = normRecord(e.x.Seq, int32(pc), int32(next), int32(target), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
 					in.u8()&1 != 0, int64(int8(in.u8())), in.i64(), in.i64(), in.i64(), in.i64())
 			} else {
 				r = normRecord(in.i64(), int32(in.i64()), int32(in.i64()), int32(in.i64()), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),

@@ -11,25 +11,25 @@ import (
 // Encode and replayed through any number of independent MemorySource
 // cursors. It stores only what re-execution cannot recompute.
 //
-// A replay cursor carries a little architectural state: the template of
-// each static PC seen so far (instruction, source registers, and how the
-// op's results are derived), a shadow register file, and the PC and Seq it
-// expects next. From that state it re-executes the next record: the
-// instruction comes from the template at the expected PC and the source
-// values from the shadow registers. ALU and complex results come from
-// isa.Eval, the emulator's own semantics; JAL links PC+1; branch directions
-// come from isa.BranchTaken, and jumps are always taken; memory addresses
-// are the first source plus the immediate. Only a load's result depends on
-// memory the cursor does not model, so each load stores its value as a
-// zigzag varint.
+// A replay cursor carries an Exec: the template of each static PC seen so
+// far (instruction, source registers, and how the op's results are
+// derived), a shadow register file, and the PC and Seq it expects next.
+// From that state it re-executes the next record: the instruction comes
+// from the template at the expected PC and the source values from the
+// shadow registers. ALU and complex results come from isa.Eval; JAL links
+// PC+1; branch directions come from isa.BranchTaken, and jumps are always
+// taken; memory addresses are the first source plus the immediate. Only a
+// load's result depends on memory the cursor does not model, so each load
+// stores its value as a zigzag varint.
 //
 // A record is regular when that re-execution rebuilds it exactly, and the
 // encoder checks this by running the cursor's own rebuild and comparing
 // every field. An irregular record is kept verbatim, and a sorted list of
 // their indices tells the cursor where they fall. A misprediction therefore
 // costs bytes, never correctness. On emulator traces only the first visit
-// of each static PC is irregular: the shadow registers mirror the
-// emulator's, and the emulator's code never changes.
+// of each static PC is irregular: the emulator executes with the same
+// rules over the whole program, so once the cursor has learned a PC's
+// template its shadow registers mirror the emulator's.
 type Recording struct {
 	n         int
 	loads     []byte // zigzag varint DstVal of each regular load, in order
@@ -44,16 +44,20 @@ type Recording struct {
 const maxCodeLen = 1 << 16
 
 // Encode drains src into a new Recording. The source's records are encoded
-// one at a time as they arrive; no []Record is built.
+// one at a time as they arrive, in place when src is a RefSource; no
+// []Record is built.
 func Encode(src Source) *Recording {
 	var e encoder
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return e.finish()
+	if rs, ok := src.(RefSource); ok {
+		for r, ok := rs.NextRef(); ok; r, ok = rs.NextRef() {
+			e.append(r)
 		}
+		return e.finish()
+	}
+	for r, ok := src.Next(); ok; r, ok = src.Next() {
 		e.append(&r)
 	}
+	return e.finish()
 }
 
 // Len returns the number of records in the recording.
@@ -73,7 +77,7 @@ func (rec *Recording) Bytes() int64 {
 // the recording read-only, so concurrent simulations can each replay it
 // through their own cursor.
 func (rec *Recording) Source() *MemorySource {
-	s := &MemorySource{rec: rec, st: state{code: make([]template, rec.codeLen)}}
+	s := &MemorySource{rec: rec, x: Exec{code: make([]template, rec.codeLen)}}
 	s.nextIrr = s.irregAt(0)
 	return s
 }
@@ -130,24 +134,45 @@ type template struct {
 	derive  derivation
 }
 
-// state is what a replay cursor carries from one record to the next; the
-// encoder keeps the same state to predict what the cursor will rebuild.
-type state struct {
+// Exec is the executor a Recording is built on: the template of each
+// static PC, a shadow register file, and the PC and Seq it expects next.
+// A replay cursor and the encoder run one over the records they meet, the
+// encoder to predict what the cursor will rebuild. The emulator runs one
+// over a whole program and adds only the data memory that loads read and
+// stores write.
+type Exec struct {
 	code []template
-	// regs is indexed by any isa.Reg, so a hand-built record naming a
+	// Regs is indexed by any isa.Reg, so a hand-built record naming a
 	// register past isa.NumRegs is predicted like any other.
-	regs [256]int64
-	pc   int
-	seq  int64
+	Regs [256]int64
+	PC   int
+	Seq  int64
 }
 
-// rebuild writes into r the record the state re-executes at its expected
-// PC, whose template is t (never deriveNone). load is the result of a
-// load; other derivations ignore it.
-func (st *state) rebuild(r *Record, t *template, load int64) {
-	a, b := st.regs[t.srcRegs[0]], st.regs[t.srcRegs[1]]
-	r.Seq = st.seq
-	r.PC = st.pc
+// NewExec returns an Exec expecting its first record at entry, with the
+// template of every instruction of code decoded. Every op in code must be
+// in the ISA.
+func NewExec(code []isa.Instruction, entry int) Exec {
+	x := Exec{code: make([]template, len(code)), PC: entry}
+	for pc, in := range code {
+		srcs, n := in.SrcRegs()
+		x.code[pc] = template{instr: in, nsrc: n, srcRegs: srcs, derive: derivationOf(in.Op)}
+	}
+	return x
+}
+
+// Rebuild writes into r the record x executes at its expected PC. A load's
+// result depends on memory x does not model, so Rebuild leaves its DstVal
+// zero for the caller to fill before Advance.
+func (x *Exec) Rebuild(r *Record) { x.rebuild(r, &x.code[x.PC], 0) }
+
+// rebuild writes into r the record x re-executes at its expected PC, whose
+// template is t (never deriveNone). load is the result of a load; other
+// derivations ignore it.
+func (x *Exec) rebuild(r *Record, t *template, load int64) {
+	a, b := x.Regs[t.srcRegs[0]], x.Regs[t.srcRegs[1]]
+	r.Seq = x.Seq
+	r.PC = x.PC
 	r.Instr = t.instr
 	r.NSrc = t.nsrc
 	r.SrcRegs = t.srcRegs
@@ -155,7 +180,7 @@ func (st *state) rebuild(r *Record, t *template, load int64) {
 	r.DstVal = 0
 	r.Addr = 0
 	r.Taken = false
-	r.NextPC = st.pc + 1
+	r.NextPC = x.PC + 1
 	switch t.derive {
 	case deriveEval:
 		r.DstVal = isa.Eval(t.instr.Op, a, b, t.instr.Imm)
@@ -173,7 +198,7 @@ func (st *state) rebuild(r *Record, t *template, load int64) {
 		r.Taken = true
 		r.NextPC = t.instr.Target
 	case deriveLink:
-		r.DstVal = int64(st.pc + 1)
+		r.DstVal = int64(x.PC + 1)
 		r.Taken = true
 		r.NextPC = t.instr.Target
 	case deriveIndirect:
@@ -186,16 +211,16 @@ func (st *state) rebuild(r *Record, t *template, load int64) {
 // registers it read, and its instruction as the template of its PC. After
 // a program boundary in a concatenated stream, this resynchronises each
 // stale register on its first read instead of mispredicting every read.
-func (st *state) learn(r *Record) {
+func (x *Exec) learn(r *Record) {
 	for i := 0; i < r.NSrc && i < len(r.SrcRegs); i++ {
 		if reg := r.SrcRegs[i]; reg != isa.R0 {
-			st.regs[reg] = r.SrcVals[i]
+			x.Regs[reg] = r.SrcVals[i]
 		}
 	}
-	if r.PC < 0 || r.PC >= len(st.code) {
+	if r.PC < 0 || r.PC >= len(x.code) {
 		return
 	}
-	st.code[r.PC] = template{
+	x.code[r.PC] = template{
 		instr:   r.Instr,
 		nsrc:    r.NSrc,
 		srcRegs: r.SrcRegs,
@@ -203,20 +228,20 @@ func (st *state) learn(r *Record) {
 	}
 }
 
-// advance moves the state past r: its result lands in the shadow register
-// file (R0 stays zero, as in the emulator) and the next record is expected
-// at r.NextPC with the following Seq.
-func (st *state) advance(r *Record) {
+// Advance moves x past r: its result lands in the shadow register file
+// (R0 stays zero) and the next record is expected at r.NextPC with the
+// following Seq.
+func (x *Exec) Advance(r *Record) {
 	if r.Instr.Dst != isa.R0 && isa.WritesReg(r.Instr.Op) {
-		st.regs[r.Instr.Dst] = r.DstVal
+		x.Regs[r.Instr.Dst] = r.DstVal
 	}
-	st.pc = r.NextPC
-	st.seq = r.Seq + 1
+	x.PC = r.NextPC
+	x.Seq = r.Seq + 1
 }
 
 // encoder builds a Recording one record at a time.
 type encoder struct {
-	st   state
+	x    Exec
 	rec  Recording
 	pred Record
 }
@@ -224,24 +249,24 @@ type encoder struct {
 func (e *encoder) append(r *Record) {
 	i := e.rec.n
 	e.rec.n++
-	if pc := e.st.pc; pc >= 0 && pc < len(e.st.code) && e.st.code[pc].derive != deriveNone {
-		t := &e.st.code[pc]
-		e.st.rebuild(&e.pred, t, r.DstVal)
+	if pc := e.x.PC; pc >= 0 && pc < len(e.x.code) && e.x.code[pc].derive != deriveNone {
+		t := &e.x.code[pc]
+		e.x.rebuild(&e.pred, t, r.DstVal)
 		if e.pred == *r {
 			if t.derive == deriveLoad {
 				e.rec.loads = binary.AppendVarint(e.rec.loads, r.DstVal)
 			}
-			e.st.advance(r)
+			e.x.Advance(r)
 			return
 		}
 	}
 	e.rec.irregIdx = append(e.rec.irregIdx, i)
 	e.rec.irregular = append(e.rec.irregular, *r)
-	if r.PC >= len(e.st.code) && r.PC < maxCodeLen {
-		e.st.code = append(e.st.code, make([]template, r.PC+1-len(e.st.code))...)
+	if r.PC >= len(e.x.code) && r.PC < maxCodeLen {
+		e.x.code = append(e.x.code, make([]template, r.PC+1-len(e.x.code))...)
 	}
-	e.st.learn(r)
-	e.st.advance(r)
+	e.x.learn(r)
+	e.x.Advance(r)
 }
 
 // finish returns the recording, its slices trimmed to their length so that
@@ -251,7 +276,7 @@ func (e *encoder) finish() *Recording {
 	rec.loads = trim(rec.loads)
 	rec.irregIdx = trim(rec.irregIdx)
 	rec.irregular = trim(rec.irregular)
-	rec.codeLen = len(e.st.code)
+	rec.codeLen = len(e.x.code)
 	return &rec
 }
 
@@ -264,13 +289,12 @@ func trim[T any](s []T) []T {
 	return out
 }
 
-// MemorySource is a replay cursor over a Recording. It decodes each record
-// into per-cursor scratch, so NextRef's pointer is read-only and valid only
-// until the next call. Create one per replaying consumer with
-// Recording.Source.
+// MemorySource is a replay cursor over a Recording, and a RefSource: it
+// decodes each record into per-cursor scratch. Create one per replaying
+// consumer with Recording.Source.
 type MemorySource struct {
 	rec     *Recording
-	st      state
+	x       Exec
 	i       int // next record
 	li      int // next byte of rec.loads
 	iri     int // next irregular record
@@ -295,9 +319,8 @@ func (s *MemorySource) Next() (Record, bool) {
 	return *r, true
 }
 
-// NextRef is Next without the copy: it decodes the next record into the
-// cursor's scratch and returns a pointer to it. The pointer is valid only
-// until the next call, and the caller must never write through it.
+// NextRef implements RefSource: it decodes the next record into the
+// cursor's scratch and returns a pointer to it.
 func (s *MemorySource) NextRef() (*Record, bool) {
 	i := s.i
 	if i >= s.rec.n {
@@ -309,19 +332,19 @@ func (s *MemorySource) NextRef() (*Record, bool) {
 		*r = s.rec.irregular[s.iri]
 		s.iri++
 		s.nextIrr = s.irregAt(s.iri)
-		s.st.learn(r)
-		s.st.advance(r)
+		s.x.learn(r)
+		s.x.Advance(r)
 		return r, true
 	}
-	t := &s.st.code[s.st.pc]
+	t := &s.x.code[s.x.PC]
 	var load int64
 	if t.derive == deriveLoad {
 		v, n := binary.Varint(s.rec.loads[s.li:])
 		load = v
 		s.li += n
 	}
-	s.st.rebuild(r, t, load)
-	s.st.advance(r)
+	s.x.rebuild(r, t, load)
+	s.x.Advance(r)
 	return r, true
 }
 

@@ -1,7 +1,8 @@
 // Package trace defines the dynamic-instruction record exchanged between the
-// functional emulator and the timing simulator, the compact Recording that
-// sweeps replay, the VSTR file format, and small utilities for buffering and
-// inspecting instruction streams.
+// functional emulator and the timing simulator, the executor (Exec) that
+// both the emulator and the replay cursor run on, the compact Recording
+// that sweeps replay, the VSTR file format, and small utilities for
+// buffering and inspecting instruction streams.
 //
 // The timing simulator is execute-driven on the architecturally correct path:
 // the emulator supplies each dynamic instruction with its correct operand
@@ -44,6 +45,15 @@ func (r *Record) String() string {
 // the program has halted. Implementations are not safe for concurrent use.
 type Source interface {
 	Next() (Record, bool)
+}
+
+// RefSource is a Source that can also hand each record over in place:
+// NextRef returns a pointer to the next record in the source's own scratch.
+// The pointer is read-only and valid only until the next call, so a
+// consumer that copies or digests each record at once skips Next's copy.
+type RefSource interface {
+	Source
+	NextRef() (*Record, bool)
 }
 
 // SliceSource replays a pre-recorded slice of records; used heavily in tests
