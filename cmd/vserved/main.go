@@ -65,7 +65,7 @@ func main() {
 		cacheBudget = flag.Int64("trace-cache-budget", 0, "byte budget of the shared trace cache (0 = unbounded)")
 		traceSpans  = flag.Int("trace-spans", obs.DefaultTracerSpans, "span-ring capacity for job tracing (0 disables tracing)")
 		tracePhases = flag.Bool("trace-phases", false, "record per-pipeline-phase wall time on every run span (adds per-cycle clock reads)")
-		telemetry   = flag.Bool("telemetry", false, "attach a per-spec interval sampler to every executed spec and store its snapshot (pipeline series + speculation-outcome breakdown) with the results")
+		telemetry   = flag.Bool("telemetry", false, "attach the pipeline instrument to every executed spec and store its snapshot (sim.* series + speculation-outcome breakdown) with the results")
 		telemetryIv = flag.Int64("telemetry-interval", jobs.DefaultTelemetryInterval, "telemetry sampling interval in simulated cycles (-telemetry)")
 		commitIv    = flag.Duration("commit-interval", 0, "journal group-commit staging window: all queue transitions within it share one fsync (0 = batch naturally at no added latency)")
 		leaseTTL    = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet lease lifetime between worker heartbeats; workers heartbeat every TTL×2/15")

@@ -49,12 +49,9 @@ func main() {
 		traceN    = flag.Int("trace", 0, "print a pipeline timeline of the first N instructions")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 
-		metricsOut      = flag.String("metrics-out", "", "write the interval metrics time series to this file: a .csv extension (any case) selects CSV, any other name means JSON")
+		metricsOut      = flag.String("metrics-out", "", "write the interval metrics table to this file and print the speculation-outcome breakdown: a .csv extension (any case) selects CSV, any other name means JSON")
 		metricsInterval = flag.Int64("metrics-interval", 1000, "cycles per metrics sample")
-		metricsCap      = flag.Int("metrics-cap", 0, "max retained samples, overwriting the oldest (0 = unbounded)")
-		simSeries       = flag.String("sim-series", "", "write the per-interval pipeline telemetry series (sim.* CSV: IPC, occupancy, populations, speculation quadrants) to this file and print the speculation-outcome breakdown")
-		simInterval     = flag.Int64("sim-interval", 1000, "cycles per telemetry sample (-sim-series)")
-		simCap          = flag.Int("sim-cap", 4096, "max retained telemetry samples; when full the series decimates to a coarser stride")
+		metricsCap      = flag.Int("metrics-cap", 4096, "max retained samples (at least 4); when full the table decimates to a coarser stride")
 		traceOut        = flag.String("trace-out", "", "write a Chrome trace (chrome://tracing, Perfetto) of the run to this file")
 		phaseStats      = flag.Bool("phase-stats", false, "print the wall-time breakdown of the simulator's pipeline stages")
 		cpuProfile      = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
@@ -114,10 +111,7 @@ func main() {
 		spec.Observer = cpu.Tee(observers...)
 	}
 	if *metricsOut != "" {
-		spec.Metrics = cpu.NewMetrics(*metricsInterval, *metricsCap)
-	}
-	if *simSeries != "" {
-		spec.Telemetry = cpu.NewTelemetry(*simInterval, *simCap)
+		spec.Telemetry = cpu.NewTelemetry(*metricsInterval, *metricsCap)
 	}
 	spec.Phases = *phaseStats
 
@@ -179,16 +173,8 @@ func main() {
 			fmt.Printf("  %-10s %12v %5.1f%% %s\n", ps.Name, ps.Total.Round(time.Microsecond), 100*ps.Frac, bar)
 		}
 	}
-	if spec.Metrics != nil {
-		writeMetrics(*metricsOut, spec.Metrics)
-		fmt.Printf("metrics: %d samples every %d cycles -> %s\n",
-			spec.Metrics.Sampler.Len(), spec.Metrics.Sampler.Interval(), *metricsOut)
-		if d := spec.Metrics.Sampler.Dropped(); d > 0 {
-			fmt.Printf("metrics: ring overwrote %d older samples (raise -metrics-cap or -metrics-interval for full coverage)\n", d)
-		}
-	}
 	if spec.Telemetry != nil {
-		writeTelemetry(*simSeries, spec.Telemetry)
+		writeMetrics(*metricsOut, spec.Telemetry)
 	}
 	if tracer != nil {
 		f, err := os.Create(*traceOut)
@@ -218,13 +204,13 @@ func main() {
 		}
 	}
 	if obsrv != nil {
-		// Fold the (now quiescent) pipeline registry into the served
+		// Fold the (now quiescent) instrument's registry into the served
 		// exposition so a final scrape sees the run's full distributions.
-		// Merge adds the mirrored Stats counters on top of the progress
-		// tracker's totals; Finish republishes (Set, not Add) right after,
-		// so the served counters end exact.
-		if spec.Metrics != nil {
-			progress.Registry().Merge(spec.Metrics.Registry)
+		// Merge adds its counter totals on top of the progress tracker's
+		// own; Finish republishes (Set, not Add) right after, so the served
+		// counters end exact.
+		if spec.Telemetry != nil {
+			progress.Registry().Merge(spec.Telemetry.Registry())
 		}
 		progress.Finish()
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
@@ -235,22 +221,32 @@ func main() {
 	}
 }
 
-// writeTelemetry writes the per-interval pipeline series as CSV and prints
-// the speculation-outcome breakdown plus the per-event latency summaries.
-func writeTelemetry(path string, tl *cpu.Telemetry) {
+// writeMetrics writes the interval table as CSV or JSON by extension, then
+// prints the speculation-outcome breakdown and the verify/invalidate
+// latency summaries.
+func writeMetrics(path string, tl *cpu.Telemetry) {
+	t := report.Telemetry(tl)
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tl.WriteCSV(f); err != nil {
+	if strings.EqualFold(filepath.Ext(path), ".csv") {
+		err = t.WriteCSV(f)
+	} else {
+		err = t.WriteJSON(f)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("metrics: %d rows every %d cycles", len(t.Rows), tl.Interval())
+	if s := tl.Stride(); s > 1 {
+		fmt.Printf(", decimated to 1 sample in %d (raise -metrics-cap for finer rows)", s)
+	}
+	fmt.Printf(" -> %s\n", path)
 	snap := tl.Snapshot()
-	fmt.Printf("telemetry: %d samples every %d cycles -> %s\n",
-		len(snap.Series[cpu.SeriesIPC]), snap.Interval, path)
 	out := snap.Outcomes
 	if out.Predictions > 0 {
 		pct := func(v int64) float64 { return 100 * float64(v) / float64(out.Predictions) }
@@ -272,23 +268,5 @@ func writeTelemetry(path string, tl *cpu.Telemetry) {
 		}
 		fmt.Printf("  %-18s n=%d mean=%.1f p50=%.0f p99=%.0f max=%d cycles\n",
 			l.name, l.s.Count, l.s.Mean, l.s.P50, l.s.P99, l.s.Max)
-	}
-}
-
-// writeMetrics serializes the sampler series as CSV or JSON by extension.
-func writeMetrics(path string, m *cpu.Metrics) {
-	t := report.Metrics(m.Sampler)
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if strings.EqualFold(filepath.Ext(path), ".csv") {
-		err = t.WriteCSV(f)
-	} else {
-		err = t.WriteJSON(f)
-	}
-	if err != nil {
-		log.Fatal(err)
 	}
 }

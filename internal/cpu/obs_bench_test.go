@@ -7,7 +7,7 @@ package cpu
 //	BenchmarkEmitRingLog       the bounded-observer emit path: 0 allocs/op steady-state
 //	BenchmarkRunNilObserver    whole-pipeline baseline throughput
 //	BenchmarkRunRingLog        the same run with a RingLog attached (~within 10%)
-//	BenchmarkRunMetrics        the same run with metrics sampling attached
+//	BenchmarkRunMetrics        the same run with the Telemetry instrument attached
 
 import (
 	"testing"
@@ -105,5 +105,5 @@ func BenchmarkRunRingLog(b *testing.B) {
 }
 
 func BenchmarkRunMetrics(b *testing.B) {
-	runBench(b, func(p *Pipeline) { p.SetMetrics(NewMetrics(1000, 4096)) })
+	runBench(b, func(p *Pipeline) { p.SetTelemetry(NewTelemetry(1000, 4096)) })
 }

@@ -99,7 +99,9 @@ func TestRingLogMatchesEventLog(t *testing.T) {
 }
 
 // TestMetricsReconcileSmall checks that summed interval deltas match the
-// final Stats counters on a speculative run with a tiny interval.
+// final Stats counters on a speculative run with a tiny interval, and that
+// the per-cycle and per-retirement histograms saw every cycle and
+// instruction.
 func TestMetricsReconcileSmall(t *testing.T) {
 	spec := &SpecOptions{
 		Enabled:    true,
@@ -111,51 +113,44 @@ func TestMetricsReconcileSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMetrics(7, 0)
-	p.SetMetrics(m)
+	tl := NewTelemetry(7, 1<<10)
+	p.SetTelemetry(tl)
 	st, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := m.Sampler.Columns()
-	sums := make(map[string]float64, len(cols))
-	for _, sm := range m.Sampler.Samples() {
-		for i, c := range cols {
-			sums[c] += sm.Values[i]
-		}
-	}
-	for _, c := range st.Counters() {
-		if int64(sums[c.Name]) != c.Value {
-			t.Errorf("counter %s: interval sum %v != total %d", c.Name, sums[c.Name], c.Value)
-		}
-	}
-	occ := m.Registry.Histogram(MetricOccupancy)
+	checkColumnsReconcile(t, tl, p)
+	reg := tl.Registry()
+	occ := reg.Histogram("window.occupancy")
 	if int64(occ.Count()) != st.Cycles {
 		t.Errorf("occupancy samples %d != cycles %d", occ.Count(), st.Cycles)
 	}
 	if occ.Sum() != st.OccupancySum {
 		t.Errorf("occupancy histogram sum %d != OccupancySum %d", occ.Sum(), st.OccupancySum)
 	}
-	ret := m.Registry.Histogram(MetricRetireLatency)
+	ret := reg.Histogram("retire.latency")
 	if int64(ret.Count()) != st.Retired {
 		t.Errorf("retire latency samples %d != retired %d", ret.Count(), st.Retired)
 	}
-	slots := m.Registry.Histogram(MetricIssueSlots)
+	slots := reg.Histogram("issue.slots_used")
 	if slots.Sum() != st.Issues {
 		t.Errorf("issue-slot histogram sum %d != issues %d", slots.Sum(), st.Issues)
 	}
+	if got := reg.Counter("retired").Value(); got != st.Retired {
+		t.Errorf("registry run total retired = %d, want %d", got, st.Retired)
+	}
 }
 
-// TestMetricsObserverIndependence checks that installing metrics does not
-// perturb the simulated timing.
+// TestMetricsObserverIndependence checks that installing the instrument and
+// the phase timer does not perturb the simulated timing.
 func TestMetricsObserverIndependence(t *testing.T) {
-	run := func(m *Metrics) *Stats {
+	run := func(tl *Telemetry) *Stats {
 		p, err := New(flatMemConfig(Config4x24()), nil, &trace.SliceSource{Records: chainN(30)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetMetrics(m)
-		if m != nil {
+		p.SetTelemetry(tl)
+		if tl != nil {
 			p.EnablePhaseStats()
 		}
 		st, err := p.Run()
@@ -165,8 +160,8 @@ func TestMetricsObserverIndependence(t *testing.T) {
 		return st
 	}
 	plain := run(nil)
-	instr := run(NewMetrics(5, 8))
-	if plain.Cycles != instr.Cycles || plain.Retired != instr.Retired {
+	instr := run(NewTelemetry(5, 8))
+	if *plain != *instr {
 		t.Errorf("instrumentation changed results: %+v vs %+v", plain, instr)
 	}
 }

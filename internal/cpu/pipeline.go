@@ -113,11 +113,10 @@ type Pipeline struct {
 	issueChecks int64 // checkIssue evaluations
 	loadVisits  int64 // pending loads the memory phase examined
 
-	obs     Observer
-	metrics *Metrics
-	telem   *Telemetry
-	phases  *obs.PhaseTimer
-	stats   Stats
+	obs    Observer
+	telem  *Telemetry
+	phases *obs.PhaseTimer
+	stats  Stats
 }
 
 // New builds a pipeline for cfg running the instruction stream src under the
@@ -136,7 +135,7 @@ func New(cfg Config, spec *SpecOptions, src trace.Source) (*Pipeline, error) {
 // a fresh one. It reuses the cache hierarchy and the branch predictor when
 // their geometry is unchanged, and the window buffers, timing wheels and
 // replay deque when their storage fits, clearing all of them; nothing else
-// survives from the last run, the observer, metrics, telemetry and phase
+// survives from the last run, the observer, telemetry and phase
 // timer included. On error p is left as it was.
 func (p *Pipeline) Reset(cfg Config, spec *SpecOptions, src trace.Source) error {
 	cfg = cfg.Normalize()
@@ -247,7 +246,7 @@ func recycle[T any](s []T, n int) []T {
 func (p *Pipeline) Detach() {
 	p.spec = nil
 	p.src, p.srcRef = nil, nil
-	p.obs, p.metrics, p.telem, p.phases = nil, nil, nil, nil
+	p.obs, p.telem, p.phases = nil, nil, nil
 }
 
 // Stats returns the accumulated statistics.
@@ -369,11 +368,9 @@ func (p *Pipeline) EnablePhaseStats() *obs.PhaseTimer {
 // step advances the machine one cycle.
 func (p *Pipeline) step() {
 	c := p.cycle
+	occ := p.count
 	p.portsUsed = 0
-	p.stats.OccupancySum += int64(p.count)
-	if p.metrics != nil {
-		p.metrics.cycleStart(p.count)
-	}
+	p.stats.OccupancySum += int64(occ)
 
 	if p.phases == nil {
 		p.writeback(c)     // finish executions and memory accesses
@@ -389,8 +386,8 @@ func (p *Pipeline) step() {
 
 	p.cycle++
 	p.stats.Cycles = p.cycle
-	if p.metrics != nil {
-		p.metrics.cycleEnd(p)
+	if p.telem != nil {
+		p.telem.cycleDone(occ, p.stats.Issues)
 	}
 }
 
@@ -636,11 +633,8 @@ func (p *Pipeline) equalityOutcomes(c int64) *waveSet {
 		}
 		if ev.match {
 			p.emit(c, EvVerify, e)
-			if p.metrics != nil {
-				p.metrics.verifyLat.Observe(c - e.doneCycle)
-			}
 			if p.telem != nil {
-				p.telem.verifyLat.Observe(c - e.doneCycle)
+				p.telem.hists[hVerifyLatency].Observe(c - e.doneCycle)
 			}
 			e.eqDone = true
 			// Expose the computed value (same value, upgradeable state).
@@ -654,7 +648,7 @@ func (p *Pipeline) equalityOutcomes(c int64) *waveSet {
 		// computed value replaces it for consumers.
 		p.stats.InvalidationWaves++
 		if p.telem != nil {
-			p.telem.invalLat.Observe(c - e.doneCycle)
+			p.telem.hists[hInvalidateLatency].Observe(c - e.doneCycle)
 		}
 		e.eqDone = true
 		e.vpDead = true
@@ -720,8 +714,8 @@ func (p *Pipeline) nullifyWave(w *waveSet, cand []int, c int64) {
 			p.mark(w, e)
 		}
 	}
-	if p.metrics != nil {
-		p.metrics.waveSize.Observe(nulled)
+	if p.telem != nil {
+		p.telem.hists[hWaveNulls].Observe(nulled)
 	}
 	if next != nil {
 		p.waveWheel.schedule(c, c+1, next)

@@ -113,7 +113,8 @@ func simulate(t *testing.T, cfg Config, spec *SpecOptions, recs []trace.Record) 
 // TestRandomProgramsAllModels is the central soundness property: for
 // arbitrary programs, every model/scheme/policy combination must retire
 // exactly the architectural instruction stream with self-consistent
-// statistics — no deadlocks, no lost or duplicated instructions.
+// statistics — no deadlocks, no lost or duplicated instructions — and
+// attaching the Telemetry instrument must change none of it.
 func TestRandomProgramsAllModels(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	configs := []Config{flatMemConfig(Config4x24()), Config8x48()}
@@ -185,14 +186,18 @@ func TestRandomProgramsAllModels(t *testing.T) {
 		}
 		for vi, mk := range variants {
 			for ci, cfg := range configs {
-				spec := mk()
-				if spec != nil {
-					// Fresh predictor state per run.
-					spec.Predictor = vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4})
-					if spec.Confidence == nil {
-						spec.Confidence = confidence.NewResetting(10, 2)
+				newSpec := func() *SpecOptions {
+					spec := mk()
+					if spec != nil {
+						// Fresh predictor state per run.
+						spec.Predictor = vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4})
+						if spec.Confidence == nil {
+							spec.Confidence = confidence.NewResetting(10, 2)
+						}
 					}
+					return spec
 				}
+				spec := newSpec()
 				st := simulate(t, cfg, spec, recs)
 				if st.Retired != int64(len(recs)) {
 					t.Fatalf("trial %d variant %d cfg %d: retired %d of %d",
@@ -211,6 +216,27 @@ func TestRandomProgramsAllModels(t *testing.T) {
 				if ipc := st.IPC(); ipc > float64(cfg.IssueWidth) {
 					t.Fatalf("trial %d variant %d: IPC %.2f exceeds width", trial, vi, ipc)
 				}
+				if st.Dispatched != st.Retired+st.CompleteSquashes {
+					t.Fatalf("trial %d variant %d cfg %d: dispatched %d != retired %d + squashed %d",
+						trial, vi, ci, st.Dispatched, st.Retired, st.CompleteSquashes)
+				}
+
+				// Again with the instrument attached at an interval and
+				// capacity that decimate: the same Stats, reconciled columns.
+				p, err := New(cfg, newSpec(), &trace.SliceSource{Records: recs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tl := NewTelemetry(7, 8)
+				p.SetTelemetry(tl)
+				ist, err := p.Run()
+				if err != nil {
+					t.Fatalf("trial %d variant %d cfg %d with telemetry: %v", trial, vi, ci, err)
+				}
+				if *ist != *st {
+					t.Fatalf("trial %d variant %d cfg %d: telemetry changed Stats:\n%s\nvs\n%s", trial, vi, ci, ist, st)
+				}
+				checkColumnsReconcile(t, tl, p)
 			}
 		}
 	}

@@ -78,12 +78,9 @@ func (r *Runner) stepN(n int) bool {
 }
 
 // finish records the outcome and flushes the observers (the last partial
-// metrics interval serializes even on error, matching Run).
+// telemetry interval is sampled even on error, matching Run).
 func (r *Runner) finish(err error) bool {
 	r.done, r.err = true, err
-	if p := r.p; p.metrics != nil {
-		p.metrics.finish(p)
-	}
 	if p := r.p; p.telem != nil {
 		p.telem.finishRun(p)
 	}

@@ -29,11 +29,9 @@ func runScan(p *Pipeline, maxCycles int64) *Stats {
 // stage order.
 func (p *Pipeline) scanStep() {
 	c := p.cycle
+	occ := p.count
 	p.portsUsed = 0
-	p.stats.OccupancySum += int64(p.count)
-	if p.metrics != nil {
-		p.metrics.cycleStart(p.count)
-	}
+	p.stats.OccupancySum += int64(occ)
 
 	p.wbWheel.take(c) // discarded: writebackScan finds the same completions
 	p.writebackScan(c)
@@ -53,8 +51,8 @@ func (p *Pipeline) scanStep() {
 
 	p.cycle++
 	p.stats.Cycles = p.cycle
-	if p.metrics != nil {
-		p.metrics.cycleEnd(p)
+	if p.telem != nil {
+		p.telem.cycleDone(occ, p.stats.Issues)
 	}
 }
 

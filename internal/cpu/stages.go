@@ -219,9 +219,9 @@ func (p *Pipeline) retire(c int64) {
 			p.hier.Data(uint64(e.rec.Addr) * 8)
 		}
 		p.emit(c, EvRetire, e)
-		if p.metrics != nil {
-			p.metrics.retireLat.Observe(c - e.dispatchCycle)
-			p.metrics.reissueDepth.Observe(int64(maxi(e.execCount-1, 0)))
+		if p.telem != nil {
+			p.telem.hists[hRetireLatency].Observe(c - e.dispatchCycle)
+			p.telem.hists[hReissueDepth].Observe(int64(maxi(e.execCount-1, 0)))
 		}
 		p.finishRetire(e)
 		e.used = false

@@ -55,33 +55,43 @@ type CounterValue struct {
 	Value int64
 }
 
+// statCounters lists every cumulative counter of Stats in a stable order,
+// under the snake_case names the result CSV and the instrument's catalog
+// use.
+var statCounters = [...]struct {
+	name string
+	get  func(*Stats) int64
+}{
+	{"cycles", func(s *Stats) int64 { return s.Cycles }},
+	{"retired", func(s *Stats) int64 { return s.Retired }},
+	{"dispatched", func(s *Stats) int64 { return s.Dispatched }},
+	{"fetch_stall_cycles", func(s *Stats) int64 { return s.FetchStallCycles }},
+	{"window_full_stalls", func(s *Stats) int64 { return s.WindowFullStalls }},
+	{"cond_branches", func(s *Stats) int64 { return s.CondBranches }},
+	{"branch_mispredicts", func(s *Stats) int64 { return s.BranchMispredicts }},
+	{"loads", func(s *Stats) int64 { return s.Loads }},
+	{"stores", func(s *Stats) int64 { return s.Stores }},
+	{"store_forwards", func(s *Stats) int64 { return s.StoreForwards }},
+	{"predictions", func(s *Stats) int64 { return s.Predictions }},
+	{"speculated", func(s *Stats) int64 { return s.Speculated }},
+	{"pred_correct_high", func(s *Stats) int64 { return s.CH }},
+	{"pred_correct_low", func(s *Stats) int64 { return s.CL }},
+	{"pred_incorrect_high", func(s *Stats) int64 { return s.IH }},
+	{"pred_incorrect_low", func(s *Stats) int64 { return s.IL }},
+	{"invalidation_waves", func(s *Stats) int64 { return s.InvalidationWaves }},
+	{"nullified", func(s *Stats) int64 { return s.Nullified }},
+	{"reissues", func(s *Stats) int64 { return s.Reissues }},
+	{"complete_squashes", func(s *Stats) int64 { return s.CompleteSquashes }},
+	{"issues", func(s *Stats) int64 { return s.Issues }},
+}
+
 // Counters returns every cumulative counter of the run in a stable order.
-// This is the single list the metrics registry mirrors, so interval samples
-// and end-of-run totals can never disagree on what exists.
 func (s *Stats) Counters() []CounterValue {
-	return []CounterValue{
-		{"cycles", s.Cycles},
-		{"retired", s.Retired},
-		{"dispatched", s.Dispatched},
-		{"fetch_stall_cycles", s.FetchStallCycles},
-		{"window_full_stalls", s.WindowFullStalls},
-		{"cond_branches", s.CondBranches},
-		{"branch_mispredicts", s.BranchMispredicts},
-		{"loads", s.Loads},
-		{"stores", s.Stores},
-		{"store_forwards", s.StoreForwards},
-		{"predictions", s.Predictions},
-		{"speculated", s.Speculated},
-		{"pred_correct_high", s.CH},
-		{"pred_correct_low", s.CL},
-		{"pred_incorrect_high", s.IH},
-		{"pred_incorrect_low", s.IL},
-		{"invalidation_waves", s.InvalidationWaves},
-		{"nullified", s.Nullified},
-		{"reissues", s.Reissues},
-		{"complete_squashes", s.CompleteSquashes},
-		{"issues", s.Issues},
+	out := make([]CounterValue, len(statCounters))
+	for i, c := range statCounters {
+		out[i] = CounterValue{c.name, c.get(s)}
 	}
+	return out
 }
 
 // AvgOccupancy returns the mean number of occupied window entries per cycle.

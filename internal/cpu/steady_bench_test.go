@@ -36,13 +36,12 @@ func (s *cyclicSource) Next() (trace.Record, bool) {
 // that budget is pinned in BENCH_BASELINE.json and enforced by
 // cmd/benchcheck.
 //
-// The pipeline runs with a Metrics collector and a Telemetry interval
-// sampler attached and an obs SharedRegistry adapter standing by, the
-// configuration a live-served sweep uses: the per-cycle histogram hooks and
-// the telemetry event-site latency observes are on the measured path, while
-// neither sampling interval ever elapses and the shared merge happens only
-// after the timed loop. The 0 allocs/op budget therefore also pins
-// "attached-but-idle" live observability as allocation-free.
+// The pipeline runs with the Telemetry instrument attached and an obs
+// SharedRegistry adapter standing by, the configuration a live-served run
+// uses: the per-cycle histogram hook and the event-site observes are on the
+// measured path, while the sampling interval never elapses and the shared
+// merge happens only after the timed loop. The 0 allocs/op budget therefore
+// also pins "attached-but-idle" live observability as allocation-free.
 func BenchmarkPipelineSteadyState(b *testing.B) {
 	recs := wakeupRecs(b, 99, 20000)
 	spec := fcmSpec(core.Great(), confidence.NewResetting(10, 2))
@@ -51,9 +50,7 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	shared := obs.NewSharedRegistry()
-	m := NewMetrics(1<<62, 0) // idle: the sampling interval never elapses
-	p.SetMetrics(m)
-	tl := NewTelemetry(1<<62, 256) // idle too; only event-site observes fire
+	tl := NewTelemetry(1<<62, 256) // idle: the sampling interval never elapses
 	p.SetTelemetry(tl)
 	for i := 0; i < 50000; i++ {
 		p.step()
@@ -64,22 +61,23 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 		p.step()
 	}
 	b.StopTimer()
-	shared.Merge(m.Registry) // the adapter a sweep runs at spec completion
-	if shared.Snapshot().Histogram(MetricOccupancy).Count() == 0 {
-		b.Fatal("idle metrics adapter recorded nothing")
+	shared.Merge(tl.Registry()) // the adapter a served run uses at completion
+	snap := shared.Snapshot()
+	if snap.Histogram("window.occupancy").Count() == 0 {
+		b.Fatal("idle telemetry recorded no cycles")
 	}
-	if tl.VerifyLatency().Count() == 0 {
+	if snap.Histogram("sim.verify_latency").Count() == 0 {
 		b.Fatal("idle telemetry observed no verifications")
 	}
 	b.ReportMetric(float64(p.stats.Retired)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkIntervalSampler measures one Telemetry interval sample — counter
-// deltas, bitset population counts and fourteen TimeSeries appends — on a
-// warmed-up pipeline. The sampler runs at Runner.Step boundaries, never in
-// the per-cycle loop, so this is the whole marginal cost of a sampling
-// boundary; the 0 allocs/op budget pins sampling as allocation-free
-// (TimeSeries decimate in place instead of growing).
+// BenchmarkIntervalSampler measures one Telemetry sample — three bitset
+// population counts and one fixed-size boundary appended to the decimating
+// store — on a warmed-up pipeline. Sampling runs at Runner.Step
+// boundaries, never in the per-cycle loop, so this is the whole marginal
+// cost of a sampling boundary; the 0 allocs/op budget pins sampling as
+// allocation-free (the store decimates in place instead of growing).
 func BenchmarkIntervalSampler(b *testing.B) {
 	recs := wakeupRecs(b, 99, 20000)
 	spec := fcmSpec(core.Great(), confidence.NewResetting(10, 2))
@@ -98,11 +96,11 @@ func BenchmarkIntervalSampler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Rewind the boundary bookkeeping so every iteration takes a full
 		// sample without re-simulating the interval.
-		tl.prevCycle = p.cycle - interval
+		tl.last = p.cycle - interval
 		tl.sample(p)
 	}
 	b.StopTimer()
-	if tl.series[tsOccupancy].Appended() < int64(b.N) {
+	if tl.bounds.Appended() < int64(b.N) {
 		b.Fatal("sampler skipped samples")
 	}
 }
@@ -131,13 +129,18 @@ func BenchmarkReplayRequeue(b *testing.B) {
 	}
 }
 
-// workCounts sums the work counters of whole simulations.
-type workCounts struct{ sweepVisits, issueChecks, loadVisits int64 }
+// workCounts sums the work counters of whole simulations: the stages'
+// visits, and the events and ring doublings of the three timing wheels that
+// the Telemetry instrument reports as events.scheduled and
+// events.wheel_grows.
+type workCounts struct{ sweepVisits, issueChecks, loadVisits, scheduled, grows int64 }
 
 func (w *workCounts) add(p *Pipeline) {
 	w.sweepVisits += p.sweepVisits
 	w.issueChecks += p.issueChecks
 	w.loadVisits += p.loadVisits
+	w.scheduled += p.eqWheel.scheduled + p.waveWheel.scheduled + p.wbWheel.scheduled
+	w.grows += p.eqWheel.grows + p.waveWheel.grows + p.wbWheel.grows
 }
 
 // report reports the counters per op. Each op is one whole simulation of the
@@ -148,6 +151,8 @@ func (w *workCounts) report(b *testing.B) {
 	b.ReportMetric(float64(w.sweepVisits)/n, "sweep-visits/op")
 	b.ReportMetric(float64(w.issueChecks)/n, "issue-checks/op")
 	b.ReportMetric(float64(w.loadVisits)/n, "load-visits/op")
+	b.ReportMetric(float64(w.scheduled)/n, "events-scheduled/op")
+	b.ReportMetric(float64(w.grows)/n, "wheel-grows/op")
 }
 
 // BenchmarkReadyQueueWide runs whole simulations on a window far wider than

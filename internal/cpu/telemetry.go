@@ -1,157 +1,269 @@
 package cpu
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"math/bits"
+	runtimemetrics "runtime/metrics"
+	"strings"
 
 	"valuespec/internal/obs"
 )
 
-// Per-interval simulator time series recorded by Telemetry. Each point's X
-// is the simulated cycle at the end of the interval; rates are normalized
-// by the interval's cycle count, populations are sampled instantaneously at
-// the interval boundary (see docs/OBSERVABILITY.md).
+// The speculation-outcome quadrants, which harness.Progress also publishes
+// as live sweep counters.
 const (
-	SeriesIPC           = "sim.ipc"                 // instructions retired per cycle
-	SeriesOccupancy     = "sim.occupancy"           // mean occupied window entries
-	SeriesReady         = "sim.ready"               // wakeup candidates at the boundary
-	SeriesActive        = "sim.active"              // occupied entries still doing sweep work
-	SeriesSettled       = "sim.settled"             // entries settled (sweep permanently a no-op)
-	SeriesDormant       = "sim.dormant"             // entries dormant (asleep until a wake event)
-	SeriesIssueUtil     = "sim.issue_util"          // issue grants per slot offered
-	SeriesCorrectUsed   = "sim.pred_correct_used"   // quadrant: correct and speculated on
-	SeriesWrongUsed     = "sim.pred_wrong_used"     // quadrant: wrong and speculated on
-	SeriesCorrectUnused = "sim.pred_correct_unused" // quadrant: correct but not confident
-	SeriesWrongUnused   = "sim.pred_wrong_unused"   // quadrant: wrong and filtered out
-	SeriesNullified     = "sim.nullified"           // executions voided in the interval
-	SeriesReissues      = "sim.reissues"            // reissues in the interval
-	SeriesFetchStall    = "sim.fetch_stall_frac"    // fraction of cycles fetch was blocked
-
-	// Latency histograms (cycles), one pair per simulated run/model.
-	MetricSimVerifyLatency     = "sim.verify_latency"     // completion → equality match
-	MetricSimInvalidateLatency = "sim.invalidate_latency" // completion → mismatch detection
+	SeriesCorrectUsed   = "sim.pred_correct_used"
+	SeriesWrongUsed     = "sim.pred_wrong_used"
+	SeriesCorrectUnused = "sim.pred_correct_unused"
+	SeriesWrongUnused   = "sim.pred_wrong_unused"
 )
 
-// Series index constants; order defines the CSV column order.
+// MetricKind says how the instrument samples a catalog entry and where the
+// entry is exported. Counters, rates and levels are interval columns;
+// histograms and gauges describe the whole run.
+type MetricKind string
+
 const (
-	tsIPC = iota
-	tsOccupancy
-	tsReady
-	tsActive
-	tsSettled
-	tsDormant
-	tsIssueUtil
-	tsCorrectUsed
-	tsWrongUsed
-	tsCorrectUnused
-	tsWrongUnused
-	tsNullified
-	tsReissues
-	tsFetchStall
-	numTelemetrySeries
+	KindCounter   MetricKind = "counter"   // delta of a running total over the interval
+	KindRate      MetricKind = "rate"      // ratio of two deltas over the interval
+	KindLevel     MetricKind = "level"     // window population at the interval's end
+	KindHistogram MetricKind = "histogram" // distribution over the whole run
+	KindGauge     MetricKind = "gauge"     // one value for the whole run
 )
 
-var telemetrySeriesNames = [numTelemetrySeries]string{
-	tsIPC:           SeriesIPC,
-	tsOccupancy:     SeriesOccupancy,
-	tsReady:         SeriesReady,
-	tsActive:        SeriesActive,
-	tsSettled:       SeriesSettled,
-	tsDormant:       SeriesDormant,
-	tsIssueUtil:     SeriesIssueUtil,
-	tsCorrectUsed:   SeriesCorrectUsed,
-	tsWrongUsed:     SeriesWrongUsed,
-	tsCorrectUnused: SeriesCorrectUnused,
-	tsWrongUnused:   SeriesWrongUnused,
-	tsNullified:     SeriesNullified,
-	tsReissues:      SeriesReissues,
-	tsFetchStall:    SeriesFetchStall,
+// Metric is one entry of the instrument's catalog.
+type Metric struct {
+	Name    string
+	Kind    MetricKind
+	Unit    string
+	Meaning string
+
+	stat  string                                     // counter: the Stats.Counters total it carries
+	total func(b *boundary) int64                    // counter: running total; level: population
+	rate  func(t *Telemetry, a, b *boundary) float64 // rate: value over the interval a..b
+	hist  int                                        // histogram: index into Telemetry.hists
 }
 
-// TelemetrySeriesNames returns the names of every per-interval series a
-// Telemetry records, in column order. Exported for the metric-name lint.
+// Histogram indices of the catalog's distributions.
+const (
+	hOccupancy = iota
+	hIssueSlots
+	hReissueDepth
+	hRetireLatency
+	hWaveNulls
+	hVerifyLatency
+	hInvalidateLatency
+	numHists
+)
+
+// catalog declares every name the instrument publishes, in export order;
+// init appends a counter for each Stats.Counters total that no entry
+// carries. Column order, registration, TelemetrySeriesNames, the metric-name
+// lint and the docs table (TestCatalogDocumented) all read it.
+var catalog = []Metric{
+	{Name: "sim.ipc", Kind: KindRate, Unit: "instructions/cycle", Meaning: "instructions retired per cycle",
+		rate: perCycle(func(s *Stats) int64 { return s.Retired })},
+	{Name: "sim.occupancy", Kind: KindRate, Unit: "entries", Meaning: "mean occupied window entries",
+		rate: perCycle(func(s *Stats) int64 { return s.OccupancySum })},
+	{Name: "sim.ready", Kind: KindLevel, Unit: "entries", Meaning: "wakeup candidates",
+		total: func(b *boundary) int64 { return int64(b.ready) }},
+	{Name: "sim.active", Kind: KindLevel, Unit: "entries", Meaning: "occupied entries still doing sweep work",
+		total: func(b *boundary) int64 { return int64(b.active) }},
+	{Name: "sim.settled", Kind: KindLevel, Unit: "entries", Meaning: "entries whose sweep is permanently a no-op",
+		total: func(b *boundary) int64 { return int64(b.settled) }},
+	{Name: "sim.dormant", Kind: KindLevel, Unit: "entries", Meaning: "entries asleep until a wake event",
+		total: func(b *boundary) int64 { return int64(b.dormant) }},
+	{Name: "sim.issue_util", Kind: KindRate, Unit: "grants/slot", Meaning: "issue grants per issue slot offered",
+		rate: func(t *Telemetry, a, b *boundary) float64 {
+			return float64(b.st.Issues-a.st.Issues) / (float64(b.st.Cycles-a.st.Cycles) * float64(t.width))
+		}},
+	{Name: SeriesCorrectUsed, Kind: KindCounter, Unit: "predictions", Meaning: "correct and speculated on (CH)", stat: "pred_correct_high"},
+	{Name: SeriesWrongUsed, Kind: KindCounter, Unit: "predictions", Meaning: "wrong and speculated on: invalidation and reissue cost (IH)", stat: "pred_incorrect_high"},
+	{Name: SeriesCorrectUnused, Kind: KindCounter, Unit: "predictions", Meaning: "correct but not confident: lost opportunity (CL)", stat: "pred_correct_low"},
+	{Name: SeriesWrongUnused, Kind: KindCounter, Unit: "predictions", Meaning: "wrong and filtered out: confidence saved (IL)", stat: "pred_incorrect_low"},
+	{Name: "sim.nullified", Kind: KindCounter, Unit: "executions", Meaning: "executions voided by invalidation", stat: "nullified"},
+	{Name: "sim.reissues", Kind: KindCounter, Unit: "issues", Meaning: "issues of nullified instructions", stat: "reissues"},
+	{Name: "sim.fetch_stall_frac", Kind: KindRate, Unit: "cycles/cycle", Meaning: "fraction of cycles fetch was blocked on a mispredicted branch",
+		rate: perCycle(func(s *Stats) int64 { return s.FetchStallCycles })},
+	{Name: "mem.store_forward_rate", Kind: KindRate, Unit: "forwards/load", Meaning: "store-to-load forwards per load",
+		rate: func(_ *Telemetry, a, b *boundary) float64 {
+			if dl := b.st.Loads - a.st.Loads; dl > 0 {
+				return float64(b.st.StoreForwards-a.st.StoreForwards) / float64(dl)
+			}
+			return 0
+		}},
+	{Name: "events.scheduled", Kind: KindCounter, Unit: "events", Meaning: "events filed into the three timing wheels",
+		total: func(b *boundary) int64 { return b.scheduled }},
+	{Name: "events.slots_recycled", Kind: KindCounter, Unit: "slots", Meaning: "wheel slot slices reused with their capacity",
+		total: func(b *boundary) int64 { return b.recycled }},
+	{Name: "events.wheel_grows", Kind: KindCounter, Unit: "doublings", Meaning: "wheel ring doublings (latency beyond the horizon)",
+		total: func(b *boundary) int64 { return b.grows }},
+	{Name: "events.wavesets_recycled", Kind: KindCounter, Unit: "sets", Meaning: "invalidation wave sets served from the pool",
+		total: func(b *boundary) int64 { return b.waveSetReuses }},
+	{Name: "window.occupancy", Kind: KindHistogram, Unit: "entries", Meaning: "occupied window entries at the start of each cycle", hist: hOccupancy},
+	{Name: "issue.slots_used", Kind: KindHistogram, Unit: "grants/cycle", Meaning: "issue grants each cycle", hist: hIssueSlots},
+	{Name: "reissue.depth", Kind: KindHistogram, Unit: "executions", Meaning: "executions beyond the first of each retired instruction", hist: hReissueDepth},
+	{Name: "retire.latency", Kind: KindHistogram, Unit: "cycles", Meaning: "dispatch to retirement of each instruction", hist: hRetireLatency},
+	{Name: "invalidation.wave_nulls", Kind: KindHistogram, Unit: "entries", Meaning: "entries nullified per invalidation-wave step", hist: hWaveNulls},
+	{Name: "sim.verify_latency", Kind: KindHistogram, Unit: "cycles", Meaning: "completion to equality match", hist: hVerifyLatency},
+	{Name: "sim.invalidate_latency", Kind: KindHistogram, Unit: "cycles", Meaning: "completion to mismatch detection", hist: hInvalidateLatency},
+	{Name: "runtime.allocs_per_cycle", Kind: KindGauge, Unit: "objects/cycle", Meaning: "heap objects the process allocated per simulated cycle over the run"},
+}
+
+func init() {
+	carried := make(map[string]bool)
+	for i := range catalog {
+		if m := &catalog[i]; m.stat != "" {
+			m.total, carried[m.stat] = statTotal(m.stat), true
+		}
+	}
+	for _, c := range statCounters {
+		if !carried[c.name] {
+			catalog = append(catalog, Metric{Name: c.name, Kind: KindCounter, Unit: "count",
+				Meaning: "the `Stats` counter of that name", total: statTotal(c.name)})
+		}
+	}
+}
+
+// statTotal reads the named Stats.Counters total off a boundary.
+func statTotal(name string) func(b *boundary) int64 {
+	for _, c := range statCounters {
+		if c.name == name {
+			get := c.get
+			return func(b *boundary) int64 { return get(&b.st) }
+		}
+	}
+	panic("cpu: no Stats counter " + name)
+}
+
+// perCycle is the rate of a Stats total per simulated cycle.
+func perCycle(get func(*Stats) int64) func(*Telemetry, *boundary, *boundary) float64 {
+	return func(_ *Telemetry, a, b *boundary) float64 {
+		return float64(get(&b.st)-get(&a.st)) / float64(b.st.Cycles-a.st.Cycles)
+	}
+}
+
+func (m *Metric) interval() bool {
+	return m.Kind == KindCounter || m.Kind == KindRate || m.Kind == KindLevel
+}
+
+// column derives m's interval value between consecutive retained boundaries.
+func (m *Metric) column(t *Telemetry, a, b *boundary) float64 {
+	switch m.Kind {
+	case KindCounter:
+		return float64(m.total(b) - m.total(a))
+	case KindLevel:
+		return float64(m.total(b))
+	}
+	return m.rate(t, a, b)
+}
+
+// Catalog returns every name the instrument publishes, in export order.
+func Catalog() []Metric { return append([]Metric(nil), catalog...) }
+
+// TelemetrySeriesNames returns the interval column names of the table Rows
+// fills, in column order after the leading cycle.
 func TelemetrySeriesNames() []string {
-	out := make([]string, numTelemetrySeries)
-	copy(out, telemetrySeriesNames[:])
+	var out []string
+	for i := range catalog {
+		if catalog[i].interval() {
+			out = append(out, catalog[i].Name)
+		}
+	}
 	return out
 }
 
-// Telemetry is the microarchitectural interval sampler: at Runner.Step
-// boundaries it records pipeline population and speculation-outcome time
-// series into fixed-capacity obs.TimeSeries rings, and at event sites it
-// observes verification/invalidation latencies. Unlike Metrics (per-cycle
-// distributions), Telemetry touches the pipeline only between Step calls,
-// so the per-cycle loop is unchanged; a nil Telemetry costs one pointer
-// test per hook site and everything is preallocated, so an attached-but-idle
-// sampler keeps the steady-state loop at zero allocations.
+// boundary is one sample: the run's running totals and the window
+// populations at one cycle. Every interval column is derived from two
+// consecutive retained boundaries.
+type boundary struct {
+	st                              Stats
+	ready, active, settled, dormant int32
+
+	scheduled, recycled, grows, waveSetReuses int64
+}
+
+// Telemetry is the pipeline's one instrument. At Runner.Step boundaries
+// every interval cycles it appends a boundary to a fixed-capacity
+// obs.Decimating, which halves its resolution in place when full; at run end
+// it exports the catalog's interval columns from consecutive retained
+// boundaries, so every counter column sums to its run total at any
+// capacity. Between samples it observes the catalog's histograms: one
+// nil-tested hook per cycle and one per event site. Sampling and the hooks
+// allocate nothing after NewTelemetry, and a nil Telemetry costs one
+// pointer test per hook.
 //
 // Install with Pipeline.SetTelemetry before running; one Telemetry serves
 // one run.
 type Telemetry struct {
 	interval int64
 	nextDue  int64
+	last     int64 // cycle of the latest boundary
+	width    int   // issue slots per cycle, for sim.issue_util
+	bounds   *obs.Decimating[boundary]
 
-	series [numTelemetrySeries]*obs.TimeSeries
+	reg        *obs.Registry
+	hists      [numHists]*obs.Histogram
+	prevIssues int64
 
-	verifyLat *obs.Histogram
-	invalLat  *obs.Histogram
-
-	outcomes obs.SpecOutcomes
-
-	prev      Stats // counter values at the previous sample boundary
-	prevCycle int64
+	rtAllocs [1]runtimemetrics.Sample // /gc/heap/allocs:objects
+	allocs0  uint64                   // its value when the run started
 }
 
-// NewTelemetry creates a sampler recording every interval cycles (clamped
-// to ≥ 1) into series of at most capacity retained points each.
+// NewTelemetry creates an instrument sampling every interval cycles (clamped
+// to ≥ 1) into at most capacity retained boundaries.
 func NewTelemetry(interval int64, capacity int) *Telemetry {
 	if interval < 1 {
 		interval = 1
 	}
 	t := &Telemetry{
-		interval:  interval,
-		nextDue:   interval,
-		verifyLat: obs.NewHistogram(),
-		invalLat:  obs.NewHistogram(),
+		interval: interval,
+		nextDue:  interval,
+		bounds:   obs.NewDecimating[boundary](capacity),
+		reg:      obs.NewRegistry(),
 	}
-	for i := range t.series {
-		t.series[i] = obs.NewTimeSeries(capacity)
+	t.rtAllocs[0].Name = "/gc/heap/allocs:objects"
+	for i := range catalog {
+		switch m := &catalog[i]; m.Kind {
+		case KindCounter:
+			t.reg.Counter(m.Name)
+		case KindHistogram:
+			t.hists[m.hist] = t.reg.Histogram(m.Name)
+		case KindGauge:
+			t.reg.Gauge(m.Name)
+		}
 	}
 	return t
 }
 
-// SetTelemetry installs an interval sampler; pass nil to remove. Must be
-// called before the run starts.
-func (p *Pipeline) SetTelemetry(t *Telemetry) { p.telem = t }
-
-// Telemetry returns the installed sampler, if any.
-func (p *Pipeline) Telemetry() *Telemetry { return p.telem }
+// SetTelemetry installs the instrument; pass nil to remove. Must be called
+// before the run starts.
+func (p *Pipeline) SetTelemetry(t *Telemetry) {
+	p.telem = t
+	if t != nil {
+		t.width = p.cfg.IssueWidth
+		runtimemetrics.Read(t.rtAllocs[:])
+		t.allocs0 = t.rtAllocs[0].Value.Uint64()
+	}
+}
 
 // Interval returns the sampling interval in cycles.
 func (t *Telemetry) Interval() int64 { return t.interval }
 
-// Series returns the time series with the given sim.* name, or nil.
-func (t *Telemetry) Series(name string) *obs.TimeSeries {
-	for i, n := range telemetrySeriesNames {
-		if n == name {
-			return t.series[i]
-		}
-	}
-	return nil
+// Stride returns how many samples the store keeps one of: 1 until it first
+// decimates, then doubling.
+func (t *Telemetry) Stride() int64 { return t.bounds.Stride() }
+
+// Registry holds the catalog's histograms and, once the run has finished,
+// its run-level gauge and every counter's run total.
+func (t *Telemetry) Registry() *obs.Registry { return t.reg }
+
+// cycleDone observes the per-cycle distributions of the cycle that just
+// ended, which started with occ occupied entries.
+func (t *Telemetry) cycleDone(occ int, issues int64) {
+	t.hists[hOccupancy].Observe(int64(occ))
+	t.hists[hIssueSlots].Observe(issues - t.prevIssues)
+	t.prevIssues = issues
 }
-
-// Outcomes returns the final four-quadrant speculation-outcome block;
-// populated when the run finishes.
-func (t *Telemetry) Outcomes() obs.SpecOutcomes { return t.outcomes }
-
-// VerifyLatency returns the completion→verification latency histogram.
-func (t *Telemetry) VerifyLatency() *obs.Histogram { return t.verifyLat }
-
-// InvalidateLatency returns the completion→mismatch-detection latency
-// histogram.
-func (t *Telemetry) InvalidateLatency() *obs.Histogram { return t.invalLat }
 
 // popcount returns the number of set bits across a window bitset.
 func popcount(w []uint64) int {
@@ -162,87 +274,66 @@ func popcount(w []uint64) int {
 	return n
 }
 
-// sample records one interval ending at the pipeline's current cycle.
-// Counter-derived series are interval deltas (so their sums reconcile with
-// the end-of-run Stats totals); populations are instantaneous.
+// sample appends the boundary at the pipeline's current cycle, unless one
+// was already taken there.
 func (t *Telemetry) sample(p *Pipeline) {
 	c := p.cycle
-	dc := c - t.prevCycle
 	t.nextDue = c + t.interval
-	if dc <= 0 {
+	if c <= t.last {
 		return
 	}
-	st := &p.stats
-	fdc := float64(dc)
-	t.series[tsIPC].Append(c, float64(st.Retired-t.prev.Retired)/fdc)
-	t.series[tsOccupancy].Append(c, float64(st.OccupancySum-t.prev.OccupancySum)/fdc)
-
+	t.last = c
 	settled := popcount(p.settledBits)
 	dormant := popcount(p.dormantBits)
-	active := p.count - settled - dormant
-	if active < 0 {
-		active = 0
-	}
-	t.series[tsReady].Append(c, float64(popcount(p.readyBits)))
-	t.series[tsActive].Append(c, float64(active))
-	t.series[tsSettled].Append(c, float64(settled))
-	t.series[tsDormant].Append(c, float64(dormant))
-
-	t.series[tsIssueUtil].Append(c, float64(st.Issues-t.prev.Issues)/(fdc*float64(p.cfg.IssueWidth)))
-	t.series[tsCorrectUsed].Append(c, float64(st.CH-t.prev.CH))
-	t.series[tsWrongUsed].Append(c, float64(st.IH-t.prev.IH))
-	t.series[tsCorrectUnused].Append(c, float64(st.CL-t.prev.CL))
-	t.series[tsWrongUnused].Append(c, float64(st.IL-t.prev.IL))
-	t.series[tsNullified].Append(c, float64(st.Nullified-t.prev.Nullified))
-	t.series[tsReissues].Append(c, float64(st.Reissues-t.prev.Reissues))
-	t.series[tsFetchStall].Append(c, float64(st.FetchStallCycles-t.prev.FetchStallCycles)/fdc)
-
-	t.prev = *st
-	t.prevCycle = c
+	t.bounds.Append(boundary{
+		st:            p.stats,
+		ready:         int32(popcount(p.readyBits)),
+		active:        int32(max(p.count-settled-dormant, 0)),
+		settled:       int32(settled),
+		dormant:       int32(dormant),
+		scheduled:     p.eqWheel.scheduled + p.waveWheel.scheduled + p.wbWheel.scheduled,
+		recycled:      p.eqWheel.recycled + p.waveWheel.recycled + p.wbWheel.recycled,
+		grows:         p.eqWheel.grows + p.waveWheel.grows + p.wbWheel.grows,
+		waveSetReuses: p.waveSetReuses,
+	})
 }
 
-// finishRun takes the final partial-interval sample and freezes the
-// speculation-outcome quadrants from the run's totals.
+// finishRun takes the boundary closing the last partial interval and
+// publishes the run-level values.
 func (t *Telemetry) finishRun(p *Pipeline) {
-	if p.cycle > t.prevCycle {
-		t.sample(p)
-	}
+	t.sample(p)
 	st := &p.stats
-	t.outcomes = obs.SpecOutcomes{
-		Predictions:   st.Predictions,
-		CorrectUsed:   st.CH,
-		WrongUsed:     st.IH,
-		CorrectUnused: st.CL,
-		WrongUnused:   st.IL,
+	end, _ := t.bounds.Last()
+	for i := range catalog {
+		if m := &catalog[i]; m.Kind == KindCounter {
+			t.reg.Counter(m.Name).Set(m.total(&end))
+		}
+	}
+	if st.Cycles > 0 {
+		runtimemetrics.Read(t.rtAllocs[:])
+		t.reg.Gauge("runtime.allocs_per_cycle").Set(float64(t.rtAllocs[0].Value.Uint64()-t.allocs0) / float64(st.Cycles))
 	}
 }
 
-// WriteCSV writes the recorded series as one CSV table: a cycle column
-// followed by one column per series, one row per retained interval. All
-// series are appended together, so they share row boundaries.
-func (t *Telemetry) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "cycle")
-	for _, n := range telemetrySeriesNames {
-		fmt.Fprintf(bw, ",%s", n)
-	}
-	fmt.Fprintln(bw)
-	var cols [numTelemetrySeries][]obs.Point
-	rows := -1
-	for i := range t.series {
-		cols[i] = t.series[i].Points(nil)
-		if rows < 0 || len(cols[i]) < rows {
-			rows = len(cols[i])
+// Rows returns one row per retained boundary: its cycle, then the
+// TelemetrySeriesNames columns. Each row covers the cycles since the
+// previous retained boundary (the first since cycle 0), so rows stay
+// contiguous however far the boundaries were decimated.
+func (t *Telemetry) Rows() [][]float64 {
+	bs := t.bounds.All(nil)
+	rows := make([][]float64, len(bs))
+	var prev boundary
+	for i := range bs {
+		row := []float64{float64(bs[i].st.Cycles)}
+		for j := range catalog {
+			if m := &catalog[j]; m.interval() {
+				row = append(row, m.column(t, &prev, &bs[i]))
+			}
 		}
+		rows[i] = row
+		prev = bs[i]
 	}
-	for r := 0; r < rows; r++ {
-		fmt.Fprintf(bw, "%d", cols[0][r].X)
-		for i := 0; i < numTelemetrySeries; i++ {
-			fmt.Fprintf(bw, ",%g", cols[i][r].Y)
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
+	return rows
 }
 
 // LatencySummary is a compact, serializable digest of a latency histogram.
@@ -265,7 +356,8 @@ func summarizeLatency(h *obs.Histogram) LatencySummary {
 }
 
 // TelemetrySnapshot is the JSON-serializable export of a finished run's
-// telemetry, compact enough to store alongside job results.
+// telemetry, compact enough to store alongside job results: the sim.*
+// interval columns as series, the quadrants and the two latency summaries.
 type TelemetrySnapshot struct {
 	Interval          int64                  `json:"interval"`
 	Outcomes          obs.SpecOutcomes       `json:"outcomes"`
@@ -277,15 +369,30 @@ type TelemetrySnapshot struct {
 // Snapshot exports the telemetry for serialization. Call after the run has
 // finished.
 func (t *Telemetry) Snapshot() *TelemetrySnapshot {
+	end, _ := t.bounds.Last()
 	s := &TelemetrySnapshot{
-		Interval:          t.interval,
-		Outcomes:          t.outcomes,
-		VerifyLatency:     summarizeLatency(t.verifyLat),
-		InvalidateLatency: summarizeLatency(t.invalLat),
-		Series:            make(map[string][]obs.Point, numTelemetrySeries),
+		Interval: t.interval,
+		Outcomes: obs.SpecOutcomes{
+			Predictions:   end.st.Predictions,
+			CorrectUsed:   end.st.CH,
+			WrongUsed:     end.st.IH,
+			CorrectUnused: end.st.CL,
+			WrongUnused:   end.st.IL,
+		},
+		VerifyLatency:     summarizeLatency(t.hists[hVerifyLatency]),
+		InvalidateLatency: summarizeLatency(t.hists[hInvalidateLatency]),
+		Series:            make(map[string][]obs.Point),
 	}
-	for i, name := range telemetrySeriesNames {
-		s.Series[name] = t.series[i].Points(nil)
+	rows := t.Rows()
+	for j, name := range TelemetrySeriesNames() {
+		if !strings.HasPrefix(name, "sim.") {
+			continue
+		}
+		var pts []obs.Point
+		for _, r := range rows {
+			pts = append(pts, obs.Point{X: int64(r[0]), Y: r[j+1]})
+		}
+		s.Series[name] = pts
 	}
 	return s
 }

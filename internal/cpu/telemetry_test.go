@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -43,71 +45,115 @@ func telemetrySpec() *SpecOptions {
 	}
 }
 
-// TestTelemetryQuadrantsReconcile is the white-box reconciliation check:
-// across a full workload the four speculation-outcome quadrants must
-// partition total predictions exactly — both in the frozen end-of-run
-// outcome block and as the sum of the per-interval delta series.
-func TestTelemetryQuadrantsReconcile(t *testing.T) {
-	recs := telemetryRecs(t, 8000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
-	if err != nil {
-		t.Fatal(err)
+// counterTotals returns the run total every counter column must sum to,
+// read off the pipeline's Stats and timing wheels rather than the catalog.
+func counterTotals(p *Pipeline) map[string]int64 {
+	st := p.Stats()
+	want := map[string]int64{
+		SeriesCorrectUsed:          st.CH,
+		SeriesWrongUsed:            st.IH,
+		SeriesCorrectUnused:        st.CL,
+		SeriesWrongUnused:          st.IL,
+		"sim.nullified":            st.Nullified,
+		"sim.reissues":             st.Reissues,
+		"events.scheduled":         p.eqWheel.scheduled + p.waveWheel.scheduled + p.wbWheel.scheduled,
+		"events.slots_recycled":    p.eqWheel.recycled + p.waveWheel.recycled + p.wbWheel.recycled,
+		"events.wheel_grows":       p.eqWheel.grows + p.waveWheel.grows + p.wbWheel.grows,
+		"events.wavesets_recycled": p.waveSetReuses,
 	}
-	// Capacity far above the interval count so no decimation drops deltas.
-	tl := NewTelemetry(50, 1<<16)
-	p.SetTelemetry(tl)
-	st, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range st.Counters() {
+		want[c.Name] = c.Value
 	}
-	if st.Predictions == 0 || st.IH == 0 {
-		t.Fatalf("workload exercised no mispredicted speculation: %+v", st)
-	}
+	return want
+}
 
-	out := tl.Outcomes()
-	if !out.Reconciled() {
-		t.Fatalf("outcomes do not reconcile: %+v total=%d", out, out.Total())
-	}
-	if out.Predictions != st.Predictions || out.CorrectUsed != st.CH ||
-		out.WrongUsed != st.IH || out.CorrectUnused != st.CL || out.WrongUnused != st.IL {
-		t.Fatalf("outcomes %+v do not match stats CH=%d CL=%d IH=%d IL=%d pred=%d",
-			out, st.CH, st.CL, st.IH, st.IL, st.Predictions)
-	}
-
-	sum := func(name string) int64 {
-		var s float64
-		for _, pt := range tl.Series(name).Points(nil) {
-			s += pt.Y
-		}
-		return int64(s + 0.5)
-	}
-	quadSums := map[string]int64{
-		SeriesCorrectUsed:   st.CH,
-		SeriesWrongUsed:     st.IH,
-		SeriesCorrectUnused: st.CL,
-		SeriesWrongUnused:   st.IL,
-		SeriesNullified:     st.Nullified,
-		SeriesReissues:      st.Reissues,
-	}
-	for name, want := range quadSums {
-		if got := sum(name); got != want {
-			t.Errorf("series %s interval sum %d != final total %d", name, got, want)
+// columnSums sums every interval column of tl's rows, by name.
+func columnSums(tl *Telemetry) map[string]float64 {
+	names := TelemetrySeriesNames()
+	sums := make(map[string]float64, len(names))
+	for _, r := range tl.Rows() {
+		for j, n := range names {
+			sums[n] += r[j+1]
 		}
 	}
+	return sums
+}
 
-	// Every equality mismatch observed one invalidation latency.
-	if got := tl.InvalidateLatency().Count(); int64(got) != st.InvalidationWaves {
-		t.Errorf("invalidation latency samples %d != invalidation waves %d",
-			got, st.InvalidationWaves)
-	}
-	if tl.VerifyLatency().Count() == 0 {
-		t.Error("no verification latencies observed")
+// checkColumnsReconcile fails t unless every counter column of tl, the
+// instrument p ran with, sums to its run total.
+func checkColumnsReconcile(t *testing.T, tl *Telemetry, p *Pipeline) {
+	t.Helper()
+	want, sums := counterTotals(p), columnSums(tl)
+	for _, m := range Catalog() {
+		if m.Kind != KindCounter {
+			continue
+		}
+		total, ok := want[m.Name]
+		if !ok {
+			t.Errorf("counter column %s has no independent run total", m.Name)
+		} else if int64(sums[m.Name]) != total {
+			t.Errorf("counter column %s sums to %v, run total %d (stride %d)", m.Name, sums[m.Name], total, tl.Stride())
+		}
 	}
 }
 
-// TestTelemetryIndependence checks that an attached sampler — including the
-// Runner.Step chunk splitting it triggers — does not perturb the simulated
-// timing or statistics.
+// TestTelemetryQuadrantsReconcile is the white-box reconciliation check:
+// across a full workload the four speculation-outcome quadrants must
+// partition total predictions exactly — both in the frozen end-of-run
+// outcome block and as the sum of the interval columns — and every counter
+// column must sum to its run total, also when the retained boundaries were
+// decimated many times over.
+func TestTelemetryQuadrantsReconcile(t *testing.T) {
+	recs := telemetryRecs(t, 8000)
+	for _, tc := range []struct {
+		name     string
+		capacity int
+	}{{"whole", 1 << 16}, {"decimated", 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl := NewTelemetry(50, tc.capacity)
+			p.SetTelemetry(tl)
+			st, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Predictions == 0 || st.IH == 0 {
+				t.Fatalf("workload exercised no mispredicted speculation: %+v", st)
+			}
+			if decimated := tl.Stride() > 1; decimated != (tc.capacity == 8) {
+				t.Fatalf("capacity %d: stride %d", tc.capacity, tl.Stride())
+			}
+
+			out := tl.Snapshot().Outcomes
+			if !out.Reconciled() {
+				t.Fatalf("outcomes do not reconcile: %+v total=%d", out, out.Total())
+			}
+			if out.Predictions != st.Predictions || out.CorrectUsed != st.CH ||
+				out.WrongUsed != st.IH || out.CorrectUnused != st.CL || out.WrongUnused != st.IL {
+				t.Fatalf("outcomes %+v do not match stats CH=%d CL=%d IH=%d IL=%d pred=%d",
+					out, st.CH, st.CL, st.IH, st.IL, st.Predictions)
+			}
+			checkColumnsReconcile(t, tl, p)
+
+			// Every equality mismatch observed one invalidation latency.
+			reg := tl.Registry()
+			if got := reg.Histogram("sim.invalidate_latency").Count(); int64(got) != st.InvalidationWaves {
+				t.Errorf("invalidation latency samples %d != invalidation waves %d",
+					got, st.InvalidationWaves)
+			}
+			if reg.Histogram("sim.verify_latency").Count() == 0 {
+				t.Error("no verification latencies observed")
+			}
+		})
+	}
+}
+
+// TestTelemetryIndependence checks that an attached instrument — including
+// the Runner.Step chunk splitting it triggers — does not perturb the
+// simulated timing or statistics.
 func TestTelemetryIndependence(t *testing.T) {
 	recs := telemetryRecs(t, 4000)
 	run := func(tl *Telemetry, chunk int) *Stats {
@@ -133,27 +179,34 @@ func TestTelemetryIndependence(t *testing.T) {
 }
 
 // TestTelemetrySamplesAtBoundaries checks interval pacing: with interval K
-// each retained sample's cycle is a multiple of K (except the final partial
-// flush at run end).
+// each row's cycle is a multiple of K (except the final partial interval at
+// run end), and decimation keeps every stride-th of those from the first.
 func TestTelemetrySamplesAtBoundaries(t *testing.T) {
 	recs := telemetryRecs(t, 3000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const interval = 64
-	tl := NewTelemetry(interval, 1<<16)
-	p.SetTelemetry(tl)
-	if _, err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pts := tl.Series(SeriesIPC).Points(nil)
-	if len(pts) < 3 {
-		t.Fatalf("expected several samples, got %d", len(pts))
-	}
-	for i, pt := range pts[:len(pts)-1] {
-		if pt.X%interval != 0 {
-			t.Errorf("sample %d at cycle %d is off the %d-cycle boundary", i, pt.X, interval)
+	for _, capacity := range []int{1 << 16, 6} {
+		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := NewTelemetry(interval, capacity)
+		p.SetTelemetry(tl)
+		st, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := tl.Rows()
+		if len(rows) < 3 || len(rows) > capacity {
+			t.Fatalf("capacity %d: %d rows", capacity, len(rows))
+		}
+		for i, r := range rows[:len(rows)-1] {
+			if c := int64(r[0]); c%interval != 0 || (c/interval-1)%tl.Stride() != 0 {
+				t.Errorf("capacity %d: row %d at cycle %d is off the %d-cycle boundaries kept at stride %d",
+					capacity, i, c, interval, tl.Stride())
+			}
+		}
+		if end := int64(rows[len(rows)-1][0]); end != st.Cycles {
+			t.Errorf("capacity %d: last row at cycle %d, run ended at %d", capacity, end, st.Cycles)
 		}
 	}
 }
@@ -170,35 +223,72 @@ func TestTelemetryCSVAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sb strings.Builder
-	if err := tl.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
+	names := TelemetrySeriesNames()
+	rows := tl.Rows()
+	if len(rows) < 2 {
+		t.Fatalf("%d rows", len(rows))
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("CSV has no data rows:\n%s", sb.String())
-	}
-	header := strings.Split(lines[0], ",")
-	if header[0] != "cycle" || len(header) != 1+numTelemetrySeries {
-		t.Fatalf("unexpected CSV header: %v", header)
-	}
-	for _, name := range TelemetrySeriesNames() {
-		if !strings.Contains(lines[0], name) {
-			t.Errorf("CSV header missing series %s", name)
+	for i, r := range rows {
+		if len(r) != 1+len(names) {
+			t.Fatalf("row %d has %d cells, want cycle + %d columns", i, len(r), len(names))
 		}
 	}
-	if cols := strings.Split(lines[1], ","); len(cols) != len(header) {
-		t.Errorf("row width %d != header width %d", len(cols), len(header))
+	seen := make(map[string]bool)
+	for _, n := range names {
+		if seen[n] {
+			t.Errorf("column %s repeats", n)
+		}
+		seen[n] = true
+	}
+	// The quantities the sim.* columns carry are not repeated under their
+	// Stats names.
+	for _, dup := range []string{"pred_correct_high", "pred_incorrect_low", "nullified", "reissues"} {
+		if seen[dup] {
+			t.Errorf("column %s duplicates a sim.* column", dup)
+		}
 	}
 
 	snap := tl.Snapshot()
-	if snap.Interval != 100 || len(snap.Series) != numTelemetrySeries {
+	if snap.Interval != 100 || len(snap.Series) != 14 {
 		t.Fatalf("snapshot malformed: interval=%d series=%d", snap.Interval, len(snap.Series))
+	}
+	for name, pts := range snap.Series {
+		if !strings.HasPrefix(name, "sim.") || len(pts) != len(rows) {
+			t.Errorf("snapshot series %s: %d points for %d rows", name, len(pts), len(rows))
+		}
 	}
 	if !snap.Outcomes.Reconciled() {
 		t.Errorf("snapshot outcomes unreconciled: %+v", snap.Outcomes)
 	}
 	if snap.VerifyLatency.Count == 0 {
 		t.Errorf("snapshot verify latency empty")
+	}
+}
+
+// TestCatalogDocumented holds docs/OBSERVABILITY.md's catalog table to the
+// catalog: one row per name, with the Stats mirrors on one row.
+func TestCatalogDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stat := make(map[string]bool)
+	for _, c := range (&Stats{}).Counters() {
+		stat[c.Name] = true
+	}
+	var b strings.Builder
+	b.WriteString("| name | kind | unit | meaning |\n|---|---|---|---|\n")
+	var mirrors []string
+	var mirror Metric
+	for _, m := range Catalog() {
+		if stat[m.Name] {
+			mirrors, mirror = append(mirrors, "`"+m.Name+"`"), m
+			continue
+		}
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", m.Name, m.Kind, m.Unit, m.Meaning)
+	}
+	fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", strings.Join(mirrors, ", "), mirror.Kind, mirror.Unit, mirror.Meaning)
+	if !strings.Contains(string(doc), b.String()) {
+		t.Errorf("docs/OBSERVABILITY.md lacks the catalog table; it should read:\n%s", b.String())
 	}
 }

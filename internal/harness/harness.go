@@ -83,12 +83,9 @@ type Spec struct {
 	// Observer, when non-nil, receives the pipeline event stream (e.g. a
 	// cpu.EventLog, cpu.RingLog or cpu.TraceRecorder; combine with cpu.Tee).
 	Observer cpu.Observer
-	// Metrics, when non-nil, collects sampled distributions and the
-	// interval time series during the run.
-	Metrics *cpu.Metrics
-	// Telemetry, when non-nil, records the microarchitectural interval
-	// series and speculation-outcome breakdown at Runner.Step boundaries
-	// (one sampler per spec; see cpu.NewTelemetry).
+	// Telemetry, when non-nil, is the pipeline's instrument: interval
+	// columns sampled at Runner.Step boundaries, run-level distributions and
+	// the speculation-outcome breakdown (one per spec; see cpu.NewTelemetry).
 	Telemetry *cpu.Telemetry
 	// Phases enables the wall-time per-stage profile; the breakdown is
 	// returned in Result.Phases.
@@ -215,9 +212,6 @@ func newPipeline(spec Spec, cache *TraceCache, sp *spare) (*cpu.Pipeline, *obs.P
 	}
 	if spec.Observer != nil {
 		p.SetObserver(spec.Observer)
-	}
-	if spec.Metrics != nil {
-		p.SetMetrics(spec.Metrics)
 	}
 	if spec.Telemetry != nil {
 		p.SetTelemetry(spec.Telemetry)

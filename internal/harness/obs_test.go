@@ -20,45 +20,97 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files instead of comparing")
 
-// TestMetricsReconcileWithStats is the acceptance check of the metrics
-// pipeline: on a real workload under the Great model, the interval
-// time-series' counter deltas must sum exactly to the end-of-run Stats
-// totals, for every counter.
+// TestMetricsReconcileWithStats is the acceptance check of the instrument:
+// on a real workload under the Great model, every counter column of the
+// interval table must sum exactly to its end-of-run Stats total, also when
+// the capacity is far below the number of intervals and the retained
+// boundaries were decimated.
 func TestMetricsReconcileWithStats(t *testing.T) {
 	w, err := bench.ByName("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
 	great := core.Great()
-	m := cpu.NewMetrics(100, 0)
+	tl := cpu.NewTelemetry(100, 16)
 	res, err := Simulate(Spec{
 		Workload: w, Scale: testScale, Config: cpu.Config8x48(),
 		Model: &great, Setting: Setting{Update: cpu.UpdateImmediate},
-		Metrics: m,
+		Telemetry: tl,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := m.Sampler.Samples()
-	if len(samples) < 2 {
-		t.Fatalf("expected multiple interval samples, got %d", len(samples))
+	st := res.Stats
+	rows := tl.Rows()
+	if tl.Stride() < 2 || len(rows) > 16 {
+		t.Fatalf("expected a decimated table: %d rows at stride %d", len(rows), tl.Stride())
 	}
-	if last := samples[len(samples)-1].Cycle; last != res.Stats.Cycles {
-		t.Errorf("final sample cycle %d != total cycles %d (partial interval not flushed)",
-			last, res.Stats.Cycles)
+	if last := int64(rows[len(rows)-1][0]); last != st.Cycles {
+		t.Errorf("final row cycle %d != total cycles %d (partial interval not sampled)", last, st.Cycles)
 	}
-	cols := m.Sampler.Columns()
-	sums := make(map[string]float64, len(cols))
-	for _, sm := range samples {
-		for i, c := range cols {
-			sums[c] += sm.Values[i]
+	want := map[string]int64{
+		cpu.SeriesCorrectUsed: st.CH, cpu.SeriesWrongUsed: st.IH,
+		cpu.SeriesCorrectUnused: st.CL, cpu.SeriesWrongUnused: st.IL,
+		"sim.nullified": st.Nullified, "sim.reissues": st.Reissues,
+	}
+	for _, c := range st.Counters() {
+		want[c.Name] = c.Value
+	}
+	names := cpu.TelemetrySeriesNames()
+	sums := make(map[string]float64, len(names))
+	for _, r := range rows {
+		for j, n := range names {
+			sums[n] += r[j+1]
 		}
 	}
-	for _, c := range res.Stats.Counters() {
-		if int64(sums[c.Name]) != c.Value {
-			t.Errorf("counter %s: summed interval deltas %v != end-of-run total %d",
-				c.Name, sums[c.Name], c.Value)
+	checked := 0
+	for _, n := range names {
+		if total, ok := want[n]; ok {
+			checked++
+			if int64(sums[n]) != total {
+				t.Errorf("counter %s: summed interval deltas %v != end-of-run total %d", n, sums[n], total)
+			}
 		}
+	}
+	if checked != len(st.Counters()) {
+		t.Errorf("checked %d counter columns, want one per Stats counter (%d)", checked, len(st.Counters()))
+	}
+}
+
+// TestTelemetrySnapshotGolden pins the stored telemetry of one spec whose
+// run fits its series capacity, byte for byte: the JSON vserved -telemetry
+// keeps with each result. Regenerate with: go test ./internal/harness -run
+// TelemetrySnapshotGolden -update-golden
+func TestTelemetrySnapshotGolden(t *testing.T) {
+	w, err := bench.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	great := core.Great()
+	tl := cpu.NewTelemetry(100, 512)
+	if _, err := Simulate(Spec{
+		Workload: w, Scale: 1, Config: cpu.Config8x48(),
+		Model: &great, Setting: Setting{Update: cpu.UpdateImmediate},
+		Telemetry: tl,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(tl.Snapshot(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "telemetry_snapshot.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("telemetry snapshot diverged from %s", golden)
 	}
 }
 

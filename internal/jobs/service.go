@@ -87,7 +87,7 @@ type Config struct {
 	// every executed spec and attaches it to the run span. It costs several
 	// clock reads per simulated cycle, so it is opt-in.
 	TracePhases bool
-	// Telemetry attaches a per-spec interval sampler (cpu.Telemetry) to
+	// Telemetry attaches the per-spec pipeline instrument (cpu.Telemetry) to
 	// every executed spec and stores the compact snapshot — per-interval
 	// pipeline series plus the speculation-outcome breakdown — alongside
 	// each result. Telemetry does not participate in the request hash, so a

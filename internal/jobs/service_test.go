@@ -156,7 +156,7 @@ func TestServiceTelemetry(t *testing.T) {
 		if !tl.Outcomes.Reconciled() {
 			t.Errorf("result %d outcomes do not reconcile: %+v", i, tl.Outcomes)
 		}
-		if len(tl.Series[cpu.SeriesIPC]) == 0 {
+		if len(tl.Series["sim.ipc"]) == 0 {
 			t.Errorf("result %d has an empty IPC series", i)
 		}
 	}

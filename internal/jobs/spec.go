@@ -242,7 +242,7 @@ func FromHarness(hs harness.Spec) (SimSpec, error) {
 	if hs.NewPredictor != nil || hs.NewConfidence != nil || hs.Predictable != nil {
 		return SimSpec{}, errors.New("jobs: spec uses a custom predictor/confidence/scope factory, which cannot be serialized")
 	}
-	if hs.Observer != nil || hs.Metrics != nil || hs.Telemetry != nil || hs.Phases {
+	if hs.Observer != nil || hs.Telemetry != nil || hs.Phases {
 		return SimSpec{}, errors.New("jobs: spec attaches observers, which cannot be serialized")
 	}
 	s := SimSpec{

@@ -145,60 +145,6 @@ func TestRegistryKindsAndOrder(t *testing.T) {
 	r.Gauge("a.count")
 }
 
-// TestSamplerDeltasReconcile checks that summed counter deltas equal the
-// counter's final value.
-func TestSamplerDeltasReconcile(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events")
-	s := NewIntervalSampler(r, 10, 0)
-	for cycle := int64(1); cycle <= 95; cycle++ {
-		c.Add(cycle % 3) // uneven increments
-		if s.Due(cycle) {
-			s.Sample(cycle)
-		}
-	}
-	s.Flush(95)
-	var sum float64
-	for _, sm := range s.Samples() {
-		sum += sm.Values[0]
-	}
-	if int64(sum) != c.Value() {
-		t.Errorf("summed deltas %v != final counter %d", sum, c.Value())
-	}
-	if got := s.Len(); got != 10 {
-		t.Errorf("Len = %d, want 10 (9 full intervals + flush)", got)
-	}
-	if s.Samples()[len(s.Samples())-1].Cycle != 95 {
-		t.Errorf("flush sample cycle = %d, want 95", s.Samples()[len(s.Samples())-1].Cycle)
-	}
-}
-
-// TestSamplerRingWraparound checks overwrite-oldest semantics.
-func TestSamplerRingWraparound(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ticks")
-	s := NewIntervalSampler(r, 1, 4)
-	for cycle := int64(1); cycle <= 10; cycle++ {
-		c.Add(1)
-		s.Sample(cycle)
-	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	if s.Dropped() != 6 {
-		t.Errorf("Dropped = %d, want 6", s.Dropped())
-	}
-	got := s.Samples()
-	for i, want := range []int64{7, 8, 9, 10} {
-		if got[i].Cycle != want {
-			t.Errorf("sample %d cycle = %d, want %d (oldest-first)", i, got[i].Cycle, want)
-		}
-		if got[i].Values[0] != 1 {
-			t.Errorf("sample %d delta = %v, want 1", i, got[i].Values[0])
-		}
-	}
-}
-
 func TestTraceWriteJSON(t *testing.T) {
 	var tr Trace
 	tr.ProcessName(0, "window")

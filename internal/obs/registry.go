@@ -1,8 +1,8 @@
 // Package obs is the simulator's observability layer: a zero-dependency
-// metrics registry (counters, gauges, log-bucketed histograms), an interval
-// sampler that turns the registry into a ring-buffered time series, a Chrome
-// trace-event builder for chrome://tracing / Perfetto, and a wall-time phase
-// timer for profiling the simulation loop itself.
+// metrics registry (counters, gauges, log-bucketed histograms), a decimating
+// fixed-capacity sequence for time series, a Chrome trace-event builder for
+// chrome://tracing / Perfetto, and a wall-time phase timer for profiling the
+// simulation loop itself.
 //
 // The package deliberately knows nothing about the pipeline: internal/cpu
 // publishes into it, internal/report serializes out of it. With the single
@@ -141,10 +141,11 @@ func (r *Registry) Columns() []string {
 
 var histColumns = []string{"count", "mean", "p50", "p90", "p99", "max"}
 
-// row appends the current scalar values in column order. Counters are
-// reported as deltas against prev (keyed by name), which the caller
-// accumulates so that summed interval rows reconcile with final totals.
-func (r *Registry) row(dst []float64, prev map[string]int64) []float64 {
+// Row appends the current scalar values in Columns order to dst. Counters
+// are reported as deltas against prev (keyed by name, updated in place), so
+// a caller sampling a sequence of snapshots accumulates interval rows that
+// sum back to the final totals; gauges and histogram summaries report raw.
+func (r *Registry) Row(dst []float64, prev map[string]int64) []float64 {
 	for _, name := range r.order {
 		if c, ok := r.counters[name]; ok {
 			v := c.Value()
@@ -163,14 +164,6 @@ func (r *Registry) row(dst []float64, prev map[string]int64) []float64 {
 			float64(h.Max()))
 	}
 	return dst
-}
-
-// Row appends the current scalar values in Columns order to dst. Counters
-// are reported as deltas against prev (keyed by name, updated in place), so
-// a caller sampling a sequence of snapshots accumulates interval rows that
-// sum back to the final totals; gauges and histogram summaries report raw.
-func (r *Registry) Row(dst []float64, prev map[string]int64) []float64 {
-	return r.row(dst, prev)
 }
 
 // Merge folds every metric of o into r, creating names on first sight (in

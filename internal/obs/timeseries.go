@@ -9,129 +9,144 @@ type Point struct {
 	Y float64 `json:"y"`
 }
 
-// TimeSeries is a fixed-capacity series that always spans the whole run.
+// Decimating is a fixed-capacity sequence that always spans the whole run.
 // Storage is allocated once at construction; when the buffer fills, the
-// series decimates itself in place — every other retained point is dropped
+// sequence decimates itself in place — every other retained item is dropped
 // and the acceptance stride doubles — so a long run keeps full temporal
-// coverage at progressively coarser resolution instead of losing its head
-// (contrast IntervalSampler, whose ring overwrites the oldest samples).
-// The first and the most recently appended point are always retained, so
+// coverage at progressively coarser resolution instead of losing its head.
+// The first and the most recently appended item are always retained, so
 // both endpoints of the run survive any amount of decimation.
 //
-// Like Registry, a TimeSeries is single-goroutine; aggregation across
-// goroutines goes through Clone/Merge of snapshots.
-type TimeSeries struct {
+// Like Registry, a Decimating is single-goroutine; aggregation across
+// goroutines goes through Clone/Merge of TimeSeries snapshots.
+type Decimating[T any] struct {
 	capacity int
-	stride   int64 // appended points kept: indices ≡ 0 (mod stride)
-	appended int64 // total points ever appended
-	pts      []Point
-	last     Point // most recent append, retained even when off-stride
+	stride   int64 // appended items kept: indices ≡ 0 (mod stride)
+	appended int64 // total items ever appended
+	items    []T
+	last     T    // most recent append, retained even when off-stride
+	lastKept bool // last is items[len(items)-1]
 }
 
 // minSeriesCap is the floor on capacity: decimation needs headroom to halve.
 const minSeriesCap = 4
 
-// NewTimeSeries returns an empty series holding at most capacity retained
-// points (clamped to a small minimum so decimation is meaningful).
-func NewTimeSeries(capacity int) *TimeSeries {
+// NewDecimating returns an empty sequence holding at most capacity retained
+// items (clamped to a small minimum so decimation is meaningful).
+func NewDecimating[T any](capacity int) *Decimating[T] {
 	if capacity < minSeriesCap {
 		capacity = minSeriesCap
 	}
-	return &TimeSeries{
+	return &Decimating[T]{
 		capacity: capacity,
 		stride:   1,
-		pts:      make([]Point, 0, capacity),
+		items:    make([]T, 0, capacity),
 	}
 }
 
 // bodyCap returns the decimated body's capacity: one slot of the configured
-// capacity is reserved for the always-retained most recent point, so Len
+// capacity is reserved for the always-retained most recent item, so Len
 // never exceeds Cap.
-func (s *TimeSeries) bodyCap() int { return s.capacity - 1 }
+func (s *Decimating[T]) bodyCap() int { return s.capacity - 1 }
 
-// Append records one sample. X coordinates must be non-decreasing; the
-// series never allocates after construction.
-func (s *TimeSeries) Append(x int64, y float64) {
-	p := Point{X: x, Y: y}
+// Append records one item; it never allocates after construction.
+func (s *Decimating[T]) Append(v T) {
 	i := s.appended
 	s.appended++
-	s.last = p
+	s.last, s.lastKept = v, false
 	if i%s.stride != 0 {
 		return
 	}
-	if len(s.pts) == s.bodyCap() {
+	if len(s.items) == s.bodyCap() {
 		s.decimate()
 		if i%s.stride != 0 {
 			return
 		}
 	}
-	s.pts = append(s.pts, p)
+	s.items = append(s.items, v)
+	s.lastKept = true
 }
 
-// decimate halves the retained resolution in place: every other point is
-// dropped (keeping the even-indexed ones, so the first point survives) and
+// decimate halves the retained resolution in place: every other item is
+// dropped (keeping the even-indexed ones, so the first item survives) and
 // the acceptance stride doubles.
-func (s *TimeSeries) decimate() {
+func (s *Decimating[T]) decimate() {
 	n := 0
-	for i := 0; i < len(s.pts); i += 2 {
-		s.pts[n] = s.pts[i]
+	for i := 0; i < len(s.items); i += 2 {
+		s.items[n] = s.items[i]
 		n++
 	}
-	s.pts = s.pts[:n]
+	s.items = s.items[:n]
 	s.stride *= 2
 }
 
-// Len returns the number of points Points would return.
-func (s *TimeSeries) Len() int {
+// Len returns the number of items All would return.
+func (s *Decimating[T]) Len() int {
 	if s.appended == 0 {
 		return 0
 	}
-	n := len(s.pts)
-	if n == 0 || s.pts[n-1].X < s.last.X {
-		n++
+	if s.lastKept {
+		return len(s.items)
 	}
-	return n
+	return len(s.items) + 1
 }
 
 // Cap returns the configured capacity; Len never exceeds it.
-func (s *TimeSeries) Cap() int { return s.capacity }
+func (s *Decimating[T]) Cap() int { return s.capacity }
 
-// Stride returns how many appended points one retained point currently
+// Stride returns how many appended items one retained item currently
 // stands for (1 until the first decimation, then doubling).
-func (s *TimeSeries) Stride() int64 { return s.stride }
+func (s *Decimating[T]) Stride() int64 { return s.stride }
 
-// Appended returns the total number of points ever appended.
-func (s *TimeSeries) Appended() int64 { return s.appended }
+// Appended returns the total number of items ever appended.
+func (s *Decimating[T]) Appended() int64 { return s.appended }
 
-// First returns the earliest retained point (the first ever appended).
-func (s *TimeSeries) First() (Point, bool) {
+// First returns the earliest retained item (the first ever appended).
+func (s *Decimating[T]) First() (T, bool) {
 	if s.appended == 0 {
-		return Point{}, false
+		var zero T
+		return zero, false
 	}
-	return s.pts[0], true
+	return s.items[0], true
 }
 
-// Last returns the most recently appended point.
-func (s *TimeSeries) Last() (Point, bool) {
+// Last returns the most recently appended item.
+func (s *Decimating[T]) Last() (T, bool) {
 	if s.appended == 0 {
-		return Point{}, false
+		var zero T
+		return zero, false
 	}
 	return s.last, true
 }
 
-// Points appends the retained samples, in ascending X order, to dst and
-// returns it. The most recent append is included even if it fell between
-// strides, so the series always ends at the run's true endpoint.
-func (s *TimeSeries) Points(dst []Point) []Point {
+// All appends the retained items, oldest first, to dst and returns it. The
+// most recent append is included even if it fell between strides, so the
+// sequence always ends at the run's true endpoint.
+func (s *Decimating[T]) All(dst []T) []T {
 	if s.appended == 0 {
 		return dst
 	}
-	dst = append(dst, s.pts...)
-	if n := len(s.pts); n == 0 || s.pts[n-1].X < s.last.X {
+	dst = append(dst, s.items...)
+	if !s.lastKept {
 		dst = append(dst, s.last)
 	}
 	return dst
 }
+
+// TimeSeries is a decimating sequence of points in ascending X order.
+type TimeSeries struct{ Decimating[Point] }
+
+// NewTimeSeries returns an empty series holding at most capacity retained
+// points.
+func NewTimeSeries(capacity int) *TimeSeries {
+	return &TimeSeries{*NewDecimating[Point](capacity)}
+}
+
+// Append records one point. X coordinates must be non-decreasing.
+func (s *TimeSeries) Append(x int64, y float64) { s.Decimating.Append(Point{X: x, Y: y}) }
+
+// Points appends the retained points, in ascending X order, to dst.
+func (s *TimeSeries) Points(dst []Point) []Point { return s.All(dst) }
 
 // Merge folds every retained point of o into s, as if both series had
 // observed one interleaved run: the union is taken in ascending X order
@@ -158,21 +173,15 @@ func (s *TimeSeries) Merge(o *TimeSeries) {
 		s.stride *= 2
 	}
 	s.appended += o.appended
-	s.pts = s.pts[:0]
-	s.pts = append(s.pts, merged...)
+	s.items = append(s.items[:0], merged...)
 	s.last = last
+	s.lastKept = merged[len(merged)-1].X >= last.X
 }
 
 // Clone returns an independent deep copy of s.
 func (s *TimeSeries) Clone() *TimeSeries {
-	c := &TimeSeries{
-		capacity: s.capacity,
-		stride:   s.stride,
-		appended: s.appended,
-		last:     s.last,
-		pts:      make([]Point, len(s.pts), s.capacity),
-	}
-	copy(c.pts, s.pts)
+	c := &TimeSeries{s.Decimating}
+	c.items = append(make([]Point, 0, s.capacity), s.items...)
 	return c
 }
 

@@ -22,7 +22,7 @@ var metricNamePattern = regexp.MustCompile(`^[a-z][a-z0-9_.]*$`)
 
 // TestMetricNameLint walks every metric name the codebase registers — the
 // sweep progress tracker, the jobs service, the obsweb middleware and SSE
-// counter, the trace cache, and the pipeline's cpu counters — and asserts
+// counter, the trace cache, and the pipeline instrument's catalog — and asserts
 // each obeys the naming convention and that no two distinct names collide
 // once sanitized for the exposition.
 func TestMetricNameLint(t *testing.T) {
@@ -57,14 +57,14 @@ func TestMetricNameLint(t *testing.T) {
 		names = append(names, c.Name)
 	}
 
-	// Per-run simulator telemetry: the sim.* interval series and the event
-	// latency histograms share the exposition namespace with the live
-	// counters (Progress republishes the quadrant series by these names), so
-	// they go through the same lint.
-	names = append(names, cpu.TelemetrySeriesNames()...)
-	names = append(names,
-		cpu.MetricSimVerifyLatency, cpu.MetricSimInvalidateLatency,
-		harness.MetricPredictions)
+	// The pipeline instrument: every name of its catalog shares the
+	// exposition namespace with the live counters (vsim -serve merges its
+	// registry into /metrics, and Progress republishes the quadrants by
+	// these names), so they go through the same lint.
+	for _, m := range cpu.Catalog() {
+		names = append(names, m.Name)
+	}
+	names = append(names, harness.MetricPredictions)
 
 	// Load-harness live series (mirrored into a registry by load.Runner).
 	names = append(names,

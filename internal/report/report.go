@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"valuespec/internal/cpu"
 	"valuespec/internal/harness"
 	"valuespec/internal/obs"
 )
@@ -156,19 +157,17 @@ func Confidence(points []harness.ConfidencePoint) *Table {
 	return t
 }
 
-// Metrics converts an interval-sampler time series into a table: one row
-// per retained sample with a leading cycle column, then one column per
-// registry scalar (counters as per-interval deltas, gauges as instantaneous
-// values, histograms expanded to count/mean/quantile/max columns).
-func Metrics(s *obs.IntervalSampler) *Table {
-	t := &Table{Name: "metrics", Header: append([]string{"cycle"}, s.Columns()...)}
-	for _, sm := range s.Samples() {
-		row := make([]string, 0, len(t.Header))
-		row = append(row, strconv.FormatInt(sm.Cycle, 10))
-		for _, v := range sm.Values {
+// Telemetry converts a finished run's interval table: one row per retained
+// sample with a leading cycle column, then one column per interval entry of
+// the instrument's catalog (cpu.TelemetrySeriesNames).
+func Telemetry(tl *cpu.Telemetry) *Table {
+	t := &Table{Name: "metrics", Header: append([]string{"cycle"}, cpu.TelemetrySeriesNames()...)}
+	for _, vals := range tl.Rows() {
+		row := make([]string, len(vals))
+		for i, v := range vals {
 			// 'g' with -1 precision round-trips exactly and keeps integral
 			// counter deltas free of trailing decimals.
-			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
+			row[i] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		t.Rows = append(t.Rows, row)
 	}

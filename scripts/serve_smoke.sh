@@ -1,8 +1,10 @@
 #!/bin/sh
-# Smoke-test the live observability server end-to-end: start a quick sweep
-# with -serve on an ephemeral port, curl the probes and the Prometheus
-# exposition while it runs, and assert the metrics a dashboard would scrape
-# are actually there. Nonzero exit on any failure.
+# Smoke-test the observability surfaces end-to-end. First vsim's interval
+# table: at a capacity that decimates, its retired column must still sum to
+# the run's retired total, and its JSON form must parse. Then the live
+# server: start a quick sweep with -serve on an ephemeral port, curl the
+# probes and the Prometheus exposition while it runs, and assert the metrics
+# a dashboard would scrape are actually there. Nonzero exit on any failure.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
 set -eu
@@ -20,6 +22,29 @@ fail() {
 }
 
 go build -o "$bin" ./cmd/vsweep
+go build -o "$dir/vsim" ./cmd/vsim
+
+# vsim -metrics-out: 50-cycle samples into 8 retained rows decimate.
+"$dir/vsim" -bench compress -model great -scale 1 -metrics-out "$dir/m.csv" \
+	-metrics-interval 50 -metrics-cap 8 >"$log" 2>&1 || fail "vsim -metrics-out m.csv"
+grep -q 'decimated' "$log" || fail "vsim table did not decimate"
+retired=$(sed -n 's/.* retired=\([0-9]*\) .*/\1/p' "$log")
+[ -n "$retired" ] || fail "vsim printed no retired= total"
+sum=$(awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($i == "retired") c = i; next }
+	c { s += $c } END { if (c) printf "%d", s }' "$dir/m.csv")
+[ "$sum" = "$retired" ] || fail "retired column sums to '$sum', vsim retired=$retired"
+"$dir/vsim" -bench compress -model great -scale 1 -metrics-out "$dir/m.json" \
+	-metrics-interval 50 -metrics-cap 8 >"$log" 2>&1 || fail "vsim -metrics-out m.json"
+if command -v jq >/dev/null 2>&1; then
+	jq -e '.header[0] == "cycle" and (.rows | length) > 0' "$dir/m.json" >/dev/null ||
+		fail "m.json is not a metrics table: $(head -c 300 "$dir/m.json")"
+elif command -v python3 >/dev/null 2>&1; then
+	python3 -c 'import json, sys; t = json.load(open(sys.argv[1])); assert t["header"][0] == "cycle" and t["rows"]' \
+		"$dir/m.json" || fail "m.json is not a metrics table: $(head -c 300 "$dir/m.json")"
+else
+	fail "neither jq nor python3 is available to parse m.json"
+fi
+echo "serve_smoke: vsim table reconciles (retired=$retired) and m.json parses"
 
 "$bin" -quick -fig3 -serve 127.0.0.1:0 >"$log" 2>&1 &
 pid=$!

@@ -148,8 +148,9 @@ type (
 	EventLog = cpu.EventLog
 	// RingLog is a bounded Observer overwriting its oldest events.
 	RingLog = cpu.RingLog
-	// Metrics samples pipeline distributions into an interval time series.
-	Metrics = cpu.Metrics
+	// Telemetry is the pipeline's instrument: interval columns, run-level
+	// distributions and the speculation-outcome breakdown.
+	Telemetry = cpu.Telemetry
 	// TraceRecorder is an Observer producing a Chrome trace-event JSON.
 	TraceRecorder = cpu.TraceRecorder
 )
@@ -157,10 +158,10 @@ type (
 // NewRingLog returns an Observer keeping only the newest capacity events.
 func NewRingLog(capacity int) *RingLog { return cpu.NewRingLog(capacity) }
 
-// NewMetrics returns a collector sampling every interval cycles into a ring
-// of up to capacity snapshots (capacity <= 0 retains all).
-func NewMetrics(interval int64, capacity int) *Metrics {
-	return cpu.NewMetrics(interval, capacity)
+// NewTelemetry returns an instrument sampling every interval cycles into at
+// most capacity retained samples, decimating in place when full.
+func NewTelemetry(interval int64, capacity int) *Telemetry {
+	return cpu.NewTelemetry(interval, capacity)
 }
 
 // NewTraceRecorder returns an Observer that records a Chrome trace.
