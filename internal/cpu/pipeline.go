@@ -111,6 +111,7 @@ type Pipeline struct {
 	// exactly. They stay out of Stats, whose JSON is part of the results.
 	sweepVisits int64 // entries the sweep synced and refreshed
 	issueChecks int64 // checkIssue evaluations
+	readyWords  int64 // ready-bitset words collectReady loaded
 	loadVisits  int64 // pending loads the memory phase examined
 
 	obs    Observer

@@ -95,6 +95,7 @@ func (p *Pipeline) collectReady(lo, hi int, c int64) {
 	}
 	wi, last := lo>>6, (hi-1)>>6
 	w := (p.readyBits[wi] &^ p.blockedBits[wi]) >> (uint(lo) & 63) << (uint(lo) & 63)
+	p.readyWords++
 	for {
 		if wi == last {
 			if r := uint(hi) & 63; r != 0 {
@@ -126,6 +127,7 @@ func (p *Pipeline) collectReady(lo, hi int, c int64) {
 		}
 		wi++
 		w = p.readyBits[wi] &^ p.blockedBits[wi]
+		p.readyWords++
 	}
 }
 

@@ -77,7 +77,8 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 // store — on a warmed-up pipeline. Sampling runs at Runner.Step
 // boundaries, never in the per-cycle loop, so this is the whole marginal
 // cost of a sampling boundary; the 0 allocs/op budget pins sampling as
-// allocation-free (the store decimates in place instead of growing).
+// allocation-free once the store is full (the warm-up fills it, and a full
+// store decimates in place instead of growing).
 func BenchmarkIntervalSampler(b *testing.B) {
 	recs := wakeupRecs(b, 99, 20000)
 	spec := fcmSpec(core.Great(), confidence.NewResetting(10, 2))
@@ -130,14 +131,15 @@ func BenchmarkReplayRequeue(b *testing.B) {
 }
 
 // workCounts sums the work counters of whole simulations: the stages'
-// visits, and the events and ring doublings of the three timing wheels that
-// the Telemetry instrument reports as events.scheduled and
-// events.wheel_grows.
-type workCounts struct{ sweepVisits, issueChecks, loadVisits, scheduled, grows int64 }
+// visits, the ready-bitset words selection walked, and the events and ring
+// doublings of the three timing wheels that the Telemetry instrument
+// reports as events.scheduled and events.wheel_grows.
+type workCounts struct{ sweepVisits, issueChecks, readyWords, loadVisits, scheduled, grows int64 }
 
 func (w *workCounts) add(p *Pipeline) {
 	w.sweepVisits += p.sweepVisits
 	w.issueChecks += p.issueChecks
+	w.readyWords += p.readyWords
 	w.loadVisits += p.loadVisits
 	w.scheduled += p.eqWheel.scheduled + p.waveWheel.scheduled + p.wbWheel.scheduled
 	w.grows += p.eqWheel.grows + p.waveWheel.grows + p.wbWheel.grows
@@ -150,6 +152,7 @@ func (w *workCounts) report(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(w.sweepVisits)/n, "sweep-visits/op")
 	b.ReportMetric(float64(w.issueChecks)/n, "issue-checks/op")
+	b.ReportMetric(float64(w.readyWords)/n, "word-walks/op")
 	b.ReportMetric(float64(w.loadVisits)/n, "load-visits/op")
 	b.ReportMetric(float64(w.scheduled)/n, "events-scheduled/op")
 	b.ReportMetric(float64(w.grows)/n, "wheel-grows/op")

@@ -183,14 +183,14 @@ type boundary struct {
 }
 
 // Telemetry is the pipeline's one instrument. At Runner.Step boundaries
-// every interval cycles it appends a boundary to a fixed-capacity
-// obs.Decimating, which halves its resolution in place when full; at run end
-// it exports the catalog's interval columns from consecutive retained
-// boundaries, so every counter column sums to its run total at any
-// capacity. Between samples it observes the catalog's histograms: one
-// nil-tested hook per cycle and one per event site. Sampling and the hooks
-// allocate nothing after NewTelemetry, and a nil Telemetry costs one
-// pointer test per hook.
+// every interval cycles it appends a boundary to a bounded-capacity
+// obs.Decimating, which grows by doubling and, once full, halves its
+// resolution in place; at run end it exports the catalog's interval columns
+// from consecutive retained boundaries, so every counter column sums to its
+// run total at any capacity. Between samples it observes the catalog's
+// histograms: one nil-tested hook per cycle and one per event site. The
+// hooks allocate nothing, sampling allocates only while the store grows,
+// and a nil Telemetry costs one pointer test per hook.
 //
 // Install with Pipeline.SetTelemetry before running; one Telemetry serves
 // one run.

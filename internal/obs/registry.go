@@ -141,16 +141,21 @@ func (r *Registry) Columns() []string {
 
 var histColumns = []string{"count", "mean", "p50", "p90", "p99", "max"}
 
-// Row appends the current scalar values in Columns order to dst. Counters
-// are reported as deltas against prev (keyed by name, updated in place), so
-// a caller sampling a sequence of snapshots accumulates interval rows that
-// sum back to the final totals; gauges and histogram summaries report raw.
-func (r *Registry) Row(dst []float64, prev map[string]int64) []float64 {
+// IsCounter reports whether the column or metric name is a counter's.
+func (r *Registry) IsCounter(name string) bool {
+	_, ok := r.counters[name]
+	return ok
+}
+
+// Row appends the current scalar values in Columns order to dst: counters
+// as their running totals, gauges and histogram summaries as they stand. A
+// caller sampling a sequence of snapshots derives each counter's interval
+// deltas from consecutive rows, so they sum back to its total however many
+// rows it keeps.
+func (r *Registry) Row(dst []float64) []float64 {
 	for _, name := range r.order {
 		if c, ok := r.counters[name]; ok {
-			v := c.Value()
-			dst = append(dst, float64(v-prev[name]))
-			prev[name] = v
+			dst = append(dst, float64(c.Value()))
 			continue
 		}
 		if g, ok := r.gauges[name]; ok {

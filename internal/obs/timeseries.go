@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Point is one sample of a TimeSeries: an X coordinate (cycle number or
 // elapsed milliseconds, whatever the producer samples on) and a value.
@@ -9,13 +12,15 @@ type Point struct {
 	Y float64 `json:"y"`
 }
 
-// Decimating is a fixed-capacity sequence that always spans the whole run.
-// Storage is allocated once at construction; when the buffer fills, the
+// Decimating is a bounded-capacity sequence that always spans the whole run.
+// Storage grows by doubling as items arrive, never past the capacity, so a
+// short run pays only for what it keeps. When the buffer is full, the
 // sequence decimates itself in place — every other retained item is dropped
 // and the acceptance stride doubles — so a long run keeps full temporal
-// coverage at progressively coarser resolution instead of losing its head.
-// The first and the most recently appended item are always retained, so
-// both endpoints of the run survive any amount of decimation.
+// coverage at progressively coarser resolution instead of losing its head,
+// and Append allocates nothing more. The first and the most recently
+// appended item are always retained, so both endpoints of the run survive
+// any amount of decimation.
 //
 // Like Registry, a Decimating is single-goroutine; aggregation across
 // goroutines goes through Clone/Merge of TimeSeries snapshots.
@@ -31,17 +36,17 @@ type Decimating[T any] struct {
 // minSeriesCap is the floor on capacity: decimation needs headroom to halve.
 const minSeriesCap = 4
 
+// firstGrowth is how many items the storage holds after its first growth.
+const firstGrowth = 8
+
 // NewDecimating returns an empty sequence holding at most capacity retained
-// items (clamped to a small minimum so decimation is meaningful).
+// items (clamped to a small minimum so decimation is meaningful). It
+// allocates no storage until the first Append.
 func NewDecimating[T any](capacity int) *Decimating[T] {
 	if capacity < minSeriesCap {
 		capacity = minSeriesCap
 	}
-	return &Decimating[T]{
-		capacity: capacity,
-		stride:   1,
-		items:    make([]T, 0, capacity),
-	}
+	return &Decimating[T]{capacity: capacity, stride: 1}
 }
 
 // bodyCap returns the decimated body's capacity: one slot of the configured
@@ -49,7 +54,8 @@ func NewDecimating[T any](capacity int) *Decimating[T] {
 // never exceeds Cap.
 func (s *Decimating[T]) bodyCap() int { return s.capacity - 1 }
 
-// Append records one item; it never allocates after construction.
+// Append records one item. It allocates only while the storage grows
+// towards the capacity, doubling each time; once full, never.
 func (s *Decimating[T]) Append(v T) {
 	i := s.appended
 	s.appended++
@@ -63,8 +69,18 @@ func (s *Decimating[T]) Append(v T) {
 			return
 		}
 	}
+	if len(s.items) == cap(s.items) {
+		s.grow()
+	}
 	s.items = append(s.items, v)
 	s.lastKept = true
+}
+
+// grow doubles the storage, to at most the body's capacity.
+func (s *Decimating[T]) grow() {
+	items := make([]T, len(s.items), min(max(2*cap(s.items), firstGrowth), s.bodyCap()))
+	copy(items, s.items)
+	s.items = items
 }
 
 // decimate halves the retained resolution in place: every other item is
@@ -181,7 +197,7 @@ func (s *TimeSeries) Merge(o *TimeSeries) {
 // Clone returns an independent deep copy of s.
 func (s *TimeSeries) Clone() *TimeSeries {
 	c := &TimeSeries{s.Decimating}
-	c.items = append(make([]Point, 0, s.capacity), s.items...)
+	c.items = slices.Clone(s.items)
 	return c
 }
 

@@ -164,15 +164,32 @@ func TestTimeSeriesCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesNoAllocAfterConstruction pins the store's allocation
+// contract: storage grows by doubling up to the capacity and never past it,
+// and once the store is full Append allocates nothing, however long the run.
 func TestTimeSeriesNoAllocAfterConstruction(t *testing.T) {
-	s := NewTimeSeries(32)
-	var x int64
-	allocs := testing.AllocsPerRun(2000, func() {
-		s.Append(x, 1)
-		x++
-	})
-	if allocs != 0 {
-		t.Fatalf("Append allocates: %v allocs/op", allocs)
+	for _, capacity := range []int{4, 32, 100} {
+		s := NewTimeSeries(capacity)
+		if cap(s.items) != 0 {
+			t.Fatalf("cap %d: construction allocated %d items", capacity, cap(s.items))
+		}
+		var x int64
+		for ; x < int64(capacity); x++ {
+			s.Append(x, 1)
+			if c := cap(s.items); c > s.bodyCap() {
+				t.Fatalf("cap %d: storage grew to %d items, past the body's %d", capacity, c, s.bodyCap())
+			}
+		}
+		if c := cap(s.items); c != s.bodyCap() {
+			t.Fatalf("cap %d: storage holds %d items after %d appends, want it full at %d", capacity, c, x, s.bodyCap())
+		}
+		allocs := testing.AllocsPerRun(2000, func() {
+			s.Append(x, 1)
+			x++
+		})
+		if allocs != 0 {
+			t.Fatalf("cap %d: Append allocates %v allocs/op once the store is full", capacity, allocs)
+		}
 	}
 }
 

@@ -9,65 +9,94 @@ import (
 	"valuespec/internal/obs"
 )
 
-// seriesCap bounds every tracked series. Capacity is fixed — a long-running
-// server decimates each series to a coarser stride (obs.TimeSeries drops
-// every other retained point when full) instead of growing without bound, so
+// seriesCap bounds the tracked history. Capacity is fixed — a long-running
+// server decimates the history to a coarser stride (obs.Decimating drops
+// every other retained tick when full) instead of growing without bound, so
 // /series stays O(columns * seriesCap) forever.
 const seriesCap = 512
 
 // seriesTracker turns the shared registry into per-column time series: on
 // every stream-loop tick it takes one consistent snapshot and appends one
-// point per flattened column (obs.Registry.Columns order — counters as
-// per-tick deltas, gauges raw, histograms as their summary columns). The X
-// axis is milliseconds since the tracker started, kept strictly ascending.
+// row of every flattened column (obs.Registry.Columns) to a decimating
+// history, counters as running totals. /series derives each counter's
+// per-tick deltas from consecutive retained rows, so a counter's series
+// sums to its value however far the history has decimated, as
+// cpu.Telemetry does for the pipeline's columns. The X axis is
+// milliseconds since the tracker started, kept strictly ascending.
 type seriesTracker struct {
 	reg   *obs.SharedRegistry
 	start time.Time
 
-	mu     sync.Mutex
-	series map[string]*obs.TimeSeries
-	order  []string
-	prev   map[string]int64
-	row    []float64
-	lastX  int64
+	mu      sync.Mutex
+	cols    []string       // column names in order of first appearance
+	index   map[string]int // column name -> position in a row
+	counter []bool         // per column: a counter, exported as deltas
+	rows    *obs.Decimating[seriesRow]
+}
+
+// seriesRow is one tick: its X and each column's value, in cols order. A
+// row holds only the columns known at its tick, so a column that joins
+// mid-run is absent from earlier rows.
+type seriesRow struct {
+	x    int64
+	vals []float64
 }
 
 func newSeriesTracker(reg *obs.SharedRegistry) *seriesTracker {
 	return &seriesTracker{
-		reg:    reg,
-		start:  time.Now(),
-		series: make(map[string]*obs.TimeSeries),
-		prev:   make(map[string]int64),
+		reg:   reg,
+		start: time.Now(),
+		index: make(map[string]int),
+		rows:  obs.NewDecimating[seriesRow](seriesCap),
 	}
 }
 
-// sample appends one point to every column's series and returns the tick for
-// the SSE delta frame. Columns appear (and their series are created) the
-// first time the registry exposes them, so late-registered metrics join the
-// dashboard mid-run.
+// sample appends one row and returns the tick for the SSE delta frame:
+// each counter's change since the previous tick, every other column as it
+// stands. Columns join (at zero) the first time the registry exposes them,
+// so late-registered metrics join the dashboard mid-run.
 func (t *seriesTracker) sample() (int64, map[string]float64) {
 	snap := t.reg.Snapshot()
 	cols := snap.Columns()
+	vals := snap.Row(make([]float64, 0, len(cols)))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.row = snap.Row(t.row[:0], t.prev)
-	x := time.Since(t.start).Milliseconds()
-	if x <= t.lastX {
-		x = t.lastX + 1
-	}
-	t.lastX = x
-	vals := make(map[string]float64, len(cols))
+	row := make([]float64, len(t.cols), max(len(t.cols), len(cols)))
 	for i, col := range cols {
-		s, ok := t.series[col]
+		j, ok := t.index[col]
 		if !ok {
-			s = obs.NewTimeSeries(seriesCap)
-			t.series[col] = s
-			t.order = append(t.order, col)
+			j = len(t.cols)
+			t.index[col] = j
+			t.cols = append(t.cols, col)
+			t.counter = append(t.counter, snap.IsCounter(col))
+			row = append(row, 0)
 		}
-		s.Append(x, t.row[i])
-		vals[col] = t.row[i]
+		row[j] = vals[i]
 	}
-	return x, vals
+	prev, _ := t.rows.Last()
+	x := time.Since(t.start).Milliseconds()
+	if x <= prev.x {
+		x = prev.x + 1
+	}
+	t.rows.Append(seriesRow{x: x, vals: row})
+	tick := make(map[string]float64, len(t.cols))
+	for j, col := range t.cols {
+		tick[col] = t.value(j, row, prev.vals)
+	}
+	return x, tick
+}
+
+// value returns column j of row as a series point: a counter's change since
+// prev, the row before it (zero where prev lacks the column), and any other
+// column as it stands.
+func (t *seriesTracker) value(j int, row, prev []float64) float64 {
+	if !t.counter[j] {
+		return row[j]
+	}
+	if j < len(prev) {
+		return row[j] - prev[j]
+	}
+	return row[j]
 }
 
 // SeriesSnapshot is the GET /series body and the backfill frame of the
@@ -79,7 +108,9 @@ type SeriesSnapshot struct {
 	Series    map[string][]obs.Point `json:"series"`
 }
 
-// snapshot copies the tracked series out under the lock.
+// snapshot exports every column's series under the lock, one point per
+// retained row that has the column; each counter point covers the ticks
+// since the previous retained row.
 func (t *seriesTracker) snapshot(tickMS int64) SeriesSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -87,10 +118,19 @@ func (t *seriesTracker) snapshot(tickMS int64) SeriesSnapshot {
 		Type:      "backfill",
 		ElapsedMS: time.Since(t.start).Milliseconds(),
 		TickMS:    tickMS,
-		Series:    make(map[string][]obs.Point, len(t.order)),
+		Series:    make(map[string][]obs.Point, len(t.cols)),
 	}
-	for _, name := range t.order {
-		out.Series[name] = t.series[name].Points(nil)
+	rows := t.rows.All(nil)
+	for j, col := range t.cols {
+		var pts []obs.Point
+		var prev []float64
+		for _, r := range rows {
+			if j < len(r.vals) {
+				pts = append(pts, obs.Point{X: r.x, Y: t.value(j, r.vals, prev)})
+			}
+			prev = r.vals
+		}
+		out.Series[col] = pts
 	}
 	return out
 }

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"valuespec/internal/obs"
 )
 
 // TestSeriesEndpoint checks that the stream loop samples the registry into
@@ -57,6 +59,48 @@ func TestSeriesEndpoint(t *testing.T) {
 			t.Fatalf("series never accumulated 3 points: %s", body)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSeriesCounterSums samples the tracker for 2,000 ticks, far past its
+// capacity, so the history decimates: every counter's /series points must
+// still sum to the counter, a counter that joins mid-run included, while
+// each SSE tick carries that tick's own delta and a gauge stays raw.
+func TestSeriesCounterSums(t *testing.T) {
+	reg := obs.NewSharedRegistry()
+	tr := newSeriesTracker(reg)
+	const ticks, join = 2000, 700
+	for i := 1; i <= ticks; i++ {
+		reg.Add("retired", 1)
+		reg.SetGauge("depth", float64(i%7))
+		if i > join {
+			reg.Add("late", 3)
+		}
+		_, tick := tr.sample()
+		if tick["retired"] != 1 || (i > join && tick["late"] != 3) {
+			t.Fatalf("tick %d: live deltas %v, want retired 1 and late 3 once joined", i, tick)
+		}
+	}
+	snap := tr.snapshot(0)
+	for name, want := range map[string]float64{"retired": ticks, "late": 3 * (ticks - join)} {
+		pts := snap.Series[name]
+		var sum float64
+		for _, p := range pts {
+			sum += p.Y
+		}
+		if sum != want {
+			t.Errorf("%s: %d points sum to %v, want the counter's %v", name, len(pts), sum, want)
+		}
+		if len(pts) > seriesCap || len(pts) == 0 {
+			t.Errorf("%s: %d points, want 1..%d", name, len(pts), seriesCap)
+		}
+	}
+	if pts := snap.Series["retired"]; len(pts) == ticks {
+		t.Errorf("retired kept all %d ticks: the history never decimated", ticks)
+	}
+	depth := snap.Series["depth"]
+	if last := depth[len(depth)-1]; last.Y != ticks%7 {
+		t.Errorf("gauge's last point %v, want its value %d", last, ticks%7)
 	}
 }
 

@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"valuespec/internal/isa"
@@ -92,7 +95,8 @@ func FuzzVSTRRoundTrip(f *testing.F) {
 // 16-instruction code space that picks up the stream's Seq, so templates
 // are revisited and mispredicted; or the replay cursor's own re-execution
 // with a fuzzed load result, so the regular path of every derivation is
-// reached too.
+// reached too. At every record the encoder's in-place check must agree
+// with its reference, in both directions.
 func FuzzRecordingRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	// ALU: add r3, r1, r2 in a jmp loop.
@@ -124,47 +128,183 @@ func FuzzRecordingRoundTrip(f *testing.F) {
 		codeDraw(2, 2, isa.Instruction{Op: 200, Dst: 5, Src1: 1, Src2: 2}, 1, 2, 3),
 		codeDraw(2, 2, isa.Instruction{Op: 200, Dst: 5, Src1: 1, Src2: 2}, 1, 2, 3),
 		predictedDraws(0)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzReader(data)
-		var e encoder
-		var want []Record
-		for len(in) > 0 && len(want) < 512 {
-			mode := in.u8() % 3
-			var r Record
-			if pc := e.x.PC; mode == 2 && pc >= 0 && pc < len(e.x.code) && e.x.code[pc].derive != deriveNone {
-				e.x.rebuild(&r, &e.x.code[pc], in.i64())
-			} else if mode == 1 {
-				pc, next, target := in.u8()%16, in.u8()%16, in.u8()%16
-				r = normRecord(e.x.Seq, int32(pc), int32(next), int32(target), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
-					in.u8()&1 != 0, int64(int8(in.u8())), in.i64(), in.i64(), in.i64(), in.i64())
-			} else {
-				r = normRecord(in.i64(), int32(in.i64()), int32(in.i64()), int32(in.i64()), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
-					in.u8()&1 != 0, in.i64(), in.i64(), in.i64(), in.i64(), in.i64())
+	// Records one derived field away from the cursor's own: each is stored
+	// verbatim (TestRecordingOneFieldOff).
+	for _, c := range oneFieldOff(1) {
+		f.Add(c.draws)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { roundTripDraws(t, data) })
+}
+
+// roundTripDraws encodes the records FuzzRecordingRoundTrip draws from
+// data, checking the encoder's in-place check against its reference at
+// each, and replays the recording, which must give every record back. It
+// returns the recording.
+func roundTripDraws(t *testing.T, data []byte) *Recording {
+	t.Helper()
+	in := fuzzReader(data)
+	var e encoder
+	var want []Record
+	for len(in) > 0 && len(want) < 512 {
+		mode := in.u8() % 3
+		var r Record
+		if tmpl := e.x.expected(); mode == 2 && tmpl != nil {
+			e.x.rebuild(&r, tmpl, in.i64())
+		} else if mode == 1 {
+			pc, next, target := in.u8()%16, in.u8()%16, in.u8()%16
+			r = normRecord(e.x.Seq, int32(pc), int32(next), int32(target), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
+				in.u8()&1 != 0, int64(int8(in.u8())), in.i64(), in.i64(), in.i64(), in.i64())
+		} else {
+			r = normRecord(in.i64(), int32(in.i64()), int32(in.i64()), int32(in.i64()), isa.Op(in.u8()), in.u8(), in.u8(), in.u8(),
+				in.u8()&1 != 0, in.i64(), in.i64(), in.i64(), in.i64(), in.i64())
+		}
+		if tmpl := e.x.expected(); tmpl != nil {
+			// The reference rebuilds the cursor's record into scratch and
+			// compares the two whole.
+			var ref Record
+			e.x.rebuild(&ref, tmpl, r.DstVal)
+			if inPlace := e.x.rebuilds(&r, tmpl); inPlace != (ref == r) {
+				t.Fatalf("record %d: in-place check says regular=%t, rebuild-and-compare %t\nrecord:  %+v\nrebuilt: %+v",
+					len(want), inPlace, ref == r, r, ref)
 			}
-			e.append(&r)
-			want = append(want, r)
 		}
-		rec := e.finish()
-		if rec.Len() != len(want) || rec.Irregular() > rec.Len() {
-			t.Fatalf("Len %d, Irregular %d for %d records", rec.Len(), rec.Irregular(), len(want))
+		e.append(&r)
+		want = append(want, r)
+	}
+	rec := e.finish()
+	if rec.Len() != len(want) || rec.Irregular() > rec.Len() {
+		t.Fatalf("Len %d, Irregular %d for %d records", rec.Len(), rec.Irregular(), len(want))
+	}
+	got := Collect(rec.Source(), 0)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, recorded %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d changed in the round trip\nrecorded: %+v\nreplayed: %+v", i, want[i], got[i])
 		}
-		got := Collect(rec.Source(), 0)
-		if len(got) != len(want) {
-			t.Fatalf("replayed %d records, recorded %d", len(got), len(want))
+	}
+	return rec
+}
+
+// oneFieldOff returns draw streams whose last record differs by d from the
+// replay cursor's derivation in exactly one field: the DstVal of a
+// non-load, Addr, Taken (any d != 0 sets it) or NextPC. Each stream is a
+// loop of a body at PC 0 that writes none of its inputs and jmp @0 at PC 1:
+// both are drawn verbatim, replayed once as the cursor derives them, and
+// then the body comes once more, off by d. So with d = 0 the last record
+// is the cursor's own.
+func oneFieldOff(d int64) []fieldOff {
+	add := Record{NextPC: 1, Instr: isa.Instruction{Op: isa.ADD, Dst: 3, Src1: 1, Src2: 2}, SrcVals: [2]int64{4, -9}, DstVal: -5}
+	st := Record{NextPC: 1, Instr: isa.Instruction{Op: isa.ST, Src1: 1, Src2: 2, Imm: 8}, SrcVals: [2]int64{16, 7}, Addr: 24}
+	bne := Record{NextPC: 1, Instr: isa.Instruction{Op: isa.BNE, Src1: 1, Src2: 2}, SrcVals: [2]int64{5, 5}}
+	dst, addr, taken, next := add, st, bne, add
+	dst.DstVal += d
+	addr.Addr += d
+	taken.Taken = d != 0
+	next.NextPC += int(d)
+	jmp := recordDraw(Record{Instr: isa.Instruction{Op: isa.JMP}, PC: 1, Taken: true})
+	loop := func(body, last Record) []byte {
+		return seedDraws(recordDraw(body), jmp, predictedDraws(0, 0), recordDraw(last))
+	}
+	return []fieldOff{
+		{"DstVal", loop(add, dst)},
+		{"Addr", loop(st, addr)},
+		{"Taken", loop(bne, taken)},
+		{"NextPC", loop(add, next)},
+	}
+}
+
+// fieldOff is one oneFieldOff stream: the field that is off, and the draws.
+type fieldOff struct {
+	field string
+	draws []byte
+}
+
+// TestRecordingOneFieldOff runs the one-field-off streams: the last record
+// is regular as the cursor derives it, and stored verbatim once one
+// derived field is off.
+func TestRecordingOneFieldOff(t *testing.T) {
+	exact, off := oneFieldOff(0), oneFieldOff(1)
+	for i := range exact {
+		if rec := roundTripDraws(t, exact[i].draws); !slices.Equal(rec.irregIdx, []int{0, 1}) {
+			t.Errorf("%s exact: irregular records %v, want the loop's first visits [0 1]", exact[i].field, rec.irregIdx)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("record %d changed in the round trip\nrecorded: %+v\nreplayed: %+v", i, want[i], got[i])
+		if rec := roundTripDraws(t, off[i].draws); !slices.Equal(rec.irregIdx, []int{0, 1, 4}) {
+			t.Errorf("%s off by one: irregular records %v, want [0 1 4]", off[i].field, rec.irregIdx)
+		}
+	}
+}
+
+// TestRebuildsEveryField perturbs each field of a record the cursor
+// rebuilds, one at a time, found by reflection so that a field added to
+// Record is covered too: the encoder's check must reject every one.
+func TestRebuildsEveryField(t *testing.T) {
+	x := NewExec([]isa.Instruction{{Op: isa.ADDI, Dst: 1, Src1: 2, Imm: 3}}, 0)
+	x.Regs[2] = 5
+	tmpl := x.expected()
+	var r Record
+	x.rebuild(&r, tmpl, 0)
+	if !x.rebuilds(&r, tmpl) {
+		t.Fatalf("the cursor's own record %+v is not regular", r)
+	}
+	fields := 0
+	var perturb func(v reflect.Value, path string)
+	perturb = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				perturb(v.Field(i), path+"."+v.Type().Field(i).Name)
 			}
+			return
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				perturb(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+			return
 		}
-	})
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint8:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("%s: no perturbation for kind %s", path, v.Kind())
+		}
+		if x.rebuilds(&r, tmpl) {
+			t.Errorf("%s perturbed: the check still calls %+v regular", path, r)
+		}
+		v.Set(old)
+		fields++
+	}
+	perturb(reflect.ValueOf(&r).Elem(), "Record")
+	if top := reflect.TypeOf(r).NumField(); fields < top {
+		t.Errorf("perturbed %d scalars, fewer than Record's %d fields", fields, top)
+	}
 }
 
 // codeDraw encodes one code-space draw of FuzzRecordingRoundTrip: in at pc,
 // continuing at next, having read v0 and v1 and produced dst.
 func codeDraw(pc, next byte, in isa.Instruction, v0, v1, dst int64) []byte {
-	b := []byte{1, pc, next, byte(in.Target), byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2), 0, byte(int8(in.Imm))}
-	for _, v := range []int64{v0, v1, dst, 0} {
+	return recordDraw(Record{PC: int(pc), NextPC: int(next), Instr: in, SrcVals: [2]int64{v0, v1}, DstVal: dst})
+}
+
+// recordDraw encodes a code-space draw of FuzzRecordingRoundTrip that yields
+// r with the stream's Seq. r's PCs and target must be below 16 and its
+// immediate must fit a byte; its SrcRegs and NSrc follow from Instr, and
+// only a memory op keeps its Addr.
+func recordDraw(r Record) []byte {
+	in := r.Instr
+	var taken byte
+	if r.Taken {
+		taken = 1
+	}
+	b := []byte{1, byte(r.PC), byte(r.NextPC), byte(in.Target), byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2), taken, byte(int8(in.Imm))}
+	for _, v := range []int64{r.SrcVals[0], r.SrcVals[1], r.DstVal, r.Addr} {
 		b = binary.BigEndian.AppendUint64(b, uint64(v))
 	}
 	return b

@@ -22,14 +22,17 @@ import (
 // load's result depends on memory the cursor does not model, so each load
 // stores its value as a zigzag varint.
 //
-// A record is regular when that re-execution rebuilds it exactly, and the
-// encoder checks this by running the cursor's own rebuild and comparing
-// every field. An irregular record is kept verbatim, and a sorted list of
-// their indices tells the cursor where they fall. A misprediction therefore
-// costs bytes, never correctness. On emulator traces only the first visit
-// of each static PC is irregular: the emulator executes with the same
-// rules over the whole program, so once the cursor has learned a PC's
-// template its shadow registers mirror the emulator's.
+// A record is regular when that re-execution rebuilds it exactly. The
+// encoder checks this in place, without building the cursor's record: the
+// record's Seq, PC, instruction and sources must match the template and the
+// shadow registers, and its DstVal, Addr, Taken and NextPC what the
+// derivation rules, which rebuild shares, produce from them. An irregular
+// record is kept verbatim, and a sorted list of their indices tells the
+// cursor where they fall. A misprediction therefore costs bytes, never
+// correctness. On emulator traces only the first visit of each static PC
+// is irregular: the emulator executes with the same rules over the whole
+// program, so once the cursor has learned a PC's template its shadow
+// registers mirror the emulator's.
 type Recording struct {
 	n         int
 	loads     []byte // zigzag varint DstVal of each regular load, in order
@@ -137,7 +140,7 @@ type template struct {
 // Exec is the executor a Recording is built on: the template of each
 // static PC, a shadow register file, and the PC and Seq it expects next.
 // A replay cursor and the encoder run one over the records they meet, the
-// encoder to predict what the cursor will rebuild. The emulator runs one
+// encoder to check what the cursor will rebuild. The emulator runs one
 // over a whole program and adds only the data memory that loads read and
 // stores write.
 type Exec struct {
@@ -166,45 +169,73 @@ func NewExec(code []isa.Instruction, entry int) Exec {
 // zero for the caller to fill before Advance.
 func (x *Exec) Rebuild(r *Record) { x.rebuild(r, &x.code[x.PC], 0) }
 
+// expected returns the template at x's expected PC, or nil if there is none
+// to re-execute: a record there can only be stored verbatim.
+func (x *Exec) expected() *template {
+	if pc := x.PC; pc >= 0 && pc < len(x.code) && x.code[pc].derive != deriveNone {
+		return &x.code[pc]
+	}
+	return nil
+}
+
 // rebuild writes into r the record x re-executes at its expected PC, whose
 // template is t (never deriveNone). load is the result of a load; other
 // derivations ignore it.
 func (x *Exec) rebuild(r *Record, t *template, load int64) {
-	a, b := x.Regs[t.srcRegs[0]], x.Regs[t.srcRegs[1]]
+	a, b := x.inputs(r, t)
+	r.DstVal, r.Addr, r.Taken, r.NextPC = t.results(x.PC, a, b, load)
+}
+
+// inputs writes into r what x takes from the template t and the shadow
+// registers, and returns the source values.
+func (x *Exec) inputs(r *Record, t *template) (a, b int64) {
+	a, b = x.Regs[t.srcRegs[0]], x.Regs[t.srcRegs[1]]
 	r.Seq = x.Seq
 	r.PC = x.PC
 	r.Instr = t.instr
 	r.NSrc = t.nsrc
 	r.SrcRegs = t.srcRegs
 	r.SrcVals = [2]int64{a, b}
-	r.DstVal = 0
-	r.Addr = 0
-	r.Taken = false
-	r.NextPC = x.PC + 1
+	return a, b
+}
+
+// rebuilds reports whether rebuild with template t (never deriveNone),
+// given r's DstVal as a load's result, would write r exactly, field for
+// field. It is the encoder's check, made without writing a record.
+func (x *Exec) rebuilds(r *Record, t *template) bool {
+	a, b := x.Regs[t.srcRegs[0]], x.Regs[t.srcRegs[1]]
+	if r.Seq != x.Seq || r.PC != x.PC || r.Instr != t.instr || r.NSrc != t.nsrc ||
+		r.SrcRegs != t.srcRegs || r.SrcVals != [2]int64{a, b} {
+		return false
+	}
+	dst, addr, taken, next := t.results(x.PC, a, b, r.DstVal)
+	return r.DstVal == dst && r.Addr == addr && r.Taken == taken && r.NextPC == next
+}
+
+// results re-executes t at pc on source values a and b, returning the
+// DstVal, Addr, Taken and NextPC they produce. A load's DstVal depends on
+// memory the executor does not model, so it is load. These are the
+// derivation rules, written once for rebuild and the encoder's check.
+func (t *template) results(pc int, a, b, load int64) (dst, addr int64, taken bool, next int) {
 	switch t.derive {
 	case deriveEval:
-		r.DstVal = isa.Eval(t.instr.Op, a, b, t.instr.Imm)
+		return isa.Eval(t.instr.Op, a, b, t.instr.Imm), 0, false, pc + 1
 	case deriveLoad:
-		r.Addr = a + t.instr.Imm
-		r.DstVal = load
+		return load, a + t.instr.Imm, false, pc + 1
 	case deriveStore:
-		r.Addr = a + t.instr.Imm
+		return 0, a + t.instr.Imm, false, pc + 1
 	case deriveBranch:
 		if isa.BranchTaken(t.instr.Op, a, b) {
-			r.Taken = true
-			r.NextPC = t.instr.Target
+			return 0, 0, true, t.instr.Target
 		}
 	case deriveJump:
-		r.Taken = true
-		r.NextPC = t.instr.Target
+		return 0, 0, true, t.instr.Target
 	case deriveLink:
-		r.DstVal = int64(x.PC + 1)
-		r.Taken = true
-		r.NextPC = t.instr.Target
+		return int64(pc + 1), 0, true, t.instr.Target
 	case deriveIndirect:
-		r.Taken = true
-		r.NextPC = int(a)
+		return 0, 0, true, int(a)
 	}
+	return 0, 0, false, pc + 1
 }
 
 // learn takes what an irregular record r teaches: the values of the
@@ -232,34 +263,45 @@ func (x *Exec) learn(r *Record) {
 // (R0 stays zero) and the next record is expected at r.NextPC with the
 // following Seq.
 func (x *Exec) Advance(r *Record) {
-	if r.Instr.Dst != isa.R0 && isa.WritesReg(r.Instr.Op) {
+	if r.Instr.Dst != isa.R0 && writesReg[r.Instr.Op] {
 		x.Regs[r.Instr.Dst] = r.DstVal
 	}
 	x.PC = r.NextPC
 	x.Seq = r.Seq + 1
 }
 
+// writesReg is isa.WritesReg as a table over every opcode byte: Advance
+// runs once per record in the emulator, the encoder and every cursor, and
+// a load is cheaper there than the switch.
+var writesReg = func() (w [256]bool) {
+	for op := range w {
+		w[op] = isa.WritesReg(isa.Op(op))
+	}
+	return w
+}()
+
 // encoder builds a Recording one record at a time.
 type encoder struct {
-	x    Exec
-	rec  Recording
-	pred Record
+	x   Exec
+	rec Recording
 }
 
 func (e *encoder) append(r *Record) {
 	i := e.rec.n
 	e.rec.n++
-	if pc := e.x.PC; pc >= 0 && pc < len(e.x.code) && e.x.code[pc].derive != deriveNone {
-		t := &e.x.code[pc]
-		e.x.rebuild(&e.pred, t, r.DstVal)
-		if e.pred == *r {
-			if t.derive == deriveLoad {
-				e.rec.loads = binary.AppendVarint(e.rec.loads, r.DstVal)
-			}
-			e.x.Advance(r)
-			return
+	if t := e.x.expected(); t != nil && e.x.rebuilds(r, t) {
+		if t.derive == deriveLoad {
+			e.rec.loads = binary.AppendVarint(e.rec.loads, r.DstVal)
 		}
+		e.x.Advance(r)
+		return
 	}
+	e.verbatim(r, i)
+}
+
+// verbatim stores r, record i, as an irregular record and learns from it.
+// It is apart from append so that the regular path keeps a small frame.
+func (e *encoder) verbatim(r *Record, i int) {
 	e.rec.irregIdx = append(e.rec.irregIdx, i)
 	e.rec.irregular = append(e.rec.irregular, *r)
 	if r.PC >= len(e.x.code) && r.PC < maxCodeLen {
@@ -343,7 +385,10 @@ func (s *MemorySource) NextRef() (*Record, bool) {
 		load = v
 		s.li += n
 	}
-	s.x.rebuild(r, t, load)
+	// rebuild, spelled out because it is too large to inline: the replay
+	// loop then makes one call per record besides isa's.
+	a, b := s.x.inputs(r, t)
+	r.DstVal, r.Addr, r.Taken, r.NextPC = t.results(s.x.PC, a, b, load)
 	s.x.Advance(r)
 	return r, true
 }
