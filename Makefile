@@ -47,8 +47,9 @@ check:
 # Ten seconds of native fuzzing per target on the decoders of untrusted or
 # round-tripped input: the VSTR trace codec, the compact trace recording,
 # the assembler, the binary program reader and the job service's submit
-# path; and on random programs run by the emulator and its reference. Go
-# fuzzes one target per invocation, hence one line each.
+# path; on random programs run by the emulator and its reference; and on
+# random streams run by each value predictor and its full-size-table
+# reference. Go fuzzes one target per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVSTRRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/program
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./internal/jobs
 	$(GO) test -run '^$$' -fuzz '^FuzzEmulatorMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/emu
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictorsMatchReference$$' -fuzztime $(FUZZTIME) ./internal/vpred
 
 # Race-enabled run of just the concurrency-bearing packages (the harness
 # worker pool plus the observability stack it publishes through), for quick

@@ -44,7 +44,9 @@ import (
 // benchmarks don't silently join the gate without a baseline entry.
 var targets = []struct{ pkg, pattern string }{
 	{"./internal/cpu", "^(BenchmarkEmitNilObserver|BenchmarkWakeup|BenchmarkPipelineSteadyState|BenchmarkReplayRequeue|BenchmarkReadyQueueWide|BenchmarkBitsetSelect|BenchmarkIntervalSampler)$"},
-	{"./internal/harness", "^BenchmarkSimulateAllCached$"},
+	// BenchmarkSpareFootprint's work counters are the table bytes a spec's
+	// spare holds and the bytes its Reset writes.
+	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkSpareFootprint)$"},
 	// BenchmarkRecordKernels is the trace cache's cold start: its work
 	// counters pin every kernel's recording length, verbatim records and
 	// bytes.

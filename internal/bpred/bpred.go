@@ -10,11 +10,13 @@
 // the only source of control misspeculation is conditional-branch direction.
 package bpred
 
-// Gshare is the paper's branch direction predictor.
+// Gshare is the paper's branch direction predictor. Its 2-bit counters are
+// packed four to a byte, counter i in bits 2(i&3) and 2(i&3)+1 of byte
+// i>>2, so the paper's 64K counters take 16 KiB.
 type Gshare struct {
 	historyBits uint
 	history     uint64
-	table       []uint8 // 2-bit saturating counters, taken if >= 2
+	table       []uint8 // packed 2-bit saturating counters, taken if >= 2
 
 	// Stats
 	Lookups int64
@@ -25,12 +27,13 @@ type Gshare struct {
 // and a table of 1<<historyBits 2-bit counters (16 bits / 64K entries in the
 // paper). Counters start weakly taken.
 func NewGshare(historyBits uint) *Gshare {
-	g := &Gshare{historyBits: historyBits, table: make([]uint8, 1<<historyBits)}
-	for i := range g.table {
-		g.table[i] = 2 // weakly taken
-	}
+	g := &Gshare{historyBits: historyBits, table: make([]uint8, (1<<historyBits+3)/4)}
+	g.Reset()
 	return g
 }
+
+// weaklyTaken is a table byte of four counters at 2, weakly taken.
+const weaklyTaken = 0xAA
 
 // HistoryBits returns the global-history length, which also sizes the
 // counter table.
@@ -44,25 +47,35 @@ func (g *Gshare) index(pc int) uint64 {
 	return (g.history ^ uint64(pc)) & mask
 }
 
+// counter returns the byte holding the counter that pc indexes and the
+// counter's shift within it.
+func (g *Gshare) counter(pc int) (*uint8, uint) {
+	idx := g.index(pc)
+	return &g.table[idx>>2], uint(idx&3) * 2
+}
+
 // Predict returns the predicted direction for the conditional branch at pc.
 func (g *Gshare) Predict(pc int) bool {
-	return g.table[g.index(pc)] >= 2
+	b, sh := g.counter(pc)
+	return *b>>sh&3 >= 2
 }
 
 // PredictAndUpdate predicts the branch at pc, then immediately trains the
 // predictor with the actual outcome (the paper's update discipline). It
 // reports the predicted direction and whether it was correct.
 func (g *Gshare) PredictAndUpdate(pc int, taken bool) (pred, correct bool) {
-	idx := g.index(pc)
-	pred = g.table[idx] >= 2
+	b, sh := g.counter(pc)
+	c := *b >> sh & 3
+	pred = c >= 2
 	correct = pred == taken
 
+	// The counter saturates, so the step never carries into its neighbour.
 	if taken {
-		if g.table[idx] < 3 {
-			g.table[idx]++
+		if c < 3 {
+			*b += 1 << sh
 		}
-	} else if g.table[idx] > 0 {
-		g.table[idx]--
+	} else if c > 0 {
+		*b -= 1 << sh
 	}
 	g.history = g.history << 1
 	if taken {
@@ -88,7 +101,7 @@ func (g *Gshare) Accuracy() float64 {
 func (g *Gshare) Reset() {
 	g.history = 0
 	for i := range g.table {
-		g.table[i] = 2
+		g.table[i] = weaklyTaken
 	}
 	g.Lookups, g.Correct = 0, 0
 }

@@ -98,7 +98,7 @@ func TestHistoryDistinguishesPaths(t *testing.T) {
 
 func TestDefaultConfiguration(t *testing.T) {
 	g := Default()
-	if len(g.table) != 1<<16 {
-		t.Errorf("default table has %d entries, want 64K", len(g.table))
+	if n := 4 * len(g.table); n != 1<<16 {
+		t.Errorf("default table has %d counters, want 64K", n)
 	}
 }

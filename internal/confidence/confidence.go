@@ -8,6 +8,8 @@
 // on the predictions that will be correct.
 package confidence
 
+import "valuespec/internal/pctable"
+
 // Estimator decides whether to speculate on a value prediction.
 //
 // willBeCorrect is the ground-truth outcome of the prediction, available to
@@ -22,11 +24,11 @@ type Estimator interface {
 	Reset()
 }
 
-// Resetting is the paper's table of saturating, resetting counters.
+// Resetting is the paper's table of saturating, resetting counters. The
+// table holds only the PCs its program writes (see pctable).
 type Resetting struct {
-	bits  uint
 	max   uint8
-	table []uint8
+	table pctable.Table[uint8]
 }
 
 var _ Estimator = (*Resetting)(nil)
@@ -38,40 +40,31 @@ func NewResetting(tableBits, counterBits uint) *Resetting {
 		panic("confidence: counterBits must be in [1,7]")
 	}
 	return &Resetting{
-		bits:  tableBits,
 		max:   uint8(1)<<counterBits - 1,
-		table: make([]uint8, 1<<tableBits),
+		table: pctable.New[uint8](tableBits),
 	}
 }
 
 // Default returns the paper's 64K-entry, 3-bit configuration.
 func Default() *Resetting { return NewResetting(16, 3) }
 
-func (r *Resetting) index(pc int) uint32 { return uint32(pc) & (uint32(1)<<r.bits - 1) }
-
 // Confident implements Estimator: confident only at counter saturation.
 func (r *Resetting) Confident(pc int, willBeCorrect bool) bool {
-	return r.table[r.index(pc)] == r.max
+	return r.table.Get(r.table.Index(pc)) == r.max
 }
 
 // Update implements Estimator: increment on correct, reset on incorrect.
 func (r *Resetting) Update(pc int, correct bool) {
-	idx := r.index(pc)
-	if correct {
-		if r.table[idx] < r.max {
-			r.table[idx]++
-		}
-	} else {
-		r.table[idx] = 0
+	idx := r.table.Index(pc)
+	if c := r.table.Get(idx); !correct {
+		r.table.Set(idx, 0)
+	} else if c < r.max {
+		r.table.Set(idx, c+1)
 	}
 }
 
 // Reset implements Estimator.
-func (r *Resetting) Reset() {
-	for i := range r.table {
-		r.table[i] = 0
-	}
-}
+func (r *Resetting) Reset() { r.table.Reset() }
 
 // Max returns the saturation value of the counters.
 func (r *Resetting) Max() uint8 { return r.max }

@@ -404,11 +404,7 @@ func ScalingSweep(model core.Model, set Setting, workloads []bench.Workload,
 		if err != nil {
 			return nil, err
 		}
-		ipcs := make([]float64, 0, len(base))
-		for _, v := range base {
-			ipcs = append(ipcs, v)
-		}
-		baseHM, err := stats.HarmonicMean(ipcs)
+		baseHM, err := harmonicMeanByName(base)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,9 +126,10 @@ func Simulate(spec Spec) (Result, error) { return simulate(spec, nil) }
 // spare is the reusable state of one simulation: a pipeline, and the
 // paper's FCM and resetting-confidence tables. simulate takes a spare from
 // the pool and returns it when its spec ends, so the specs of a sweep clear
-// ~2 MB of tables with their Reset instead of allocating them afresh. A
-// spec with its own predictor or confidence factory still gets a fresh one
-// from it.
+// their tables with Reset instead of allocating them afresh: ~0.9 MiB per
+// spare, since the PC-indexed tables hold only the entries a program writes
+// (BenchmarkSpareFootprint gates the bytes exactly). A spec with its own
+// predictor or confidence factory still gets a fresh one from it.
 type spare struct {
 	p    cpu.Pipeline
 	fcm  *vpred.FCM
@@ -491,11 +493,7 @@ func Fig3FromResults(baseResults, results []Result) ([]Fig3Cell, error) {
 	out := make([]Fig3Cell, 0, len(order))
 	for _, key := range order {
 		cell := cells[key]
-		vals := make([]float64, 0, len(cell.PerWkld))
-		for _, v := range cell.PerWkld {
-			vals = append(vals, v)
-		}
-		hm, err := stats.HarmonicMean(vals)
+		hm, err := harmonicMeanByName(cell.PerWkld)
 		if err != nil {
 			return nil, err
 		}
@@ -503,6 +501,23 @@ func Fig3FromResults(baseResults, results []Result) ([]Fig3Cell, error) {
 		out = append(out, *cell)
 	}
 	return out, nil
+}
+
+// harmonicMeanByName returns the harmonic mean of per-workload values,
+// folded in workload-name order: floating-point addition is not
+// associative, so folding in map iteration order would change the mean's
+// last bits from run to run.
+func harmonicMeanByName(perWkld map[string]float64) (float64, error) {
+	names := make([]string, 0, len(perWkld))
+	for name := range perWkld {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	vals := make([]float64, len(names))
+	for i, name := range names {
+		vals[i] = perWkld[name]
+	}
+	return stats.HarmonicMean(vals)
 }
 
 // Fig4Cell is one stacked bar of the paper's Fig. 4: the arithmetic-mean

@@ -111,14 +111,33 @@ func TestResultsReleasePipelines(t *testing.T) {
 // TestSimulateRecyclesTables checks that specs recycle their tables: once
 // a spec has run, a second default spec resets the spare pipeline, FCM and
 // confidence tables the first one left in the pool, and allocates little
-// beyond its replay cursor. Building them afresh allocates ~2.2 MB.
+// beyond its replay cursor. It also bounds what a fresh spare allocates,
+// ~0.9 MiB: the PC-indexed tables hold only what the program writes, and
+// the largest remaining tables are the FCM's 512 KiB prediction table and
+// the 256 KiB L2 (a fresh spare allocated ~2.2 MB when every table held
+// its modeled size).
 func TestSimulateRecyclesTables(t *testing.T) {
 	w := bench.All()[0]
 	cache := NewTraceCache()
 	great := core.Great()
 	spec := Spec{Workload: w, Scale: 1, Config: cpu.Config8x48(), Model: &great}
-	if _, err := simulate(spec, cache); err != nil {
+	if _, err := simulate(spec, cache); err != nil { // records the trace
 		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, _, err := newPipeline(spec, cache, new(spare))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fresh := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a default spec on a fresh spare allocated %d KiB", fresh>>10)
+	if fresh >= 1<<20 {
+		t.Errorf("a default spec on a fresh spare allocated %d KiB, want under 1 MiB", fresh>>10)
 	}
 	// A sync.Pool may drop a spare (at random under the race detector, or
 	// when the goroutine moves to another P), so take the least of a few

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"valuespec/internal/cpu"
+	"valuespec/internal/obs"
 )
 
 // BenchmarkJobStorePutGet measures one store round trip: marshal + atomic
 // write + read back of a small result set. This is the per-job durability
 // overhead the daemon pays on top of simulation time.
 func BenchmarkJobStorePutGet(b *testing.B) {
-	s, err := OpenStore(b.TempDir())
+	s, err := OpenStore(b.TempDir(), obs.NopLogger())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func Open(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := OpenStore(cfg.DataDir + "/results")
+	store, err := OpenStore(cfg.DataDir+"/results", cfg.Logger)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,11 +11,13 @@ import (
 )
 
 // Store is the content-addressed result store: one JSON file per canonical
-// spec hash under its directory. Writes are atomic (temp file + rename), so
-// a crash mid-Put never leaves a truncated result behind; a Get only ever
-// sees complete sets. Identical requests — whoever submits them, whenever —
-// address the same entry, which is what makes deduplication a lookup.
-// Safe for concurrent use.
+// spec hash under its directory. Writes are atomic and durable (temp file,
+// fsync, rename, fsync of the directory), so a crash mid-Put never leaves a
+// truncated result behind, and a Put that returned survives a power loss:
+// the journal records a job done only after its result is stored. A Get
+// only ever sees complete sets. Identical requests — whoever submits them,
+// whenever — address the same entry, which is what makes deduplication a
+// lookup. Safe for concurrent use.
 type Store struct {
 	dir string
 
@@ -24,8 +27,12 @@ type Store struct {
 }
 
 // OpenStore opens (creating if needed) the store rooted at dir and indexes
-// the results already on disk.
-func OpenStore(dir string) (*Store, error) {
+// the results already on disk. It skips, and logs to logger, an empty result
+// file, which only a crash of a store without durable writes leaves behind:
+// indexing it would answer every resubmission of its spec as a dedup hit
+// whose result can never be read. Skipped, the spec simulates afresh and
+// its Put replaces the file.
+func OpenStore(dir string, logger *slog.Logger) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: store: %w", err)
 	}
@@ -45,6 +52,10 @@ func OpenStore(dir string) (*Store, error) {
 		}
 		info, err := e.Info()
 		if err != nil {
+			continue
+		}
+		if info.Size() == 0 {
+			logger.Warn("empty result file skipped; its spec will simulate afresh", "spec_hash", hash)
 			continue
 		}
 		s.sizes[hash] = info.Size()
@@ -98,7 +109,8 @@ func (s *Store) Get(hash string) (*ResultSet, bool, error) {
 	return &rs, true, nil
 }
 
-// Put stores rs under its spec hash, atomically. Re-putting an existing
+// Put stores rs under its spec hash, atomically and durably: the result is
+// on disk under its final name when Put returns. Re-putting an existing
 // hash rewrites it in place (the simulator is deterministic, so the bytes
 // can only match).
 func (s *Store) Put(rs *ResultSet) error {
@@ -119,12 +131,20 @@ func (s *Store) Put(rs *ResultSet) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("jobs: store: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("jobs: store: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("jobs: store: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), s.path(rs.SpecHash)); err != nil {
 		os.Remove(tmp.Name())
+		return fmt.Errorf("jobs: store: %w", err)
+	}
+	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("jobs: store: %w", err)
 	}
 	s.mu.Lock()
@@ -146,4 +166,17 @@ func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytes
+}
+
+// syncDir fsyncs directory dir, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

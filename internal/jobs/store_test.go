@@ -1,17 +1,19 @@
 package jobs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"valuespec/internal/cpu"
+	"valuespec/internal/obs"
 )
 
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStore(dir, obs.NopLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// Reopening indexes what is on disk.
-	s2, err := OpenStore(dir)
+	s2, err := OpenStore(dir, obs.NopLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestStoreRoundTrip(t *testing.T) {
 // 64-char lowercase hex may address the store.
 func TestStoreRejectsMalformedHashes(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStore(dir, obs.NopLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +82,70 @@ func TestStoreRejectsMalformedHashes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "junk.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStore(dir)
+	s2, err := OpenStore(dir, obs.NopLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Len() != 0 {
 		t.Errorf("junk file indexed: len=%d", s2.Len())
+	}
+}
+
+// TestStoreSkipsEmptyResult plants what a power loss could leave behind
+// when a stored result was renamed into place unsynced: a done job whose
+// result file is empty. The reopened store must skip and log the entry, so
+// a resubmission simulates afresh instead of deduping to a result nobody
+// can read, and the fresh result is then served to both jobs.
+func TestStoreSkipsEmptyResult(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(Config{DataDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Start()
+	req := Request{Specs: []SimSpec{{Workload: "xlisp", Scale: 1}}}
+	job, _, err := s1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job = waitJob(t, s1, job.ID); job.State != StateDone {
+		t.Fatalf("job finished %s (%s), want done", job.State, job.Error)
+	}
+	s1.Close()
+	if err := os.Truncate(filepath.Join(dir, "results", job.SpecHash+".json"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	logger, err := obs.NewLogger(&logs, "warn", "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Config{DataDir: dir, Workers: 1, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Start()
+	if s2.Store().Has(job.SpecHash) || s2.Store().Len() != 0 {
+		t.Errorf("reopened store indexes the empty entry: has=%v len=%d", s2.Store().Has(job.SpecHash), s2.Store().Len())
+	}
+	again, deduped, err := s2.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deduped {
+		t.Fatal("the resubmission was answered from the empty entry")
+	}
+	if again = waitJob(t, s2, again.ID); again.State != StateDone {
+		t.Fatalf("resubmission finished %s (%s), want done", again.State, again.Error)
+	}
+	for _, id := range []string{again.ID, job.ID} {
+		if rs, err := s2.Result(id); err != nil || len(rs.Results) != 1 || rs.Results[0].Stats.Retired == 0 {
+			t.Errorf("result of job %s: %+v, %v", id, rs, err)
+		}
+	}
+	s2.Close()
+	if !strings.Contains(logs.String(), job.SpecHash) {
+		t.Errorf("no warning names the skipped entry; logs:\n%s", logs.String())
 	}
 }

@@ -43,11 +43,17 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
+// line is one cache line, 16 bytes, so a 4-way set fills one 64-byte host
+// cache line. It has no valid bit: an access stamps its line with the
+// cache's clock, which counts accesses from 1 after a Reset, so a line is
+// valid exactly when its stamp is non-zero.
 type line struct {
-	tag   uint64
-	valid bool
-	lru   uint64 // larger = more recently used
+	tag uint64
+	lru uint64 // larger = more recently used; 0 = invalid
 }
+
+// valid reports whether l holds a block.
+func (l *line) valid() bool { return l.lru != 0 }
 
 // Cache is a set-associative cache with true-LRU replacement. The sets live
 // in one flat slice, set s at lines[s*assoc:(s+1)*assoc]: one allocation
@@ -100,21 +106,20 @@ func (c *Cache) Access(addr uint64) bool {
 	set := c.set(block)
 	tag := block >> c.tagShift
 
+	// The victim is the last invalid line, or else the least recently used:
+	// an invalid line's stamp, 0, is below every valid one.
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag && set[i].valid() {
 			set[i].lru = c.clock
 			return true
 		}
-		if set[i].lru < set[victim].lru || !set[victim].valid && set[i].lru == set[victim].lru {
-			victim = i
-		}
-		if !set[i].valid {
+		if l := set[i].lru; l < set[victim].lru || l == 0 {
 			victim = i
 		}
 	}
 	c.Misses++
-	set[victim] = line{tag: tag, valid: true, lru: c.clock}
+	set[victim] = line{tag: tag, lru: c.clock}
 	return false
 }
 
@@ -213,7 +218,7 @@ func (h *Hierarchy) DataHit(addr uint64) bool {
 	set := h.l1d.set(block)
 	tag := block >> h.l1d.tagShift
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag && set[i].valid() {
 			return true
 		}
 	}

@@ -1,5 +1,7 @@
 package vpred
 
+import "valuespec/internal/pctable"
+
 // Hybrid is a two-component tournament predictor: a stride predictor and a
 // context-based FCM arbitrated by per-PC 2-bit chooser counters. The paper's
 // related work (Section 3) points at hybrid organizations as the natural
@@ -8,8 +10,7 @@ package vpred
 type Hybrid struct {
 	stride  *Stride
 	fcm     *FCM
-	bits    uint
-	chooser []uint8 // >= 2 selects the FCM
+	chooser pctable.Table[uint8] // per-PC 2-bit counters; >= 2 selects the FCM
 
 	// In-flight prediction state, addressed by a ring cookie. The ring only
 	// needs to cover predictions outstanding between Lookup and training,
@@ -31,13 +32,8 @@ func NewHybrid(bits uint, fcmCfg FCMConfig) *Hybrid {
 	return &Hybrid{
 		stride:  NewStride(bits),
 		fcm:     NewFCM(fcmCfg),
-		bits:    bits,
-		chooser: make([]uint8, 1<<bits),
+		chooser: pctable.New[uint8](bits),
 	}
-}
-
-func (h *Hybrid) slot(pc int) *uint8 {
-	return &h.chooser[uint32(pc)&(uint32(1)<<h.bits-1)]
 }
 
 // Lookup implements Predictor.
@@ -47,7 +43,7 @@ func (h *Hybrid) Lookup(pc int) (int64, uint64) {
 	ck := h.next % uint64(len(h.ring))
 	h.next++
 	h.ring[ck] = hybridSlot{strideCk: sck, fcmCk: fck, stridePred: sp, fcmPred: fp}
-	if *h.slot(pc) >= 2 {
+	if h.chooser.Get(h.chooser.Index(pc)) >= 2 {
 		return fp, ck
 	}
 	return sp, ck
@@ -57,12 +53,12 @@ func (h *Hybrid) Lookup(pc int) (int64, uint64) {
 // disagree in correctness.
 func (h *Hybrid) train(pc int, s hybridSlot, actual int64) {
 	strideOK, fcmOK := s.stridePred == actual, s.fcmPred == actual
-	c := h.slot(pc)
-	switch {
-	case fcmOK && !strideOK && *c < 3:
-		*c++
-	case strideOK && !fcmOK && *c > 0:
-		*c--
+	idx := h.chooser.Index(pc)
+	switch c := h.chooser.Get(idx); {
+	case fcmOK && !strideOK && c < 3:
+		h.chooser.Set(idx, c+1)
+	case strideOK && !fcmOK && c > 0:
+		h.chooser.Set(idx, c-1)
 	}
 }
 
@@ -91,9 +87,7 @@ func (h *Hybrid) TrainDelayed(pc int, cookie uint64, pred, actual int64) {
 func (h *Hybrid) Reset() {
 	h.stride.Reset()
 	h.fcm.Reset()
-	for i := range h.chooser {
-		h.chooser[i] = 0
-	}
+	h.chooser.Reset()
 	h.ring = [4096]hybridSlot{}
 	h.next = 0
 }

@@ -12,7 +12,12 @@
 //
 // Last-value and stride predictors are provided for the design-space
 // ablations discussed alongside the paper's related work.
+//
+// Every PC-indexed table here is a pctable.Table: it keeps the modeled size
+// and index, and holds only the entries its program writes.
 package vpred
+
+import "valuespec/internal/pctable"
 
 // Predictor is the interface between the pipeline and a value predictor.
 //
@@ -66,11 +71,11 @@ func DefaultFCMConfig() FCMConfig {
 // 1 bit per entry, so a recycled predictor has half as much to clear.
 type FCM struct {
 	cfg        FCMConfig
-	hist       []uint32 // per-PC speculative context
-	histArch   []uint32 // per-PC architectural context (delayed mode)
-	vals       []int64  // context-indexed predictions
-	counters   []uint64 // bitset: the 1-bit replacement counter of each vals entry
-	bitsPerVal uint     // context bits contributed by each value
+	hist       pctable.Table[uint32] // per-PC speculative context
+	histArch   pctable.Table[uint32] // per-PC architectural context (delayed mode)
+	vals       []int64               // context-indexed predictions
+	counters   []uint64              // bitset: the 1-bit replacement counter of each vals entry
+	bitsPerVal uint                  // context bits contributed by each value
 }
 
 var _ Predictor = (*FCM)(nil)
@@ -87,8 +92,8 @@ func NewFCM(cfg FCMConfig) *FCM {
 	}
 	return &FCM{
 		cfg:        cfg,
-		hist:       make([]uint32, 1<<cfg.HistoryBits),
-		histArch:   make([]uint32, 1<<cfg.HistoryBits),
+		hist:       pctable.New[uint32](cfg.HistoryBits),
+		histArch:   pctable.New[uint32](cfg.HistoryBits),
 		vals:       make([]int64, 1<<cfg.PredictionBits),
 		counters:   make([]uint64, (1<<cfg.PredictionBits+63)/64),
 		bitsPerVal: bpv,
@@ -97,10 +102,6 @@ func NewFCM(cfg FCMConfig) *FCM {
 
 // Config returns the predictor geometry.
 func (f *FCM) Config() FCMConfig { return f.cfg }
-
-func (f *FCM) pcIndex(pc int) uint32 {
-	return uint32(pc) & (uint32(1)<<f.cfg.HistoryBits - 1)
-}
 
 // foldValue hashes a 64-bit value down to the context bits contributed per
 // value, mixing all input bits so that small and large values spread.
@@ -120,31 +121,32 @@ func (f *FCM) pushContext(ctx uint32, v int64) uint32 {
 
 // Lookup implements Predictor. The cookie is the second-level index used.
 func (f *FCM) Lookup(pc int) (int64, uint64) {
-	ctx := f.hist[f.pcIndex(pc)]
+	ctx := f.hist.Get(f.hist.Index(pc))
 	return f.vals[ctx], uint64(ctx)
 }
 
 // TrainImmediate implements Predictor.
 func (f *FCM) TrainImmediate(pc int, cookie uint64, actual int64) {
-	idx := f.pcIndex(pc)
-	f.hist[idx] = f.pushContext(f.hist[idx], actual)
+	idx := f.hist.Index(pc)
+	f.hist.Set(idx, f.pushContext(f.hist.Get(idx), actual))
 	f.trainEntry(uint32(cookie), actual)
 }
 
 // SpeculateHistory implements Predictor.
 func (f *FCM) SpeculateHistory(pc int, pred int64) {
-	idx := f.pcIndex(pc)
-	f.hist[idx] = f.pushContext(f.hist[idx], pred)
+	idx := f.hist.Index(pc)
+	f.hist.Set(idx, f.pushContext(f.hist.Get(idx), pred))
 }
 
 // TrainDelayed implements Predictor.
 func (f *FCM) TrainDelayed(pc int, cookie uint64, pred, actual int64) {
-	idx := f.pcIndex(pc)
-	f.histArch[idx] = f.pushContext(f.histArch[idx], actual)
+	idx := f.histArch.Index(pc)
+	arch := f.pushContext(f.histArch.Get(idx), actual)
+	f.histArch.Set(idx, arch)
 	if pred != actual {
 		// The speculative history consumed a wrong value; recover it to the
 		// architectural sequence.
-		f.hist[idx] = f.histArch[idx]
+		f.hist.Set(idx, arch)
 	}
 	f.trainEntry(uint32(cookie), actual)
 }
@@ -167,8 +169,8 @@ func (f *FCM) trainEntry(ctx uint32, actual int64) {
 
 // Reset implements Predictor.
 func (f *FCM) Reset() {
-	clear(f.hist)
-	clear(f.histArch)
+	f.hist.Reset()
+	f.histArch.Reset()
 	clear(f.vals)
 	clear(f.counters)
 }
@@ -176,28 +178,25 @@ func (f *FCM) Reset() {
 // LastValue predicts that an instruction produces the same value as its
 // previous dynamic instance (Lipasti et al.). Used as an ablation baseline.
 type LastValue struct {
-	bits  uint
-	table []int64
+	table pctable.Table[int64]
 }
 
 var _ Predictor = (*LastValue)(nil)
 
 // NewLastValue returns a last-value predictor with 1<<bits entries.
 func NewLastValue(bits uint) *LastValue {
-	return &LastValue{bits: bits, table: make([]int64, 1<<bits)}
+	return &LastValue{table: pctable.New[int64](bits)}
 }
-
-func (l *LastValue) index(pc int) uint32 { return uint32(pc) & (uint32(1)<<l.bits - 1) }
 
 // Lookup implements Predictor.
 func (l *LastValue) Lookup(pc int) (int64, uint64) {
-	idx := l.index(pc)
-	return l.table[idx], uint64(idx)
+	idx := l.table.Index(pc)
+	return l.table.Get(idx), uint64(idx)
 }
 
 // TrainImmediate implements Predictor.
 func (l *LastValue) TrainImmediate(pc int, cookie uint64, actual int64) {
-	l.table[uint32(cookie)] = actual
+	l.table.Set(uint32(cookie), actual)
 }
 
 // SpeculateHistory implements Predictor: the last-value table *is* the
@@ -207,37 +206,29 @@ func (l *LastValue) SpeculateHistory(pc int, pred int64) {}
 
 // TrainDelayed implements Predictor.
 func (l *LastValue) TrainDelayed(pc int, cookie uint64, pred, actual int64) {
-	l.table[uint32(cookie)] = actual
+	l.table.Set(uint32(cookie), actual)
 }
 
 // Reset implements Predictor.
-func (l *LastValue) Reset() {
-	for i := range l.table {
-		l.table[i] = 0
-	}
-}
+func (l *LastValue) Reset() { l.table.Reset() }
 
 // Stride predicts value + stride from the last two dynamic instances
 // (Gabbay–Mendelson). Used as an ablation baseline.
 type Stride struct {
-	bits uint
-	last []int64
-	str  []int64
+	last, str pctable.Table[int64]
 }
 
 var _ Predictor = (*Stride)(nil)
 
 // NewStride returns a stride predictor with 1<<bits entries.
 func NewStride(bits uint) *Stride {
-	return &Stride{bits: bits, last: make([]int64, 1<<bits), str: make([]int64, 1<<bits)}
+	return &Stride{last: pctable.New[int64](bits), str: pctable.New[int64](bits)}
 }
-
-func (s *Stride) index(pc int) uint32 { return uint32(pc) & (uint32(1)<<s.bits - 1) }
 
 // Lookup implements Predictor.
 func (s *Stride) Lookup(pc int) (int64, uint64) {
-	idx := s.index(pc)
-	return s.last[idx] + s.str[idx], uint64(idx)
+	idx := s.last.Index(pc)
+	return s.last.Get(idx) + s.str.Get(idx), uint64(idx)
 }
 
 // TrainImmediate implements Predictor.
@@ -255,14 +246,12 @@ func (s *Stride) TrainDelayed(pc int, cookie uint64, pred, actual int64) {
 }
 
 func (s *Stride) train(idx uint32, actual int64) {
-	s.str[idx] = actual - s.last[idx]
-	s.last[idx] = actual
+	s.str.Set(idx, actual-s.last.Get(idx))
+	s.last.Set(idx, actual)
 }
 
 // Reset implements Predictor.
 func (s *Stride) Reset() {
-	for i := range s.last {
-		s.last[i] = 0
-		s.str[i] = 0
-	}
+	s.last.Reset()
+	s.str.Reset()
 }
