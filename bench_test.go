@@ -13,6 +13,7 @@
 package valuespec_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -29,6 +30,14 @@ import (
 // metricName sanitizes a label for b.ReportMetric (no whitespace allowed).
 func metricName(format string, args ...interface{}) string {
 	return strings.ReplaceAll(fmt.Sprintf(format, args...), " ", "_")
+}
+
+// runStudy simulates one study, failing the benchmark on error.
+func runStudy(b *testing.B, st harness.AnyStudy) {
+	b.Helper()
+	if err := harness.Run(context.Background(), st); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // benchWorkloads returns the suite scaled down for benchmarking.
@@ -115,16 +124,11 @@ func BenchmarkFig3ModelSpeedup(b *testing.B) {
 	for _, cfg := range cpu.PaperConfigs() {
 		cfg := cfg
 		b.Run(harness.ConfigName(cfg), func(b *testing.B) {
-			var cells []harness.Fig3Cell
-			var err error
+			st := harness.Fig3([]cpu.Config{cfg}, core.Presets(), harness.PaperSettings(), ws, 0)
 			for i := 0; i < b.N; i++ {
-				cells, err = harness.Fig3([]cpu.Config{cfg}, core.Presets(),
-					harness.PaperSettings(), ws, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
+				runStudy(b, st)
 			}
-			for _, c := range cells {
+			for _, c := range st.Out {
 				b.ReportMetric(c.Speedup, fmt.Sprintf("speedup[%s,%s]", c.Setting, c.Model))
 			}
 		})
@@ -138,15 +142,11 @@ func BenchmarkFig4Accuracy(b *testing.B) {
 	for _, cfg := range cpu.PaperConfigs() {
 		cfg := cfg
 		b.Run(harness.ConfigName(cfg), func(b *testing.B) {
-			var cells []harness.Fig4Cell
-			var err error
+			st := harness.Fig4([]cpu.Config{cfg}, ws, 0)
 			for i := 0; i < b.N; i++ {
-				cells, err = harness.Fig4([]cpu.Config{cfg}, ws, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
+				runStudy(b, st)
 			}
-			for _, c := range cells {
+			for _, c := range st.Out {
 				b.ReportMetric(100*(c.CH+c.CL), fmt.Sprintf("correct%%[%s]", c.Update))
 				b.ReportMetric(100*c.IH, fmt.Sprintf("IH%%[%s]", c.Update))
 			}
@@ -159,15 +159,11 @@ func BenchmarkFig4Accuracy(b *testing.B) {
 func BenchmarkAblationLatency(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var points []harness.LatencyPoint
-	var err error
+	st := harness.LatencySensitivity(cpu.Config8x48(), core.Great(), set, ws, 0, 2)
 	for i := 0; i < b.N; i++ {
-		points, err = harness.LatencySensitivity(cpu.Config8x48(), core.Great(), set, ws, 0, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, p := range points {
+	for _, p := range st.Out {
 		b.ReportMetric(p.Speedup, fmt.Sprintf("speedup[%s=%d]", p.Variable, p.Value))
 	}
 }
@@ -177,15 +173,11 @@ func BenchmarkAblationLatency(b *testing.B) {
 func BenchmarkAblationVerification(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var rows []harness.SchemeResult
-	var err error
+	st := harness.VerificationAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
 	for i := 0; i < b.N; i++ {
-		rows, err = harness.VerificationAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, r := range rows {
+	for _, r := range st.Out {
 		b.ReportMetric(r.Speedup, metricName("speedup[%s]", r.Scheme))
 	}
 }
@@ -196,15 +188,11 @@ func BenchmarkAblationVerification(b *testing.B) {
 func BenchmarkAblationInvalidation(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var rows []harness.SchemeResult
-	var err error
+	st := harness.InvalidationAblation(cpu.Config8x48(), core.Great(), set, ws, 0, true)
 	for i := 0; i < b.N; i++ {
-		rows, err = harness.InvalidationAblation(cpu.Config8x48(), core.Great(), set, ws, 0, true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, r := range rows {
+	for _, r := range st.Out {
 		b.ReportMetric(r.Speedup, metricName("speedup[%s]", r.Scheme))
 	}
 }
@@ -214,15 +202,11 @@ func BenchmarkAblationInvalidation(b *testing.B) {
 func BenchmarkAblationResolution(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var rows []harness.SchemeResult
-	var err error
+	st := harness.ResolutionAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
 	for i := 0; i < b.N; i++ {
-		rows, err = harness.ResolutionAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, r := range rows {
+	for _, r := range st.Out {
 		b.ReportMetric(r.Speedup, metricName("speedup[%s]", r.Scheme))
 	}
 }
@@ -232,15 +216,11 @@ func BenchmarkAblationResolution(b *testing.B) {
 func BenchmarkAblationForwarding(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var rows []harness.SchemeResult
-	var err error
+	st := harness.ForwardingAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
 	for i := 0; i < b.N; i++ {
-		rows, err = harness.ForwardingAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, r := range rows {
+	for _, r := range st.Out {
 		b.ReportMetric(r.Speedup, metricName("speedup[%s]", r.Scheme))
 	}
 }
@@ -250,15 +230,11 @@ func BenchmarkAblationForwarding(b *testing.B) {
 func BenchmarkAblationPredictors(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var rows []harness.SchemeResult
-	var err error
+	st := harness.PredictorAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
 	for i := 0; i < b.N; i++ {
-		rows, err = harness.PredictorAblation(cpu.Config8x48(), core.Great(), set, ws, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, r := range rows {
+	for _, r := range st.Out {
 		b.ReportMetric(r.Speedup, metricName("speedup[%s]", r.Scheme))
 	}
 }
@@ -268,15 +244,11 @@ func BenchmarkAblationPredictors(b *testing.B) {
 func BenchmarkAblationConfidence(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var points []harness.ConfidencePoint
-	var err error
+	st := harness.ConfidenceSweep(cpu.Config8x48(), core.Great(), set, ws, 0, 4)
 	for i := 0; i < b.N; i++ {
-		points, err = harness.ConfidenceSweep(cpu.Config8x48(), core.Great(), set, ws, 0, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, p := range points {
+	for _, p := range st.Out {
 		b.ReportMetric(p.Speedup, fmt.Sprintf("speedup[%dbit]", p.CounterBits))
 	}
 }
@@ -337,15 +309,11 @@ func BenchmarkEmulator(b *testing.B) {
 func BenchmarkAblationScaling(b *testing.B) {
 	ws := benchWorkloads(8)
 	set := harness.Setting{Update: cpu.UpdateImmediate}
-	var points []harness.ScalingPoint
-	var err error
+	st := harness.ScalingSweep(core.Great(), set, ws, 0, harness.DefaultScalingConfigs())
 	for i := 0; i < b.N; i++ {
-		points, err = harness.ScalingSweep(core.Great(), set, ws, 0, harness.DefaultScalingConfigs())
-		if err != nil {
-			b.Fatal(err)
-		}
+		runStudy(b, st)
 	}
-	for _, p := range points {
+	for _, p := range st.Out {
 		b.ReportMetric(p.Speedup, metricName("speedup[%s]", p.Config))
 	}
 }

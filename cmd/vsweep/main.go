@@ -79,8 +79,8 @@ func main() {
 	)
 	flag.Parse()
 	if *submitURL != "" {
-		// Remote execution covers the figure sweeps; the ablations aggregate
-		// through local helpers that drive the worker pool directly.
+		// Remote execution covers the figure sweeps. Several ablations hold
+		// closure specs, which a submission cannot express.
 		unsupported := *table1 || *fig3detail || *latency || *verification || *invalidation ||
 			*resolution || *forwarding || *wakeup || *selection || *predictors || *confsweep ||
 			*scaling || *geometry || *scope || *branchq || *all
@@ -153,12 +153,6 @@ func main() {
 		*forwarding, *wakeup, *selection, *predictors, *confsweep = true, true, true, true, true
 		*scaling, *geometry, *scope, *branchq = true, true, true, true
 	}
-	if !(*table1 || *fig3 || *fig3detail || *fig4 || *latency || *verification || *invalidation ||
-		*resolution || *forwarding || *wakeup || *selection || *predictors || *confsweep ||
-		*scaling || *geometry || *scope || *branchq) {
-		flag.Usage()
-		return
-	}
 
 	configs := cpu.PaperConfigs()
 	if *quick {
@@ -169,240 +163,265 @@ func main() {
 	great := core.Great()
 	irSetting := harness.Setting{Update: cpu.UpdateImmediate}
 
+	// Each selected section adds its study to one run and its printer to the
+	// output. The run simulates every distinct spec once; the sections then
+	// print in order. With -submit the figure sections run their studies on
+	// the daemon instead.
+	var studies []harness.AnyStudy
+	var sections []func()
+	var simTime time.Duration
+
 	if *table1 {
-		section("Table 1: benchmark characteristics")
-		rows, err := harness.Table1(*scale)
-		check(err)
-		save(*outDir, report.Table1(rows))
-		var cells [][]string
-		for _, r := range rows {
-			cells = append(cells, []string{
-				r.Benchmark,
-				fmt.Sprintf("%d", r.DynamicInstr),
-				fmt.Sprintf("%.1f", 100*r.PredictedFrac),
-			})
-		}
-		fmt.Print(textplot.Table([]string{"Benchmark", "Dynamic Instr", "Predicted (%)"}, cells))
+		sections = append(sections, func() {
+			section("Table 1: benchmark characteristics")
+			rows, err := harness.Table1(*scale)
+			check(err)
+			save(*outDir, report.Table1(rows))
+			var cells [][]string
+			for _, r := range rows {
+				cells = append(cells, []string{
+					r.Benchmark,
+					fmt.Sprintf("%d", r.DynamicInstr),
+					fmt.Sprintf("%.1f", 100*r.PredictedFrac),
+				})
+			}
+			fmt.Print(textplot.Table([]string{"Benchmark", "Dynamic Instr", "Predicted (%)"}, cells))
+		})
 	}
 
 	if *fig3 {
-		section("Fig. 3: speculative execution models, average speedup (harmonic mean)")
-		t0 := time.Now()
-		var cells []harness.Fig3Cell
-		var err error
-		if sub != nil {
-			base, runs := harness.Fig3Specs(configs, core.Presets(), harness.PaperSettings(), workloads, *scale)
-			baseResults, rerr := sub.run("fig3 base", base)
-			check(rerr)
-			results, rerr := sub.run("fig3 models", runs)
-			check(rerr)
-			cells, err = harness.Fig3FromResults(baseResults, results)
-		} else {
-			cells, err = harness.Fig3(configs, core.Presets(), harness.PaperSettings(), workloads, *scale)
-		}
-		check(err)
-		save(*outDir, report.Fig3(cells))
-		var bars []textplot.Bar
-		for _, c := range cells {
-			bars = append(bars, textplot.Bar{
-				Label: fmt.Sprintf("%s %s %s", c.Config, c.Setting, c.Model),
-				Value: c.Speedup,
-			})
-		}
-		fmt.Print(textplot.BarChart("speedup over base (| marks 1.0)", bars, 50, 1.0))
-		fmt.Printf("(%d cells in %v)\n", len(cells), time.Since(t0).Round(time.Second))
-		var sbars []svgplot.Bar
-		for _, c := range cells {
-			sbars = append(sbars, svgplot.Bar{
-				Group: c.Config + " " + c.Setting,
-				Label: c.Model,
-				Value: c.Speedup,
-			})
-		}
-		saveSVG(*svgDir, "fig3", svgplot.BarChart(
-			"Fig. 3: speculative execution models, harmonic-mean speedup",
-			sbars, 1000, 420, 1.0))
+		st := harness.Fig3(configs, core.Presets(), harness.PaperSettings(), workloads, *scale)
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section("Fig. 3: speculative execution models, average speedup (harmonic mean)")
+			if sub != nil {
+				t0 := time.Now()
+				submitStudy(sub, "fig3", st)
+				simTime = time.Since(t0)
+			}
+			save(*outDir, report.Fig3(st.Out))
+			var bars []textplot.Bar
+			for _, c := range st.Out {
+				bars = append(bars, textplot.Bar{
+					Label: fmt.Sprintf("%s %s %s", c.Config, c.Setting, c.Model),
+					Value: c.Speedup,
+				})
+			}
+			fmt.Print(textplot.BarChart("speedup over base (| marks 1.0)", bars, 50, 1.0))
+			fmt.Printf("(%d cells in %v)\n", len(st.Out), simTime.Round(time.Second))
+			var sbars []svgplot.Bar
+			for _, c := range st.Out {
+				sbars = append(sbars, svgplot.Bar{
+					Group: c.Config + " " + c.Setting,
+					Label: c.Model,
+					Value: c.Speedup,
+				})
+			}
+			saveSVG(*svgDir, "fig3", svgplot.BarChart(
+				"Fig. 3: speculative execution models, harmonic-mean speedup",
+				sbars, 1000, 420, 1.0))
+		})
 	}
 
 	if *fig3detail {
-		section("Fig. 3 detail: per-benchmark speedups (Great model)")
-		cells, err := harness.Fig3(configs, []core.Model{great}, harness.PaperSettings(), workloads, *scale)
-		check(err)
-		header := []string{"Config", "Setting"}
-		for _, w := range workloads {
-			header = append(header, w.Name)
-		}
-		var rows [][]string
-		for _, c := range cells {
-			row := []string{c.Config, c.Setting}
+		st := harness.Fig3(configs, []core.Model{great}, harness.PaperSettings(), workloads, *scale)
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section("Fig. 3 detail: per-benchmark speedups (Great model)")
+			header := []string{"Config", "Setting"}
 			for _, w := range workloads {
-				row = append(row, fmt.Sprintf("%.3f", c.PerWkld[w.Name]))
+				header = append(header, w.Name)
 			}
-			rows = append(rows, row)
-		}
-		fmt.Print(textplot.Table(header, rows))
+			var rows [][]string
+			for _, c := range st.Out {
+				row := []string{c.Config, c.Setting}
+				for _, w := range workloads {
+					row = append(row, fmt.Sprintf("%.3f", c.PerWkld[w.Name]))
+				}
+				rows = append(rows, row)
+			}
+			fmt.Print(textplot.Table(header, rows))
+		})
 	}
 
 	if *fig4 {
-		section("Fig. 4: average prediction accuracy (Great model, real confidence)")
-		var cells []harness.Fig4Cell
-		var err error
-		if sub != nil {
-			results, rerr := sub.run("fig4", harness.Fig4Specs(configs, workloads, *scale))
-			check(rerr)
-			cells, err = harness.Fig4FromResults(results)
-		} else {
-			cells, err = harness.Fig4(configs, workloads, *scale)
-		}
-		check(err)
-		save(*outDir, report.Fig4(cells))
-		for _, c := range cells {
-			label := fmt.Sprintf("%s %s", c.Update, c.Config)
-			fmt.Print(textplot.StackedBar(label, []textplot.Segment{
-				{Rune: 'C', Frac: c.CH},
-				{Rune: 'c', Frac: c.CL},
-				{Rune: 'I', Frac: c.IH},
-				{Rune: 'i', Frac: c.IL},
-			}, 60))
-		}
-		fmt.Println("C=correct/high-conf c=correct/low-conf I=incorrect/high-conf i=incorrect/low-conf")
-		var labels []string
-		var rows [][]svgplot.StackedSegment
-		for _, c := range cells {
-			labels = append(labels, fmt.Sprintf("%s %s", c.Update, c.Config))
-			rows = append(rows, []svgplot.StackedSegment{
-				{Label: "CH", Frac: c.CH}, {Label: "CL", Frac: c.CL},
-				{Label: "IH", Frac: c.IH}, {Label: "IL", Frac: c.IL},
-			})
-		}
-		saveSVG(*svgDir, "fig4", svgplot.StackedBars(
-			"Fig. 4: average prediction accuracy (Great model)", labels, rows, 800, 360))
+		st := harness.Fig4(configs, workloads, *scale)
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section("Fig. 4: average prediction accuracy (Great model, real confidence)")
+			if sub != nil {
+				submitStudy(sub, "fig4", st)
+			}
+			save(*outDir, report.Fig4(st.Out))
+			for _, c := range st.Out {
+				label := fmt.Sprintf("%s %s", c.Update, c.Config)
+				fmt.Print(textplot.StackedBar(label, []textplot.Segment{
+					{Rune: 'C', Frac: c.CH},
+					{Rune: 'c', Frac: c.CL},
+					{Rune: 'I', Frac: c.IH},
+					{Rune: 'i', Frac: c.IL},
+				}, 60))
+			}
+			fmt.Println("C=correct/high-conf c=correct/low-conf I=incorrect/high-conf i=incorrect/low-conf")
+			var labels []string
+			var rows [][]svgplot.StackedSegment
+			for _, c := range st.Out {
+				labels = append(labels, fmt.Sprintf("%s %s", c.Update, c.Config))
+				rows = append(rows, []svgplot.StackedSegment{
+					{Label: "CH", Frac: c.CH}, {Label: "CL", Frac: c.CL},
+					{Label: "IH", Frac: c.IH}, {Label: "IL", Frac: c.IL},
+				})
+			}
+			saveSVG(*svgDir, "fig4", svgplot.StackedBars(
+				"Fig. 4: average prediction accuracy (Great model)", labels, rows, 800, 360))
+		})
 	}
 
 	if *latency {
-		section("Latency sensitivity (Great baseline, I/R, 8/48)")
-		points, err := harness.LatencySensitivity(ablCfg, great, irSetting, workloads, *scale, 4)
-		check(err)
-		save(*outDir, report.Latency(points))
-		var cells [][]string
-		for _, p := range points {
-			cells = append(cells, []string{p.Variable, fmt.Sprintf("%d", p.Value), fmt.Sprintf("%.3f", p.Speedup)})
-		}
-		fmt.Print(textplot.Table([]string{"Latency variable", "Cycles", "Speedup"}, cells))
-		bySeries := map[string]*svgplot.Series{}
-		var order []string
-		for _, p := range points {
-			sr, ok := bySeries[p.Variable]
-			if !ok {
-				sr = &svgplot.Series{Label: p.Variable}
-				bySeries[p.Variable] = sr
-				order = append(order, p.Variable)
+		st := harness.LatencySensitivity(ablCfg, great, irSetting, workloads, *scale, 4)
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section("Latency sensitivity (Great baseline, I/R, 8/48)")
+			save(*outDir, report.Latency(st.Out))
+			var cells [][]string
+			for _, p := range st.Out {
+				cells = append(cells, []string{p.Variable, fmt.Sprintf("%d", p.Value), fmt.Sprintf("%.3f", p.Speedup)})
 			}
-			sr.X = append(sr.X, float64(p.Value))
-			sr.Y = append(sr.Y, p.Speedup)
-		}
-		var series []svgplot.Series
-		for _, name := range order {
-			series = append(series, *bySeries[name])
-		}
-		saveSVG(*svgDir, "latency", svgplot.LineChart(
-			"Latency sensitivity (Great baseline, I/R, 8/48)", "latency (cycles)",
-			series, 900, 460, 1.0))
+			fmt.Print(textplot.Table([]string{"Latency variable", "Cycles", "Speedup"}, cells))
+			bySeries := map[string]*svgplot.Series{}
+			var order []string
+			for _, p := range st.Out {
+				sr, ok := bySeries[p.Variable]
+				if !ok {
+					sr = &svgplot.Series{Label: p.Variable}
+					bySeries[p.Variable] = sr
+					order = append(order, p.Variable)
+				}
+				sr.X = append(sr.X, float64(p.Value))
+				sr.Y = append(sr.Y, p.Speedup)
+			}
+			var series []svgplot.Series
+			for _, name := range order {
+				series = append(series, *bySeries[name])
+			}
+			saveSVG(*svgDir, "latency", svgplot.LineChart(
+				"Latency sensitivity (Great baseline, I/R, 8/48)", "latency (cycles)",
+				series, 900, 460, 1.0))
+		})
 	}
 
 	schemeN := 0
-	runScheme := func(title string, rows []harness.SchemeResult, err error) {
-		section(title)
-		check(err)
-		schemeN++
-		save(*outDir, report.Schemes(fmt.Sprintf("ablation%d", schemeN), rows))
-		var cells [][]string
-		for _, r := range rows {
-			cells = append(cells, []string{r.Scheme, fmt.Sprintf("%.3f", r.Speedup)})
-		}
-		fmt.Print(textplot.Table([]string{"Scheme", "Speedup"}, cells))
+	scheme := func(title string, st *harness.Study[[]harness.SchemeResult]) {
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section(title)
+			schemeN++
+			save(*outDir, report.Schemes(fmt.Sprintf("ablation%d", schemeN), st.Out))
+			var cells [][]string
+			for _, r := range st.Out {
+				cells = append(cells, []string{r.Scheme, fmt.Sprintf("%.3f", r.Speedup)})
+			}
+			fmt.Print(textplot.Table([]string{"Scheme", "Speedup"}, cells))
+		})
 	}
 
 	if *verification {
-		rows, err := harness.VerificationAblation(ablCfg, great, irSetting, workloads, *scale)
-		runScheme("Verification schemes (Section 3.2)", rows, err)
+		scheme("Verification schemes (Section 3.2)",
+			harness.VerificationAblation(ablCfg, great, irSetting, workloads, *scale))
 	}
 	if *invalidation {
-		rows, err := harness.InvalidationAblation(ablCfg, great, irSetting, workloads, *scale, false)
-		runScheme("Invalidation schemes, real confidence (Section 3.1)", rows, err)
-		rows, err = harness.InvalidationAblation(ablCfg, great, irSetting, workloads, *scale, true)
-		runScheme("Invalidation schemes, always speculate", rows, err)
+		scheme("Invalidation schemes, real confidence (Section 3.1)",
+			harness.InvalidationAblation(ablCfg, great, irSetting, workloads, *scale, false))
+		scheme("Invalidation schemes, always speculate",
+			harness.InvalidationAblation(ablCfg, great, irSetting, workloads, *scale, true))
 	}
 	if *resolution {
-		rows, err := harness.ResolutionAblation(ablCfg, great, irSetting, workloads, *scale)
-		runScheme("Branch/memory resolution policies (Section 3.2)", rows, err)
+		scheme("Branch/memory resolution policies (Section 3.2)",
+			harness.ResolutionAblation(ablCfg, great, irSetting, workloads, *scale))
 	}
 	if *forwarding {
-		rows, err := harness.ForwardingAblation(ablCfg, great, irSetting, workloads, *scale)
-		runScheme("Forwarding of speculative values (Section 2.2)", rows, err)
+		scheme("Forwarding of speculative values (Section 2.2)",
+			harness.ForwardingAblation(ablCfg, great, irSetting, workloads, *scale))
 	}
 	if *wakeup {
-		rows, err := harness.WakeupAblation(ablCfg, great, irSetting, workloads, *scale, true)
-		runScheme("Wakeup policies, always speculate (Section 3.4)", rows, err)
+		scheme("Wakeup policies, always speculate (Section 3.4)",
+			harness.WakeupAblation(ablCfg, great, irSetting, workloads, *scale, true))
 	}
 	if *selection {
-		rows, err := harness.SelectionAblation(ablCfg, great, irSetting, workloads, *scale)
-		runScheme("Selection policies (Section 3.5)", rows, err)
+		scheme("Selection policies (Section 3.5)",
+			harness.SelectionAblation(ablCfg, great, irSetting, workloads, *scale))
 	}
 	if *predictors {
-		rows, err := harness.PredictorAblation(ablCfg, great, irSetting, workloads, *scale)
-		runScheme("Value predictors", rows, err)
+		scheme("Value predictors",
+			harness.PredictorAblation(ablCfg, great, irSetting, workloads, *scale))
 	}
 	if *scaling {
-		section("Width/window scaling (Great, I/R)")
-		points, err := harness.ScalingSweep(great, irSetting, workloads, *scale, harness.DefaultScalingConfigs())
-		check(err)
-		var cells [][]string
-		for _, p := range points {
-			cells = append(cells, []string{p.Config, fmt.Sprintf("%.3f", p.BaseIPC), fmt.Sprintf("%.3f", p.Speedup)})
-		}
-		fmt.Print(textplot.Table([]string{"Config", "Base IPC (hmean)", "Speedup"}, cells))
+		st := harness.ScalingSweep(great, irSetting, workloads, *scale, harness.DefaultScalingConfigs())
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section("Width/window scaling (Great, I/R)")
+			var cells [][]string
+			for _, p := range st.Out {
+				cells = append(cells, []string{p.Config, fmt.Sprintf("%.3f", p.BaseIPC), fmt.Sprintf("%.3f", p.Speedup)})
+			}
+			fmt.Print(textplot.Table([]string{"Config", "Base IPC (hmean)", "Speedup"}, cells))
+		})
 	}
-
 	if *scope {
-		rows, err := harness.ScopeAblation(ablCfg, great, irSetting, workloads, *scale)
-		runScheme("Prediction scope (all reg-writers vs loads-only)", rows, err)
+		scheme("Prediction scope (all reg-writers vs loads-only)",
+			harness.ScopeAblation(ablCfg, great, irSetting, workloads, *scale))
 	}
 	if *branchq {
-		rows, err := harness.BranchQualityAblation(ablCfg, great, irSetting, workloads, *scale)
-		runScheme("Branch quality (value-speculation speedup under gshare vs perfect BP)", rows, err)
+		scheme("Branch quality (value-speculation speedup under gshare vs perfect BP)",
+			harness.BranchQualityAblation(ablCfg, great, irSetting, workloads, *scale))
 	}
 	if *geometry {
-		section("FCM predictor-size sweep (Great, I/R, 8/48)")
-		points, err := harness.PredictorGeometrySweep(ablCfg, great, irSetting, workloads, *scale,
+		st := harness.PredictorGeometrySweep(ablCfg, great, irSetting, workloads, *scale,
 			[]uint{8, 10, 12, 14, 16})
-		check(err)
-		var cells [][]string
-		for _, p := range points {
-			cells = append(cells, []string{
-				fmt.Sprintf("2^%d entries", p.TableBits),
-				fmt.Sprintf("%.3f", p.Speedup),
-				fmt.Sprintf("%.1f%%", 100*p.Accuracy),
-			})
-		}
-		fmt.Print(textplot.Table([]string{"Tables", "Speedup", "Accuracy"}, cells))
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section("FCM predictor-size sweep (Great, I/R, 8/48)")
+			var cells [][]string
+			for _, p := range st.Out {
+				cells = append(cells, []string{
+					fmt.Sprintf("2^%d entries", p.TableBits),
+					fmt.Sprintf("%.3f", p.Speedup),
+					fmt.Sprintf("%.1f%%", 100*p.Accuracy),
+				})
+			}
+			fmt.Print(textplot.Table([]string{"Tables", "Speedup", "Accuracy"}, cells))
+		})
+	}
+	if *confsweep {
+		st := harness.ConfidenceSweep(ablCfg, great, irSetting, workloads, *scale, 5)
+		studies = append(studies, st)
+		sections = append(sections, func() {
+			section("Confidence resetting-counter width sweep (Great, I/R, 8/48)")
+			save(*outDir, report.Confidence(st.Out))
+			var cells [][]string
+			for _, p := range st.Out {
+				cells = append(cells, []string{
+					fmt.Sprintf("%d (threshold %d)", p.CounterBits, 1<<p.CounterBits-1),
+					fmt.Sprintf("%.3f", p.Speedup),
+					fmt.Sprintf("%.1f", 100*p.CH), fmt.Sprintf("%.1f", 100*p.CL),
+					fmt.Sprintf("%.1f", 100*p.IH), fmt.Sprintf("%.1f", 100*p.IL),
+				})
+			}
+			fmt.Print(textplot.Table([]string{"Counter bits", "Speedup", "CH%", "CL%", "IH%", "IL%"}, cells))
+		})
 	}
 
-	if *confsweep {
-		section("Confidence resetting-counter width sweep (Great, I/R, 8/48)")
-		points, err := harness.ConfidenceSweep(ablCfg, great, irSetting, workloads, *scale, 5)
-		check(err)
-		save(*outDir, report.Confidence(points))
-		var cells [][]string
-		for _, p := range points {
-			cells = append(cells, []string{
-				fmt.Sprintf("%d (threshold %d)", p.CounterBits, 1<<p.CounterBits-1),
-				fmt.Sprintf("%.3f", p.Speedup),
-				fmt.Sprintf("%.1f", 100*p.CH), fmt.Sprintf("%.1f", 100*p.CL),
-				fmt.Sprintf("%.1f", 100*p.IH), fmt.Sprintf("%.1f", 100*p.IL),
-			})
-		}
-		fmt.Print(textplot.Table([]string{"Counter bits", "Speedup", "CH%", "CL%", "IH%", "IL%"}, cells))
+	if len(sections) == 0 {
+		flag.Usage()
+		return
+	}
+	if sub == nil && len(studies) > 0 {
+		t0 := time.Now()
+		check(harness.Run(context.Background(), studies...))
+		simTime = time.Since(t0)
+	}
+	for _, show := range sections {
+		show()
 	}
 
 	if c := harness.DefaultTraceCache(); c.Hits()+c.Misses() > 0 {
@@ -470,6 +489,14 @@ func main() {
 		}
 		harness.SetProgress(nil)
 	}
+}
+
+// submitStudy runs st on the daemon as one job and folds its results.
+func submitStudy[T any](sub *submitter, name string, st *harness.Study[T]) {
+	results, err := sub.run(name, st.Specs)
+	check(err)
+	st.Out, err = st.Fold(results)
+	check(err)
 }
 
 // saveSVG writes an SVG document into dir (no-op when dir is empty).

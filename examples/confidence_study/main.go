@@ -11,12 +11,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"valuespec"
 	"valuespec/internal/harness"
-	"valuespec/internal/stats"
 	"valuespec/internal/textplot"
 )
 
@@ -25,22 +25,11 @@ func main() {
 
 	cfg := valuespec.Config8x48()
 	model := valuespec.Great()
+	setting := valuespec.Setting{Update: valuespec.UpdateImmediate}
 	workloads := valuespec.Workloads()
 
-	// Per-workload base IPCs.
-	var baseSpecs []valuespec.Spec
-	for _, w := range workloads {
-		baseSpecs = append(baseSpecs, valuespec.Spec{Workload: w, Config: cfg})
-	}
-	baseRes, err := valuespec.SimulateAll(baseSpecs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	baseIPC := map[string]float64{}
-	for _, r := range baseRes {
-		baseIPC[r.Spec.Workload.Name] = r.IPC()
-	}
-
+	// The estimator comparison is a scheme ablation of its own: one arm per
+	// estimator, each against the base machine on every workload.
 	estimators := []struct {
 		name string
 		mk   func() valuespec.ConfidenceEstimator
@@ -50,41 +39,28 @@ func main() {
 		{"oracle", valuespec.OracleConfidence},
 		{"always", valuespec.AlwaysConfidence},
 	}
-	var bars []textplot.Bar
+	var names []string
 	for _, est := range estimators {
-		var specs []valuespec.Spec
-		for _, w := range workloads {
-			m := model
-			specs = append(specs, valuespec.Spec{
-				Workload: w, Config: cfg, Model: &m,
-				Setting:       valuespec.Setting{Update: valuespec.UpdateImmediate},
-				NewConfidence: est.mk,
-			})
-		}
-		results, err := valuespec.SimulateAll(specs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var sps []float64
-		for _, r := range results {
-			sps = append(sps, r.IPC()/baseIPC[r.Spec.Workload.Name])
-		}
-		hm, err := stats.HarmonicMean(sps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bars = append(bars, textplot.Bar{Label: est.name, Value: hm})
+		names = append(names, est.name)
+	}
+	byEstimator := harness.SchemeAblation(workloads, 0, names, func(i int) valuespec.Spec {
+		return valuespec.Spec{Config: cfg, Model: &model, Setting: setting, NewConfidence: estimators[i].mk}
+	})
+	// The counter-width sweep runs in the same batch and shares its base
+	// runs with the comparison.
+	sweep := harness.ConfidenceSweep(cfg, model, setting, workloads, 0, 5)
+	if err := harness.Run(context.Background(), byEstimator, sweep); err != nil {
+		log.Fatal(err)
+	}
+	var bars []textplot.Bar
+	for _, r := range byEstimator.Out {
+		bars = append(bars, textplot.Bar{Label: r.Scheme, Value: r.Speedup})
 	}
 	fmt.Print(textplot.BarChart("Great model, I update — speedup by confidence estimator:", bars, 45, 1.0))
 
 	fmt.Println("\nResetting-counter width sweep (coverage vs. misspeculation):")
-	points, err := harness.ConfidenceSweep(cfg, model,
-		valuespec.Setting{Update: valuespec.UpdateImmediate}, workloads, 0, 5)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var cells [][]string
-	for _, p := range points {
+	for _, p := range sweep.Out {
 		cells = append(cells, []string{
 			fmt.Sprintf("%d", p.CounterBits),
 			fmt.Sprintf("%d correct in a row", 1<<p.CounterBits-1),

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,14 +29,14 @@ func main() {
 	baseline := valuespec.Great()
 	setting := valuespec.Setting{Update: valuespec.UpdateImmediate}
 
-	points, err := harness.LatencySensitivity(cfg, baseline, setting, valuespec.Workloads(), 0, 3)
-	if err != nil {
+	st := harness.LatencySensitivity(cfg, baseline, setting, valuespec.Workloads(), 0, 3)
+	if err := harness.Run(context.Background(), st); err != nil {
 		log.Fatal(err)
 	}
 
 	byVar := map[string][]textplot.Bar{}
 	var order []string
-	for _, p := range points {
+	for _, p := range st.Out {
 		if _, seen := byVar[p.Variable]; !seen {
 			order = append(order, p.Variable)
 		}

@@ -440,7 +440,6 @@ type wbEvent struct {
 const (
 	wbExec uint8 = iota // execution completion
 	wbMem               // load memory-access completion
-	wbWake              // dormant-sweep retry of a time-gated refreshOutput
 )
 
 // writeback finishes the executions and memory accesses due at cycle c by
@@ -460,12 +459,6 @@ func (p *Pipeline) writeback(c int64) {
 	}
 	for i := range evs {
 		ev := &evs[i]
-		if ev.kind == wbWake {
-			// A time-gated sweep retry is due. Clearing the bit is safe even
-			// if the slot was reused: a spurious visit changes nothing.
-			clearBit(p.dormantBits, int(ev.idx))
-			continue
-		}
 		e := &p.entries[ev.idx]
 		if !e.used || e.age != ev.age || e.execToken != ev.token {
 			continue // squashed, nullified or reissued since scheduling

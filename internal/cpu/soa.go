@@ -174,7 +174,7 @@ func (p *Pipeline) sweepSeg(lo, hi int, c int64) {
 					settled = settled && op.state == core.StateValid && op.correct
 				}
 			}
-			retry := never
+			retry := false
 			if e.validAt == never {
 				pos := idx - p.head
 				if pos < 0 {
@@ -185,15 +185,11 @@ func (p *Pipeline) sweepSeg(lo, hi int, c int64) {
 			switch {
 			case e.validAt != never && settled:
 				setBit(p.settledBits, idx)
-			case retry == never:
+			case !retry:
 				// Blocked on instrumented events only (completion, equality,
 				// producer republish), all of which wake us when refreshOutput
 				// can act on them (wakeToSettle, pubOut).
 				setBit(p.dormantBits, idx)
-			case retry > c+1:
-				// Pure time gate: sleep until the retry cycle.
-				setBit(p.dormantBits, idx)
-				p.wbWheel.schedule(c, retry, wbEvent{idx: int32(idx), kind: wbWake})
 			}
 			w = (p.occBits[wi] &^ p.settledBits[wi] &^ p.dormantBits[wi]) &
 				hiMask & (^uint64(0) << (uint(b) + 1))

@@ -82,35 +82,38 @@ func (p *Pipeline) syncOperand(o *operand) bool {
 // refreshOutput settles the validity of e's result at cycle c; pos is the
 // entry's distance from the window head (for retirement-based verification).
 //
-// The return value is the dormant-sweep retry hint: never means the blocked
-// condition can only be lifted by an already-instrumented wake
+// It reports whether the sweep must retry next cycle. false means the
+// blocked condition can only be lifted by an already-instrumented wake
 // (execution/access completion, an equality outcome or a producer republish
-// — see wakeToSettle and pubOut); a cycle t > c means the entry is blocked
-// purely on time and need not be revisited before t; c+1 means it must stay
-// hot (retirement-based verification depends on the head position, which
-// moves without any wake).
-func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
+// — see wakeToSettle and pubOut). true means the entry must stay hot:
+// retirement-based verification depends on the head position, which moves
+// without any wake, and one more hierarchical level releases it at c+1.
+// No later retry exists: the write stage, the equality outcome and every
+// operand's validAt lie at cycles already reached
+// (TestRandomProgramsAllModels checks validAt after every cycle).
+func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) bool {
 	if e.validAt != never {
-		return never // validity is monotone
+		return false // validity is monotone
 	}
 
 	switch e.cls {
 	case isa.ClassStore:
-		return p.refreshStore(e, c)
+		p.refreshStore(e, c)
+		return false
 	case isa.ClassBranch:
 		if e.resolved && e.execClean {
 			e.validAt = e.resolveAt
 			e.retireAt = e.validAt + int64(p.model.Lat.VerifyFreeRetire)
 			p.pubOut(e)
 		}
-		return never // resolveBranch runs under completeExec's wake
+		return false // resolveBranch runs under completeExec's wake
 	}
 
 	if !e.doneExec || !e.execClean {
-		return never // completion wakes; a dirty execution waits for its wave
+		return false // completion wakes; a dirty execution waits for its wave
 	}
 	if e.vpUsed && !e.vpDead && !e.eqDone {
-		return never // own prediction must pass equality first (event wakes)
+		return false // own prediction must pass equality first (event wakes)
 	}
 
 	t := e.doneCycle + 1 // the write/verification stage
@@ -122,10 +125,7 @@ func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
 		o := &e.src[s]
 		if o.inWindow {
 			if !o.validBy(c) {
-				if o.state == core.StateValid && o.validAt > c {
-					return o.validAt // valid but not yet usable: pure time gate
-				}
-				return never // producer republish wakes
+				return false // producer republish wakes
 			}
 			ot := o.validAt
 			if o.everSpec {
@@ -137,29 +137,21 @@ func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
 			t = maxi64(t, ot)
 		}
 	}
-	headBound := false
 	if specInvolved && (p.verifyRetire || p.verifyHybrid) {
 		// Retirement-based verification: only the retire-width oldest
 		// instructions can be validated each cycle.
 		atHead := pos < p.cfg.IssueWidth
 		if p.verifyRetire && !atHead {
-			return c + 1 // head advance may release it any cycle
+			return true // head advance may release it any cycle
 		}
-		if p.verifyHybrid {
-			if atHead {
-				// Retirement releases it now even if the hierarchical chain
-				// has not caught up.
-				t = maxi64(e.doneCycle+1, c)
-			} else {
-				headBound = true
-			}
+		if p.verifyHybrid && atHead {
+			// Retirement releases it now even if the hierarchical chain
+			// has not caught up.
+			t = maxi64(e.doneCycle+1, c)
 		}
 	}
 	if c < t {
-		if headBound {
-			return c + 1 // reaching the head releases earlier than t
-		}
-		return t
+		return true // t is c+1: one hierarchical level still to climb
 	}
 	e.validAt = t
 	e.outState = core.StateValid
@@ -169,36 +161,30 @@ func (p *Pipeline) refreshOutput(e *entry, c int64, pos int) int64 {
 	}
 	e.retireAt = e.validAt + int64(p.model.Lat.VerifyFreeRetire)
 	p.pubOut(e)
-	return never
+	return false
 }
 
 // refreshStore settles a store: verified when its address is generated and
-// both operands (address base and data) are valid. The return value is the
-// dormant-sweep retry hint (see refreshOutput).
-func (p *Pipeline) refreshStore(e *entry, c int64) int64 {
+// both operands (address base and data) are valid. Address generation and
+// every Valid operand lie at cycles already reached, so a store never waits
+// on time alone: an unsettled store waits for a wake (see refreshOutput).
+func (p *Pipeline) refreshStore(e *entry, c int64) {
 	if !e.agDone || !e.execClean {
-		return never // address generation completes under completeExec's wake
+		return // address generation completes under completeExec's wake
 	}
 	t := e.agCycle
 	for s := 0; s < e.nsrc; s++ {
 		o := &e.src[s]
 		if o.inWindow {
 			if !o.validBy(c) {
-				if o.state == core.StateValid && o.validAt > c {
-					return o.validAt // pure time gate
-				}
-				return never // producer republish wakes
+				return // producer republish wakes
 			}
 			t = maxi64(t, o.validAt)
 		}
 	}
-	if c < t {
-		return t
-	}
 	e.validAt = t
 	e.retireAt = e.validAt + int64(p.model.Lat.VerifyFreeRetire)
 	p.pubOut(e)
-	return never
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"valuespec/internal/bench"
 	"valuespec/internal/confidence"
@@ -12,51 +13,70 @@ import (
 	"valuespec/internal/vpred"
 )
 
-// meanSpeedup runs model over the workloads and returns the harmonic-mean
-// speedup against per-workload base runs supplied in baseIPC (keyed by
-// workload name).
-func meanSpeedup(cfg cpu.Config, model core.Model, set Setting, workloads []bench.Workload,
-	scale int, baseIPC map[string]float64,
-	newPred func() vpred.Predictor, newConf func() confidence.Estimator) (float64, error) {
-
-	specs := make([]Spec, 0, len(workloads))
-	for _, w := range workloads {
-		m := model
-		specs = append(specs, Spec{
-			Workload: w, Scale: scale, Config: cfg, Model: &m, Setting: set,
-			NewPredictor: newPred, NewConfidence: newConf,
-		})
-	}
-	results, err := SimulateAll(specs)
-	if err != nil {
-		return 0, err
-	}
-	vals := make([]float64, 0, len(results))
-	for _, r := range results {
-		sp, err := stats.Speedup(baseIPC[r.Spec.Workload.Name], r.IPC())
-		if err != nil {
-			return 0, err
-		}
-		vals = append(vals, sp)
-	}
-	return stats.HarmonicMean(vals)
+// armResults is one arm's share of an ablation's results.
+type armResults struct {
+	base, runs []Result // the base machine and the arm, in workload order
+	speedup    float64  // harmonic mean of runs over base, folded in workload order
 }
 
-// baseIPCs runs the base processor once per workload.
-func baseIPCs(cfg cpu.Config, workloads []bench.Workload, scale int) (map[string]float64, error) {
-	specs := make([]Spec, 0, len(workloads))
-	for _, w := range workloads {
-		specs = append(specs, Spec{Workload: w, Scale: scale, Config: cfg})
+// ablation is the body every ablation and sweep shares: the base machine
+// of each distinct arm config on every workload, then every arm on every
+// workload. An arm is a spec template: config, model, setting and any
+// component closures, but no workload. rows holds one labelled output row
+// per arm; the fold copies them and fill completes each from its arm's
+// results.
+func ablation[T any](workloads []bench.Workload, scale int, arms []Spec, rows []T,
+	fill func(row *T, r armResults)) *Study[[]T] {
+
+	var configs []cpu.Config
+	baseOf := make([]int, len(arms))
+	for i, a := range arms {
+		j := slices.Index(configs, a.Config)
+		if j < 0 {
+			j = len(configs)
+			configs = append(configs, a.Config)
+		}
+		baseOf[i] = j
 	}
-	results, err := SimulateAll(specs)
-	if err != nil {
-		return nil, err
+	var specs []Spec
+	for _, cfg := range configs {
+		for _, w := range workloads {
+			specs = append(specs, Spec{Workload: w, Scale: scale, Config: cfg})
+		}
 	}
-	out := make(map[string]float64, len(results))
-	for _, r := range results {
-		out[r.Spec.Workload.Name] = r.IPC()
+	for _, a := range arms {
+		for _, w := range workloads {
+			a.Workload, a.Scale = w, scale
+			specs = append(specs, a)
+		}
 	}
-	return out, nil
+	n := len(workloads)
+	return &Study[[]T]{Specs: specs, Fold: func(rs []Result) ([]T, error) {
+		out := slices.Clone(rows)
+		runs := rs[len(configs)*n:]
+		for i := range out {
+			r := armResults{base: rs[baseOf[i]*n:][:n], runs: runs[i*n:][:n]}
+			sps := make([]float64, n)
+			for k := range sps {
+				sp, err := stats.Speedup(r.base[k].IPC(), r.runs[k].IPC())
+				if err != nil {
+					return nil, err
+				}
+				sps[k] = sp
+			}
+			var err error
+			if r.speedup, err = stats.HarmonicMean(sps); err != nil {
+				return nil, err
+			}
+			fill(&out[i], r)
+		}
+		return out, nil
+	}}
+}
+
+// arm returns the spec template of model m under set on cfg.
+func arm(cfg cpu.Config, m core.Model, set Setting) Spec {
+	return Spec{Config: cfg, Model: &m, Setting: set}
 }
 
 // LatencyPoint is one point of a latency-sensitivity sweep.
@@ -94,28 +114,22 @@ func LatencyVariableNames() []string {
 // minimum to maxLat cycles, starting from the given baseline model (the
 // paper's Section 4 call: "it is important to study the performance as the
 // latencies change"). All other variables stay at the baseline's values.
-// The returned points are grouped by variable in sweep order.
+// The points are grouped by variable in sweep order.
 func LatencySensitivity(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale, maxLat int) ([]LatencyPoint, error) {
+	workloads []bench.Workload, scale, maxLat int) *Study[[]LatencyPoint] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
 	var points []LatencyPoint
+	var arms []Spec
 	for _, v := range latencyVariables {
 		for val := v.min; val <= maxLat; val++ {
 			m := baseline
 			m.Name = fmt.Sprintf("%s[%s=%d]", baseline.Name, v.name, val)
 			v.set(&m.Lat, val)
-			sp, err := meanSpeedup(cfg, m, set, workloads, scale, base, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, LatencyPoint{Variable: v.name, Value: val, Speedup: sp})
+			points = append(points, LatencyPoint{Variable: v.name, Value: val})
+			arms = append(arms, arm(cfg, m, set))
 		}
 	}
-	return points, nil
+	return ablation(workloads, scale, arms, points, func(p *LatencyPoint, r armResults) { p.Speedup = r.speedup })
 }
 
 // SchemeResult is one row of a design-space ablation.
@@ -124,30 +138,64 @@ type SchemeResult struct {
 	Speedup float64
 }
 
+// SchemeAblation is the study of one arm per name: template(i) is arm i's
+// spec template (config, model, setting and any component closures, but no
+// workload). Every arm runs on every workload against the base machine of
+// its config and folds to its harmonic-mean speedup.
+func SchemeAblation(workloads []bench.Workload, scale int, names []string, template func(i int) Spec) *Study[[]SchemeResult] {
+	rows := make([]SchemeResult, len(names))
+	arms := make([]Spec, len(names))
+	for i, name := range names {
+		rows[i].Scheme = name
+		arms[i] = template(i)
+	}
+	return ablation(workloads, scale, arms, rows, func(row *SchemeResult, r armResults) { row.Speedup = r.speedup })
+}
+
+// schemes is the scheme ablation with one arm per label: baseline under
+// set on cfg, changed by change.
+func schemes(cfg cpu.Config, baseline core.Model, set Setting, workloads []bench.Workload, scale int,
+	labels []string, change func(i int, s *Spec, m *core.Model)) *Study[[]SchemeResult] {
+
+	return SchemeAblation(workloads, scale, labels, func(i int) Spec {
+		s := arm(cfg, baseline, set)
+		change(i, &s, s.Model)
+		return s
+	})
+}
+
+// modelSchemes is schemes over model changes; arm i's model is renamed
+// baseline+labels[i], so the spec report tells the arms apart.
+func modelSchemes(cfg cpu.Config, baseline core.Model, set Setting, workloads []bench.Workload, scale int,
+	labels []string, change func(i int, s *Spec, m *core.Model)) *Study[[]SchemeResult] {
+
+	return schemes(cfg, baseline, set, workloads, scale, labels, func(i int, s *Spec, m *core.Model) {
+		m.Name = baseline.Name + "+" + labels[i]
+		change(i, s, m)
+	})
+}
+
+// labelsOf returns the names of xs.
+func labelsOf[T fmt.Stringer](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = x.String()
+	}
+	return out
+}
+
+// always is the always-speculate confidence factory.
+func always() confidence.Estimator { return confidence.Always{} }
+
 // VerificationAblation compares the four verification schemes of Section
 // 3.2 under the given baseline model and setting.
 func VerificationAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	schemes := []core.VerificationScheme{
-		core.VerifyParallel, core.VerifyHierarchical, core.VerifyRetirement, core.VerifyHybrid,
-	}
-	var out []SchemeResult
-	for _, s := range schemes {
-		m := baseline
-		m.Name = baseline.Name + "+" + s.String()
-		m.Verification = s
-		sp, err := meanSpeedup(cfg, m, set, workloads, scale, base, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeResult{Scheme: s.String(), Speedup: sp})
-	}
-	return out, nil
+	vs := []core.VerificationScheme{core.VerifyParallel, core.VerifyHierarchical, core.VerifyRetirement, core.VerifyHybrid}
+	return modelSchemes(cfg, baseline, set, workloads, scale, labelsOf(vs), func(i int, _ *Spec, m *core.Model) {
+		m.Verification = vs[i]
+	})
 }
 
 // InvalidationAblation compares the three invalidation schemes of Section
@@ -155,120 +203,52 @@ func VerificationAblation(cfg cpu.Config, baseline core.Model, set Setting,
 // explanation for why slow invalidation can be acceptable), the ablation
 // also runs with always-speculate confidence to expose the schemes.
 func InvalidationAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int, alwaysSpeculate bool) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int, alwaysSpeculate bool) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	var newConf func() confidence.Estimator
-	if alwaysSpeculate {
-		newConf = func() confidence.Estimator { return confidence.Always{} }
-	}
-	schemes := []core.InvalidationScheme{
-		core.InvalidateParallel, core.InvalidateHierarchical, core.InvalidateComplete,
-	}
-	var out []SchemeResult
-	for _, s := range schemes {
-		m := baseline
-		m.Name = baseline.Name + "+" + s.String()
-		m.Invalidation = s
-		sp, err := meanSpeedup(cfg, m, set, workloads, scale, base, nil, newConf)
-		if err != nil {
-			return nil, err
+	is := []core.InvalidationScheme{core.InvalidateParallel, core.InvalidateHierarchical, core.InvalidateComplete}
+	return modelSchemes(cfg, baseline, set, workloads, scale, labelsOf(is), func(i int, s *Spec, m *core.Model) {
+		m.Invalidation = is[i]
+		if alwaysSpeculate {
+			s.NewConfidence = always
 		}
-		out = append(out, SchemeResult{Scheme: s.String(), Speedup: sp})
-	}
-	return out, nil
+	})
 }
 
 // ResolutionAblation compares valid-only and speculative resolution for
 // branches and memory (Section 3.2, the Sodani-Sohi comparison).
 func ResolutionAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	cases := []struct {
-		name        string
-		branch, mem core.ResolutionPolicy
-	}{
-		{"branch=valid mem=valid", core.ResolveValidOnly, core.ResolveValidOnly},
-		{"branch=spec  mem=valid", core.ResolveSpeculative, core.ResolveValidOnly},
-		{"branch=valid mem=spec", core.ResolveValidOnly, core.ResolveSpeculative},
-		{"branch=spec  mem=spec", core.ResolveSpeculative, core.ResolveSpeculative},
-	}
-	var out []SchemeResult
-	for _, cse := range cases {
-		m := baseline
-		m.Name = baseline.Name + "+" + cse.name
-		m.BranchResolution = cse.branch
-		m.MemResolution = cse.mem
-		sp, err := meanSpeedup(cfg, m, set, workloads, scale, base, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeResult{Scheme: cse.name, Speedup: sp})
-	}
-	return out, nil
+	valid, spec := core.ResolveValidOnly, core.ResolveSpeculative
+	policies := [][2]core.ResolutionPolicy{{valid, valid}, {spec, valid}, {valid, spec}, {spec, spec}}
+	names := []string{"branch=valid mem=valid", "branch=spec  mem=valid", "branch=valid mem=spec", "branch=spec  mem=spec"}
+	return modelSchemes(cfg, baseline, set, workloads, scale, names, func(i int, _ *Spec, m *core.Model) {
+		m.BranchResolution, m.MemResolution = policies[i][0], policies[i][1]
+	})
 }
 
 // ForwardingAblation compares forwarding speculative values against holding
 // them back (Section 2.2, the Rychlik et al. alternative).
 func ForwardingAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	var out []SchemeResult
-	for _, fwd := range []bool{true, false} {
-		m := baseline
-		m.ForwardSpeculative = fwd
-		name := "forward"
-		if !fwd {
-			name = "no-forward"
-		}
-		m.Name = baseline.Name + "+" + name
-		sp, err := meanSpeedup(cfg, m, set, workloads, scale, base, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeResult{Scheme: name, Speedup: sp})
-	}
-	return out, nil
+	return modelSchemes(cfg, baseline, set, workloads, scale, []string{"forward", "no-forward"},
+		func(i int, _ *Spec, m *core.Model) { m.ForwardSpeculative = i == 0 })
 }
 
 // PredictorAblation compares the paper's FCM against last-value and stride
 // prediction under the baseline model.
 func PredictorAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
+	preds := []func() vpred.Predictor{
+		func() vpred.Predictor { return vpred.NewFCM(vpred.DefaultFCMConfig()) },
+		func() vpred.Predictor { return vpred.NewLastValue(16) },
+		func() vpred.Predictor { return vpred.NewStride(16) },
+		func() vpred.Predictor { return vpred.NewHybrid(16, vpred.DefaultFCMConfig()) },
 	}
-	preds := []struct {
-		name string
-		mk   func() vpred.Predictor
-	}{
-		{"fcm", func() vpred.Predictor { return vpred.NewFCM(vpred.DefaultFCMConfig()) }},
-		{"last-value", func() vpred.Predictor { return vpred.NewLastValue(16) }},
-		{"stride", func() vpred.Predictor { return vpred.NewStride(16) }},
-		{"hybrid", func() vpred.Predictor { return vpred.NewHybrid(16, vpred.DefaultFCMConfig()) }},
-	}
-	var out []SchemeResult
-	for _, pr := range preds {
-		sp, err := meanSpeedup(cfg, baseline, set, workloads, scale, base, pr.mk, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeResult{Scheme: pr.name, Speedup: sp})
-	}
-	return out, nil
+	return schemes(cfg, baseline, set, workloads, scale, []string{"fcm", "last-value", "stride", "hybrid"},
+		func(i int, s *Spec, _ *core.Model) { s.NewPredictor = preds[i] })
 }
 
 // ConfidencePoint is one row of a confidence-counter sweep.
@@ -283,105 +263,46 @@ type ConfidencePoint struct {
 // style accuracy breakdown. Wider counters trade coverage (CL grows) for
 // fewer misspeculations (IH shrinks) — the tension Section 6 highlights.
 func ConfidenceSweep(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int, maxBits uint) ([]ConfidencePoint, error) {
+	workloads []bench.Workload, scale int, maxBits uint) *Study[[]ConfidencePoint] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	var out []ConfidencePoint
+	var points []ConfidencePoint
+	var arms []Spec
 	for bits := uint(1); bits <= maxBits; bits++ {
-		bits := bits
-		newConf := func() confidence.Estimator { return confidence.NewResetting(16, bits) }
-		specs := make([]Spec, 0, len(workloads))
-		for _, w := range workloads {
-			m := baseline
-			specs = append(specs, Spec{
-				Workload: w, Scale: scale, Config: cfg, Model: &m, Setting: set,
-				NewConfidence: newConf,
-			})
-		}
-		results, err := SimulateAll(specs)
-		if err != nil {
-			return nil, err
-		}
-		var sps []float64
-		pt := ConfidencePoint{CounterBits: bits}
-		for _, r := range results {
-			sp, err := stats.Speedup(base[r.Spec.Workload.Name], r.IPC())
-			if err != nil {
-				return nil, err
-			}
-			sps = append(sps, sp)
-			ch, cl, ih, il := r.Stats.Breakdown()
-			pt.CH += ch
-			pt.CL += cl
-			pt.IH += ih
-			pt.IL += il
-		}
-		n := float64(len(results))
-		pt.CH /= n
-		pt.CL /= n
-		pt.IH /= n
-		pt.IL /= n
-		pt.Speedup, err = stats.HarmonicMean(sps)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
+		a := arm(cfg, baseline, set)
+		a.NewConfidence = func() confidence.Estimator { return confidence.NewResetting(16, bits) }
+		points = append(points, ConfidencePoint{CounterBits: bits})
+		arms = append(arms, a)
 	}
-	return out, nil
+	return ablation(workloads, scale, arms, points, func(pt *ConfidencePoint, r armResults) {
+		pt.Speedup = r.speedup
+		pt.CH, pt.CL, pt.IH, pt.IL = meanBreakdown(r.runs)
+	})
 }
 
 // WakeupAblation compares the any-value and limited wakeup policies
 // (Section 3.4), with always-speculate confidence so reissues actually
 // occur.
 func WakeupAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int, alwaysSpeculate bool) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int, alwaysSpeculate bool) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	var newConf func() confidence.Estimator
-	if alwaysSpeculate {
-		newConf = func() confidence.Estimator { return confidence.Always{} }
-	}
-	var out []SchemeResult
-	for _, w := range []core.WakeupPolicy{core.WakeupAnyValue, core.WakeupLimited} {
-		m := baseline
-		m.Name = baseline.Name + "+" + w.String()
-		m.Wakeup = w
-		sp, err := meanSpeedup(cfg, m, set, workloads, scale, base, nil, newConf)
-		if err != nil {
-			return nil, err
+	ws := []core.WakeupPolicy{core.WakeupAnyValue, core.WakeupLimited}
+	return modelSchemes(cfg, baseline, set, workloads, scale, labelsOf(ws), func(i int, s *Spec, m *core.Model) {
+		m.Wakeup = ws[i]
+		if alwaysSpeculate {
+			s.NewConfidence = always
 		}
-		out = append(out, SchemeResult{Scheme: w.String(), Speedup: sp})
-	}
-	return out, nil
+	})
 }
 
 // SelectionAblation compares the paper's non-speculative-first selection
 // against strict oldest-first selection (Section 3.5).
 func SelectionAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	var out []SchemeResult
-	for _, s := range []core.SelectionPolicy{core.SelectNonSpecFirst, core.SelectOldestFirst} {
-		m := baseline
-		m.Name = baseline.Name + "+" + s.String()
-		m.Selection = s
-		sp, err := meanSpeedup(cfg, m, set, workloads, scale, base, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeResult{Scheme: s.String(), Speedup: sp})
-	}
-	return out, nil
+	ss := []core.SelectionPolicy{core.SelectNonSpecFirst, core.SelectOldestFirst}
+	return modelSchemes(cfg, baseline, set, workloads, scale, labelsOf(ss), func(i int, _ *Spec, m *core.Model) {
+		m.Selection = ss[i]
+	})
 }
 
 // ScalingPoint is one point of a width/window scaling sweep.
@@ -396,25 +317,23 @@ type ScalingPoint struct {
 // expose more dependences and hence increase the potential of
 // value-speculation" (Gabbay-Mendelson, cited in Section 6).
 func ScalingSweep(model core.Model, set Setting, workloads []bench.Workload,
-	scale int, configs []cpu.Config) ([]ScalingPoint, error) {
+	scale int, configs []cpu.Config) *Study[[]ScalingPoint] {
 
-	var out []ScalingPoint
+	var points []ScalingPoint
+	var arms []Spec
 	for _, cfg := range configs {
-		base, err := baseIPCs(cfg, workloads, scale)
-		if err != nil {
-			return nil, err
-		}
-		baseHM, err := harmonicMeanByName(base)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := meanSpeedup(cfg, model, set, workloads, scale, base, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ScalingPoint{Config: ConfigName(cfg), BaseIPC: baseHM, Speedup: sp})
+		points = append(points, ScalingPoint{Config: ConfigName(cfg)})
+		arms = append(arms, arm(cfg, model, set))
 	}
-	return out, nil
+	return ablation(workloads, scale, arms, points, func(p *ScalingPoint, r armResults) {
+		ipc := make(map[string]float64, len(r.base))
+		for _, b := range r.base {
+			ipc[b.Spec.Workload.Name] = b.IPC()
+		}
+		// The speedup fold already held every base IPC positive.
+		p.BaseIPC, _ = harmonicMeanByName(ipc)
+		p.Speedup = r.speedup
+	})
 }
 
 // DefaultScalingConfigs returns a finer-grained width/window ladder around
@@ -441,126 +360,48 @@ type GeometryPoint struct {
 // tables both 1<<bits entries) under the baseline model — the predictor-
 // configuration dimension the paper defers to its references [20, 31, 32].
 func PredictorGeometrySweep(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int, bitsList []uint) ([]GeometryPoint, error) {
+	workloads []bench.Workload, scale int, bitsList []uint) *Study[[]GeometryPoint] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
-	}
-	var out []GeometryPoint
+	var points []GeometryPoint
+	var arms []Spec
 	for _, bits := range bitsList {
-		bits := bits
-		newPred := func() vpred.Predictor {
+		a := arm(cfg, baseline, set)
+		a.NewPredictor = func() vpred.Predictor {
 			return vpred.NewFCM(vpred.FCMConfig{HistoryBits: bits, PredictionBits: bits, HistoryDepth: 4})
 		}
-		specs := make([]Spec, 0, len(workloads))
-		for _, w := range workloads {
-			m := baseline
-			specs = append(specs, Spec{
-				Workload: w, Scale: scale, Config: cfg, Model: &m, Setting: set,
-				NewPredictor: newPred,
-			})
-		}
-		results, err := SimulateAll(specs)
-		if err != nil {
-			return nil, err
-		}
-		var sps []float64
-		acc := 0.0
-		for _, r := range results {
-			sp, err := stats.Speedup(base[r.Spec.Workload.Name], r.IPC())
-			if err != nil {
-				return nil, err
-			}
-			sps = append(sps, sp)
-			acc += r.Stats.PredictionAccuracy()
-		}
-		hm, err := stats.HarmonicMean(sps)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, GeometryPoint{
-			TableBits: bits,
-			Speedup:   hm,
-			Accuracy:  acc / float64(len(results)),
-		})
+		points = append(points, GeometryPoint{TableBits: bits})
+		arms = append(arms, a)
 	}
-	return out, nil
+	return ablation(workloads, scale, arms, points, func(p *GeometryPoint, r armResults) {
+		p.Speedup = r.speedup
+		for _, res := range r.runs {
+			p.Accuracy += res.Stats.PredictionAccuracy()
+		}
+		p.Accuracy /= float64(len(r.runs))
+	})
 }
 
 // ScopeAblation compares predicting every register writer (the paper's
 // setup) against Lipasti's original load-value prediction and an
 // ALU-results-only scope.
 func ScopeAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int) *Study[[]SchemeResult] {
 
-	base, err := baseIPCs(cfg, workloads, scale)
-	if err != nil {
-		return nil, err
+	filters := []func(op isa.Op) bool{
+		nil,
+		func(op isa.Op) bool { return op == isa.LD },
+		func(op isa.Op) bool { return op != isa.LD },
 	}
-	scopes := []struct {
-		name   string
-		filter func(op isa.Op) bool
-	}{
-		{"all reg-writers", nil},
-		{"loads only", func(op isa.Op) bool { return op == isa.LD }},
-		{"non-loads only", func(op isa.Op) bool { return op != isa.LD }},
-	}
-	var out []SchemeResult
-	for _, sc := range scopes {
-		sc := sc
-		specs := make([]Spec, 0, len(workloads))
-		for _, w := range workloads {
-			m := baseline
-			specs = append(specs, Spec{
-				Workload: w, Scale: scale, Config: cfg, Model: &m, Setting: set,
-				Predictable: sc.filter,
-			})
-		}
-		results, err := SimulateAll(specs)
-		if err != nil {
-			return nil, err
-		}
-		var sps []float64
-		for _, r := range results {
-			sp, err := stats.Speedup(base[r.Spec.Workload.Name], r.IPC())
-			if err != nil {
-				return nil, err
-			}
-			sps = append(sps, sp)
-		}
-		hm, err := stats.HarmonicMean(sps)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeResult{Scheme: sc.name, Speedup: hm})
-	}
-	return out, nil
+	return schemes(cfg, baseline, set, workloads, scale, []string{"all reg-writers", "loads only", "non-loads only"},
+		func(i int, s *Spec, _ *core.Model) { s.Predictable = filters[i] })
 }
 
 // BranchQualityAblation measures value-speculation speedup under gshare and
 // under perfect branch prediction, against matching base machines — value
 // speculation and control speculation compete for the same exposed ILP.
 func BranchQualityAblation(cfg cpu.Config, baseline core.Model, set Setting,
-	workloads []bench.Workload, scale int) ([]SchemeResult, error) {
+	workloads []bench.Workload, scale int) *Study[[]SchemeResult] {
 
-	var out []SchemeResult
-	for _, perfect := range []bool{false, true} {
-		c := cfg
-		c.PerfectBranches = perfect
-		base, err := baseIPCs(c, workloads, scale)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := meanSpeedup(c, baseline, set, workloads, scale, base, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		name := "gshare"
-		if perfect {
-			name = "perfect branches"
-		}
-		out = append(out, SchemeResult{Scheme: name, Speedup: sp})
-	}
-	return out, nil
+	return schemes(cfg, baseline, set, workloads, scale, []string{"gshare", "perfect branches"},
+		func(i int, s *Spec, _ *core.Model) { s.Config.PerfectBranches = i == 1 })
 }

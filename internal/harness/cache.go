@@ -208,8 +208,8 @@ func (c *TraceCache) Evictions() int64 {
 // are in flight, or use the locked accessors above.
 func (c *TraceCache) Registry() *obs.Registry { return c.reg }
 
-// defaultTraceCache backs SimulateAll.
+// defaultTraceCache backs SimulateAll and Run.
 var defaultTraceCache = NewTraceCache()
 
-// DefaultTraceCache returns the process-wide cache used by SimulateAll.
+// DefaultTraceCache returns the process-wide cache used by SimulateAll and Run.
 func DefaultTraceCache() *TraceCache { return defaultTraceCache }

@@ -121,7 +121,11 @@ func (r Result) IPC() float64 { return r.Stats.IPC() }
 
 // Simulate runs one simulation to completion, execute-driven: the pipeline
 // consumes the functional emulator directly.
-func Simulate(spec Spec) (Result, error) { return simulate(spec, nil) }
+func Simulate(spec Spec) (Result, error) {
+	res, err := simulate(spec, nil)
+	ActiveSpecReport().Record(spec, res.Stats)
+	return res, err
+}
 
 // spare is the reusable state of one simulation: a pipeline, and the
 // paper's FCM and resetting-confidence tables. simulate takes a spare from
@@ -158,12 +162,13 @@ func (s *spare) confidence() *confidence.Resetting {
 	return s.conf
 }
 
-// newPipeline resets the spare's pipeline for one spec. With a non-nil
-// cache the pipeline replays the cached trace of (workload, scale);
-// otherwise it is execute-driven. Both feed the pipeline the identical
-// record stream, so results are bit-identical either way (the differential
-// suite in replay_test.go holds this at byte granularity).
-func newPipeline(spec Spec, cache *TraceCache, sp *spare) (*cpu.Pipeline, *obs.PhaseTimer, error) {
+// newPipeline resets the spare's pipeline for one spec and returns it with
+// its record source. With a non-nil cache the pipeline replays the cached
+// trace of (workload, scale); otherwise it is execute-driven. Both feed the
+// pipeline the identical record stream, so results are bit-identical either
+// way (the differential suite in replay_test.go holds this at byte
+// granularity).
+func newPipeline(spec Spec, cache *TraceCache, sp *spare) (*cpu.Pipeline, trace.Source, error) {
 	var src trace.Source
 	if cache != nil {
 		s, err := cache.Source(spec.Workload, spec.Scale)
@@ -218,41 +223,71 @@ func newPipeline(spec Spec, cache *TraceCache, sp *spare) (*cpu.Pipeline, *obs.P
 	if spec.Telemetry != nil {
 		p.SetTelemetry(spec.Telemetry)
 	}
-	var phases *obs.PhaseTimer
-	if spec.Phases {
-		phases = p.EnablePhaseStats()
-	}
-	return p, phases, nil
+	return p, src, nil
 }
 
-// simulate runs one simulation to completion on a spare from the pool. The
-// Result holds its own copy of the statistics rather than a pointer into
-// the pipeline, and the spare goes back to the pool without the spec's
-// source and observers, so a finished spec pins nothing: the pool keeps
-// about one set of tables per concurrent spec, not one per result.
+// simulate runs one simulation to completion on a spare from the pool and
+// checks its statistics against the conservation laws. The Result holds
+// its own copy of the statistics rather than a pointer into the pipeline,
+// and the spare goes back to the pool without the spec's source and
+// observers, so a finished spec pins nothing: the pool keeps about one set
+// of tables per concurrent spec, not one per result.
 func simulate(spec Spec, cache *TraceCache) (Result, error) {
 	sp := spares.Get().(*spare)
 	defer func() {
 		sp.p.Detach()
 		spares.Put(sp)
 	}()
-	p, phases, err := newPipeline(spec, cache, sp)
+	p, src, err := newPipeline(spec, cache, sp)
 	if err != nil {
 		return Result{}, err
 	}
+	var phases *obs.PhaseTimer
+	if spec.Phases {
+		phases = p.EnablePhaseStats()
+	}
 	st, err := p.Run()
+	if err == nil {
+		err = checkLaws(st, delivered(src))
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %s on %s: %w", spec.Workload.Name, ConfigName(spec.Config), err)
 	}
 	stats := *st
-	if rep := ActiveSpecReport(); rep != nil {
-		rep.Record(spec, &stats)
-	}
 	res := Result{Spec: spec, Stats: &stats}
 	if phases != nil {
 		res.Phases = phases.Breakdown()
 	}
 	return res, nil
+}
+
+// delivered returns how many records src handed a pipeline that ran to
+// completion: the whole recording for a replay cursor, every executed
+// instruction for the emulator.
+func delivered(src trace.Source) int64 {
+	if m, ok := src.(*emu.Machine); ok {
+		return m.Executed()
+	}
+	return int64(src.(*trace.MemorySource).Len())
+}
+
+// checkLaws checks, at O(1) cost, the conservation laws a completed run
+// obeys: every delivered record retires once (law 1), the four
+// correctness x confidence sets partition the predictions (law 4), and
+// every dispatched instruction either retires or is squashed by complete
+// invalidation (law 5). A broken law is a simulator fault.
+func checkLaws(st *cpu.Stats, records int64) error {
+	switch {
+	case st.Retired != records:
+		return fmt.Errorf("conservation law 1: retired %d of %d records", st.Retired, records)
+	case st.CH+st.CL+st.IH+st.IL != st.Predictions:
+		return fmt.Errorf("conservation law 4: CH+CL+IH+IL = %d, predictions %d",
+			st.CH+st.CL+st.IH+st.IL, st.Predictions)
+	case st.Dispatched != st.Retired+st.CompleteSquashes:
+		return fmt.Errorf("conservation law 5: dispatched %d, retired %d + squashed %d",
+			st.Dispatched, st.Retired, st.CompleteSquashes)
+	}
+	return nil
 }
 
 // SpecFailure is one failed spec of a batch: its input position, the spec
@@ -304,7 +339,7 @@ func SimulateAll(specs []Spec) ([]Result, error) {
 // granularity is one spec — an individual simulation is bounded by its
 // Config.MaxCycles, not by ctx.
 func SimulateAllCtx(ctx context.Context, specs []Spec) ([]Result, error) {
-	return simulateAll(ctx, specs, defaultTraceCache, ActiveProgress())
+	return simulateAll(ctx, specs, defaultTraceCache, ActiveProgress(), ActiveSpecReport())
 }
 
 // SimulateBatch runs one batch with an explicit per-batch progress tracker
@@ -312,10 +347,12 @@ func SimulateAllCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 // SetProgress. The jobs service uses this to give every job its own live
 // Progress snapshot while many jobs run concurrently.
 func SimulateBatch(ctx context.Context, specs []Spec, progress *Progress) ([]Result, error) {
-	return simulateAll(ctx, specs, defaultTraceCache, progress)
+	return simulateAll(ctx, specs, defaultTraceCache, progress, ActiveSpecReport())
 }
 
-func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress *Progress) ([]Result, error) {
+// simulateAll runs one batch on the worker pool; rep records each spec as
+// it completes.
+func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress *Progress, rep *SpecReport) ([]Result, error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
 	workers := runtime.GOMAXPROCS(0)
@@ -353,6 +390,7 @@ func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress 
 					errs[i] = err
 					continue
 				}
+				rep.Record(res.Spec, res.Stats)
 				results[i] = res
 			}
 		}()
@@ -416,28 +454,22 @@ type Fig3Cell struct {
 	PerWkld map[string]float64
 }
 
-// Fig3 sweeps models x configurations x settings over the workload suite and
-// returns the harmonic-mean speedup cells in a deterministic order
-// (configuration, then setting, then model). scale <= 0 selects workload
-// defaults.
-func Fig3(configs []cpu.Config, models []core.Model, settings []Setting, workloads []bench.Workload, scale int) ([]Fig3Cell, error) {
-	baseSpecs, runSpecs := Fig3Specs(configs, models, settings, workloads, scale)
-	baseResults, err := SimulateAll(baseSpecs)
-	if err != nil {
-		return nil, err
-	}
-	results, err := SimulateAll(runSpecs)
-	if err != nil {
-		return nil, err
-	}
-	return Fig3FromResults(baseResults, results)
+// Fig3 is the study that sweeps models x configurations x settings over the
+// workload suite, folded to harmonic-mean speedup cells in a deterministic
+// order (configuration, then setting, then model). scale <= 0 selects
+// workload defaults.
+func Fig3(configs []cpu.Config, models []core.Model, settings []Setting, workloads []bench.Workload, scale int) *Study[[]Fig3Cell] {
+	base, runs := Fig3Specs(configs, models, settings, workloads, scale)
+	return &Study[[]Fig3Cell]{Specs: append(base, runs...), Fold: func(rs []Result) ([]Fig3Cell, error) {
+		return Fig3FromResults(rs[:len(base)], rs[len(base):])
+	}}
 }
 
 // Fig3Specs expands the Fig. 3 sweep into its simulation plan: the base runs
 // (one per config x workload) and the speculative runs (config x setting x
 // model x workload). Running both spec lists — locally through SimulateAll
 // or remotely through the jobs service — and handing the results to
-// Fig3FromResults reproduces Fig3 exactly.
+// Fig3FromResults reproduces the Fig3 study exactly.
 func Fig3Specs(configs []cpu.Config, models []core.Model, settings []Setting, workloads []bench.Workload, scale int) (base, runs []Spec) {
 	for _, cfg := range configs {
 		for _, w := range workloads {
@@ -529,15 +561,12 @@ type Fig4Cell struct {
 	CH, CL, IH, IL float64
 }
 
-// Fig4 measures the accuracy breakdown of the real-confidence Great-model
-// runs for each configuration and update timing, averaging the per-benchmark
-// fractions arithmetically as the paper does.
-func Fig4(configs []cpu.Config, workloads []bench.Workload, scale int) ([]Fig4Cell, error) {
-	results, err := SimulateAll(Fig4Specs(configs, workloads, scale))
-	if err != nil {
-		return nil, err
-	}
-	return Fig4FromResults(results)
+// Fig4 is the study that measures the accuracy breakdown of the
+// real-confidence Great-model runs for each configuration and update
+// timing, averaging the per-benchmark fractions arithmetically as the paper
+// does.
+func Fig4(configs []cpu.Config, workloads []bench.Workload, scale int) *Study[[]Fig4Cell] {
+	return &Study[[]Fig4Cell]{Specs: Fig4Specs(configs, workloads, scale), Fold: Fig4FromResults}
 }
 
 // Fig4Specs expands the Fig. 4 sweep into its simulation plan: the
@@ -561,36 +590,31 @@ func Fig4Specs(configs []cpu.Config, workloads []bench.Workload, scale int) []Sp
 // Fig4FromResults aggregates pre-computed simulation results (in Fig4Specs
 // order) into the Fig. 4 cells.
 func Fig4FromResults(results []Result) ([]Fig4Cell, error) {
-	type acc struct {
-		cell Fig4Cell
-		n    int
-	}
-	cells := make(map[string]*acc)
+	groups := make(map[string][]Result)
 	var order []string
 	for _, r := range results {
 		key := ConfigName(r.Spec.Config) + "|" + r.Spec.Setting.Update.String()
-		a, ok := cells[key]
-		if !ok {
-			a = &acc{cell: Fig4Cell{Config: ConfigName(r.Spec.Config), Update: r.Spec.Setting.Update}}
-			cells[key] = a
+		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
-		ch, cl, ih, il := r.Stats.Breakdown()
-		a.cell.CH += ch
-		a.cell.CL += cl
-		a.cell.IH += ih
-		a.cell.IL += il
-		a.n++
+		groups[key] = append(groups[key], r)
 	}
-	out := make([]Fig4Cell, 0, len(order))
-	for _, key := range order {
-		a := cells[key]
-		n := float64(a.n)
-		a.cell.CH /= n
-		a.cell.CL /= n
-		a.cell.IH /= n
-		a.cell.IL /= n
-		out = append(out, a.cell)
+	out := make([]Fig4Cell, len(order))
+	for i, key := range order {
+		rs := groups[key]
+		out[i] = Fig4Cell{Config: ConfigName(rs[0].Spec.Config), Update: rs[0].Spec.Setting.Update}
+		out[i].CH, out[i].CL, out[i].IH, out[i].IL = meanBreakdown(rs)
 	}
 	return out, nil
+}
+
+// meanBreakdown returns the arithmetic means of rs's Fig. 4 fractions,
+// summed in order.
+func meanBreakdown(rs []Result) (ch, cl, ih, il float64) {
+	for _, r := range rs {
+		a, b, c, d := r.Stats.Breakdown()
+		ch, cl, ih, il = ch+a, cl+b, ih+c, il+d
+	}
+	n := float64(len(rs))
+	return ch / n, cl / n, ih / n, il / n
 }

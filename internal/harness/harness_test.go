@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,6 +25,14 @@ func testWorkloads(t *testing.T) []bench.Workload {
 		t.Fatal(err)
 	}
 	return []bench.Workload{w1, w2}
+}
+
+// runStudies simulates the studies as one batch, failing the test on error.
+func runStudies(t testing.TB, studies ...AnyStudy) {
+	t.Helper()
+	if err := Run(context.Background(), studies...); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSettingStrings(t *testing.T) {
@@ -104,14 +113,13 @@ func TestTable1(t *testing.T) {
 
 func TestFig3SmallSweep(t *testing.T) {
 	ws := testWorkloads(t)
-	cells, err := Fig3(
+	st := Fig3(
 		[]cpu.Config{cpu.Config4x24()},
 		core.Presets(),
 		[]Setting{{Update: cpu.UpdateImmediate}, {Update: cpu.UpdateImmediate, Oracle: true}},
 		ws, testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runStudies(t, st)
+	cells := st.Out
 	if len(cells) != 6 { // 1 config x 2 settings x 3 models
 		t.Fatalf("got %d cells, want 6", len(cells))
 	}
@@ -137,10 +145,9 @@ func TestFig3SmallSweep(t *testing.T) {
 }
 
 func TestFig4SmallSweep(t *testing.T) {
-	cells, err := Fig4([]cpu.Config{cpu.Config4x24()}, testWorkloads(t), testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Fig4([]cpu.Config{cpu.Config4x24()}, testWorkloads(t), testScale)
+	runStudies(t, st)
+	cells := st.Out
 	if len(cells) != 2 { // 1 config x {D, I}
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
@@ -201,11 +208,10 @@ func TestFig1Diagram(t *testing.T) {
 }
 
 func TestLatencySensitivitySmall(t *testing.T) {
-	points, err := LatencySensitivity(cpu.Config4x24(), core.Great(),
+	st := LatencySensitivity(cpu.Config4x24(), core.Great(),
 		Setting{Update: cpu.UpdateImmediate}, testWorkloads(t), testScale, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runStudies(t, st)
+	points := st.Out
 	// Six variables, each with (min..1) points: 0..1 for five of them, 1
 	// for the resource-release variable.
 	wantPoints := 5*2 + 1
@@ -230,31 +236,26 @@ func TestAblationsSmall(t *testing.T) {
 	cfg := cpu.Config4x24()
 	great := core.Great()
 
-	ver, err := VerificationAblation(cfg, great, set, ws, testScale)
-	if err != nil || len(ver) != 4 {
-		t.Fatalf("verification: %v (%d rows)", err, len(ver))
+	ver := VerificationAblation(cfg, great, set, ws, testScale)
+	inv := InvalidationAblation(cfg, great, set, ws, testScale, true)
+	res := ResolutionAblation(cfg, great, set, ws, testScale)
+	fwd := ForwardingAblation(cfg, great, set, ws, testScale)
+	pred := PredictorAblation(cfg, great, set, ws, testScale)
+	conf := ConfidenceSweep(cfg, great, set, ws, testScale, 2)
+	runStudies(t, ver, inv, res, fwd, pred, conf)
+	for _, c := range []struct {
+		name       string
+		rows, want int
+	}{
+		{"verification", len(ver.Out), 4}, {"invalidation", len(inv.Out), 3},
+		{"resolution", len(res.Out), 4}, {"forwarding", len(fwd.Out), 2},
+		{"predictors", len(pred.Out), 4}, {"confidence", len(conf.Out), 2},
+	} {
+		if c.rows != c.want {
+			t.Errorf("%s: %d rows, want %d", c.name, c.rows, c.want)
+		}
 	}
-	inv, err := InvalidationAblation(cfg, great, set, ws, testScale, true)
-	if err != nil || len(inv) != 3 {
-		t.Fatalf("invalidation: %v (%d rows)", err, len(inv))
-	}
-	res, err := ResolutionAblation(cfg, great, set, ws, testScale)
-	if err != nil || len(res) != 4 {
-		t.Fatalf("resolution: %v (%d rows)", err, len(res))
-	}
-	fwd, err := ForwardingAblation(cfg, great, set, ws, testScale)
-	if err != nil || len(fwd) != 2 {
-		t.Fatalf("forwarding: %v (%d rows)", err, len(fwd))
-	}
-	pred, err := PredictorAblation(cfg, great, set, ws, testScale)
-	if err != nil || len(pred) != 4 {
-		t.Fatalf("predictors: %v (%d rows)", err, len(pred))
-	}
-	conf, err := ConfidenceSweep(cfg, great, set, ws, testScale, 2)
-	if err != nil || len(conf) != 2 {
-		t.Fatalf("confidence: %v (%d rows)", err, len(conf))
-	}
-	for _, rows := range [][]SchemeResult{ver, inv, res, fwd, pred} {
+	for _, rows := range [][]SchemeResult{ver.Out, inv.Out, res.Out, fwd.Out, pred.Out} {
 		for _, r := range rows {
 			if r.Speedup <= 0 {
 				t.Errorf("%s: speedup %g", r.Scheme, r.Speedup)
@@ -271,12 +272,11 @@ func TestLatencyVariableNames(t *testing.T) {
 }
 
 func TestScalingSweepSmall(t *testing.T) {
-	points, err := ScalingSweep(core.Great(), Setting{Update: cpu.UpdateImmediate},
+	st := ScalingSweep(core.Great(), Setting{Update: cpu.UpdateImmediate},
 		testWorkloads(t), testScale,
 		[]cpu.Config{cpu.Config4x24(), cpu.Config8x48()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runStudies(t, st)
+	points := st.Out
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -337,11 +337,10 @@ func TestFig1DiagramGolden(t *testing.T) {
 }
 
 func TestPredictorGeometrySweepSmall(t *testing.T) {
-	points, err := PredictorGeometrySweep(cpu.Config4x24(), core.Great(),
+	st := PredictorGeometrySweep(cpu.Config4x24(), core.Great(),
 		Setting{Update: cpu.UpdateImmediate}, testWorkloads(t), testScale, []uint{6, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runStudies(t, st)
+	points := st.Out
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -353,10 +352,12 @@ func TestPredictorGeometrySweepSmall(t *testing.T) {
 }
 
 func TestScopeAblationSmall(t *testing.T) {
-	rows, err := ScopeAblation(cpu.Config4x24(), core.Great(),
+	st := ScopeAblation(cpu.Config4x24(), core.Great(),
 		Setting{Update: cpu.UpdateImmediate}, testWorkloads(t), testScale)
-	if err != nil || len(rows) != 3 {
-		t.Fatalf("scope: %v (%d rows)", err, len(rows))
+	runStudies(t, st)
+	rows := st.Out
+	if len(rows) != 3 {
+		t.Fatalf("scope: %d rows", len(rows))
 	}
 	// Predicting everything should not lose to loads-only.
 	if rows[0].Speedup < rows[1].Speedup-0.02 {
@@ -365,14 +366,40 @@ func TestScopeAblationSmall(t *testing.T) {
 }
 
 func TestBranchQualityAblationSmall(t *testing.T) {
-	rows, err := BranchQualityAblation(cpu.Config4x24(), core.Great(),
+	st := BranchQualityAblation(cpu.Config4x24(), core.Great(),
 		Setting{Update: cpu.UpdateImmediate}, testWorkloads(t), testScale)
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("branchq: %v (%d rows)", err, len(rows))
+	runStudies(t, st)
+	rows := st.Out
+	if len(rows) != 2 {
+		t.Fatalf("branchq: %d rows", len(rows))
 	}
 	for _, r := range rows {
 		if r.Speedup <= 0 {
 			t.Errorf("%s: %.3f", r.Scheme, r.Speedup)
+		}
+	}
+}
+
+// TestCheckLawsRejectsBrokenStats shows each conservation law rejecting a
+// hand-built Stats that breaks it.
+func TestCheckLawsRejectsBrokenStats(t *testing.T) {
+	good := cpu.Stats{Retired: 10, Dispatched: 12, CompleteSquashes: 2, Predictions: 6, CH: 3, CL: 1, IH: 1, IL: 1}
+	if err := checkLaws(&good, 10); err != nil {
+		t.Fatalf("consistent stats rejected: %v", err)
+	}
+	for _, c := range []struct {
+		law     string
+		records int64
+		breakIt func(*cpu.Stats)
+	}{
+		{"law 1", 11, func(*cpu.Stats) {}},
+		{"law 4", 10, func(s *cpu.Stats) { s.IL++ }},
+		{"law 5", 10, func(s *cpu.Stats) { s.Dispatched-- }},
+	} {
+		st := good
+		c.breakIt(&st)
+		if err := checkLaws(&st, c.records); err == nil || !strings.Contains(err.Error(), c.law) {
+			t.Errorf("%s: got %v", c.law, err)
 		}
 	}
 }

@@ -71,11 +71,9 @@ func TestScalingSweepBitReproducible(t *testing.T) {
 	cfgs := []cpu.Config{{IssueWidth: 2, WindowSize: 12}}
 	var first ScalingPoint
 	for run := 0; run < 5; run++ {
-		pts, err := ScalingSweep(core.Great(), Setting{Update: cpu.UpdateImmediate}, ws, 1, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := pts[0]
+		st := ScalingSweep(core.Great(), Setting{Update: cpu.UpdateImmediate}, ws, 1, cfgs)
+		runStudies(t, st)
+		p := st.Out[0]
 		if run == 0 {
 			first = p
 			continue

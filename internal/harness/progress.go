@@ -45,9 +45,10 @@ const ewmaAlpha = 0.2
 // obsweb server (and any other scraper) reads a consistent picture while
 // the SimulateAll worker pool hammers it. All methods are goroutine-safe.
 //
-// Install process-wide with SetProgress; SimulateAll then reports into it
-// on every batch, including down its cancellation path (a failing spec
-// counts as failed, and the batch's unclaimed specs stay visibly pending).
+// Install process-wide with SetProgress; SimulateAll and Run then report
+// into it on every batch, including down its cancellation path (a failing
+// spec counts as failed, and the batch's unclaimed specs stay visibly
+// pending).
 type Progress struct {
 	shared  *obs.SharedRegistry
 	workers int
@@ -269,12 +270,13 @@ func (p *Progress) publishLocked(specCycles int64) {
 	})
 }
 
-// activeProgress is the process-wide tracker SimulateAll reports into; nil
+// activeProgress is the process-wide tracker batches report into; nil
 // (the default) means tracking is off and costs one atomic load per batch.
 var activeProgress atomic.Pointer[Progress]
 
 // SetProgress installs the process-wide progress tracker consulted by
-// SimulateAll (cmd/vsweep does this under -serve); pass nil to remove it.
+// SimulateAll and Run (cmd/vsweep does this under -serve); pass nil to
+// remove it.
 func SetProgress(p *Progress) { activeProgress.Store(p) }
 
 // ActiveProgress returns the installed tracker, or nil.

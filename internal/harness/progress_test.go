@@ -33,7 +33,7 @@ func TestProgressTracksSimulateAll(t *testing.T) {
 	defer SetProgress(nil)
 
 	cache := NewTraceCache()
-	results, err := simulateAll(context.Background(), specs, cache, pr)
+	results, err := simulateAll(context.Background(), specs, cache, pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestProgressFailurePath(t *testing.T) {
 	SetProgress(pr)
 	defer SetProgress(nil)
 
-	if _, err := simulateAll(context.Background(), []Spec{bad, good, good, good}, nil, pr); err == nil {
+	if _, err := simulateAll(context.Background(), []Spec{bad, good, good, good}, nil, pr, nil); err == nil {
 		t.Fatal("expected an error from the invalid config")
 	}
 	snap := pr.Snapshot()

@@ -91,11 +91,11 @@ func TestResultsReleasePipelines(t *testing.T) {
 		specs[i] = Spec{Workload: w, Scale: 1, Config: cpu.Config8x48(), Model: &great}
 	}
 	// Record the trace and warm the spare pool outside the measurement.
-	if _, err := simulateAll(context.Background(), specs, cache, nil); err != nil {
+	if _, err := simulateAll(context.Background(), specs, cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := liveHeap()
-	results, err := simulateAll(context.Background(), specs, cache, nil)
+	results, err := simulateAll(context.Background(), specs, cache, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

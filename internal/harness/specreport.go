@@ -38,9 +38,10 @@ func NewSpecReport() *SpecReport {
 }
 
 // Record folds one completed spec's statistics into its group. Base-model
-// specs (no speculation, hence no predictions) are skipped.
+// specs (no speculation, hence no predictions) are skipped, and so is
+// everything on a nil report.
 func (rep *SpecReport) Record(spec Spec, st *cpu.Stats) {
-	if spec.Model == nil || st == nil {
+	if rep == nil || spec.Model == nil || st == nil {
 		return
 	}
 	key := ConfigName(spec.Config) + "|" + spec.Model.Name + "|" + spec.Setting.String()

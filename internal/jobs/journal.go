@@ -58,6 +58,12 @@ func openJournal(dir string, interval time.Duration, apply func(Job), snapshot f
 	if err != nil {
 		return nil, fmt.Errorf("jobs: journal: %w", err)
 	}
+	// Until the directory is synced, a power loss can leave it without the
+	// log the commits below make durable.
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("jobs: journal: %w", err)
+	}
 	j := &journal{path: path, interval: interval, f: f, compact: snapshot, done: make(chan struct{})}
 	j.cond = sync.NewCond(&j.mu)
 
@@ -218,10 +224,11 @@ func (j *journal) commitLoop() {
 
 // runCompaction rewrites the journal as one record per live job: snapshot
 // (under the queue's lock, so it is consistent with everything staged),
-// write to a temp file, fsync, rename over the log. Records staged after the
-// snapshot stay in buf and land in the new file on the next commit, so
-// nothing durable is lost if the process dies at any point. Called from the
-// committer only, with j.mu released.
+// write to a temp file, fsync, rename over the log, fsync the directory.
+// Records staged after the snapshot stay in buf and land in the new file on
+// the next commit, after the directory names it, so nothing durable is lost
+// if the process or the power dies at any point. Called from the committer
+// only, with j.mu released.
 func (j *journal) runCompaction() {
 	snap := j.compact()
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), "journal-*")
@@ -257,6 +264,9 @@ func (j *journal) runCompaction() {
 	j.f.Close()
 	j.f = tmp
 	j.records = uint64(len(snap))
+	if err := syncDir(filepath.Dir(j.path)); err != nil && j.err == nil {
+		j.err = fmt.Errorf("jobs: journal: compaction: %w", err)
+	}
 }
 
 // fail records a sticky error and wakes waiters.

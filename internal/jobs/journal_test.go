@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -169,5 +170,42 @@ func TestJournalCompaction(t *testing.T) {
 		if before[i].ID != after[i].ID || before[i].State != after[i].State || before[i].Attempts != after[i].Attempts {
 			t.Errorf("job %s diverged across compaction+replay: %+v != %+v", before[i].ID, before[i], after[i])
 		}
+	}
+}
+
+// TestJournalSyncsDirectory: the journal's directory entry is made durable
+// once when a queue opens (the create) and once more per compaction (the
+// rename), before the new file takes appends.
+func TestJournalSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	var syncs atomic.Int32
+	orig := syncDir
+	syncDir = func(d string) error {
+		if d == dir {
+			syncs.Add(1)
+		}
+		return orig(d)
+	}
+	defer func() { syncDir = orig }()
+
+	q, err := OpenQueue(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := syncs.Load(); n != 1 {
+		t.Errorf("fresh queue: %d directory syncs, want 1", n)
+	}
+	req := testRequest("sync", 0)
+	if _, err := q.Submit(req, hashFor(t, req)); err != nil {
+		t.Fatal(err)
+	}
+	q.journal.requestCompact()
+	deadline := time.Now().Add(5 * time.Second)
+	for syncs.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	q.Close()
+	if n := syncs.Load(); n != 2 {
+		t.Errorf("after one compaction: %d directory syncs, want 2", n)
 	}
 }

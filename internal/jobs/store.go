@@ -168,8 +168,9 @@ func (s *Store) Bytes() int64 {
 	return s.bytes
 }
 
-// syncDir fsyncs directory dir, making a rename into it durable.
-func syncDir(dir string) error {
+// syncDir fsyncs directory dir, making a create or a rename in it durable.
+// A variable so tests can count the syncs.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

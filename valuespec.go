@@ -32,6 +32,8 @@
 package valuespec
 
 import (
+	"context"
+
 	"valuespec/internal/bench"
 	"valuespec/internal/confidence"
 	"valuespec/internal/core"
@@ -314,10 +316,14 @@ func Table1(scale int) ([]Table1Row, error) { return harness.Table1(scale) }
 
 // Fig3 regenerates the paper's Fig. 3 sweep.
 func Fig3(configs []Config, models []Model, settings []Setting, workloads []Workload, scale int) ([]Fig3Cell, error) {
-	return harness.Fig3(configs, models, settings, workloads, scale)
+	st := harness.Fig3(configs, models, settings, workloads, scale)
+	err := harness.Run(context.Background(), st)
+	return st.Out, err
 }
 
 // Fig4 regenerates the paper's Fig. 4 accuracy breakdown.
 func Fig4(configs []Config, workloads []Workload, scale int) ([]Fig4Cell, error) {
-	return harness.Fig4(configs, workloads, scale)
+	st := harness.Fig4(configs, workloads, scale)
+	err := harness.Run(context.Background(), st)
+	return st.Out, err
 }
