@@ -45,11 +45,12 @@ check:
 	$(GO) test -race ./...
 
 # Ten seconds of native fuzzing per target on the decoders of untrusted or
-# round-tripped input: the VSTR trace codec, the compact trace recording,
-# the assembler, the binary program reader and the job service's submit
-# path; on random programs run by the emulator and its reference; and on
-# random streams run by each value predictor and its full-size-table
-# reference. Go fuzzes one target per invocation, hence one line each.
+# round-tripped input: the VSTR trace codec, the assembler, the binary
+# program reader and the job service's submit path; on random programs
+# recorded by the emulator and replayed (FuzzRecordingRoundTrip), and run
+# by the emulator, its recording's replay and its reference; and on random
+# streams run by each value predictor and its full-size-table reference.
+# Go fuzzes one target per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVSTRRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace

@@ -48,8 +48,7 @@ var targets = []struct{ pkg, pattern string }{
 	// spare holds and the bytes its Reset writes.
 	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkSpareFootprint)$"},
 	// BenchmarkRecordKernels is the trace cache's cold start: its work
-	// counters pin every kernel's recording length, verbatim records and
-	// bytes.
+	// counters pin every kernel's recording length and bytes.
 	{"./internal/trace", "^BenchmarkRecordKernels$"},
 	// The jobs benchmarks are disk-bound (atomic file writes), so their
 	// checked-in ns/op baselines are hand-slackened above any observed run —

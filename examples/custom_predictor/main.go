@@ -114,28 +114,39 @@ func main() {
 		{"hybrid (custom)", func() valuespec.Predictor { return newHybrid() }},
 	}
 
-	fmt.Println("Prediction accuracy and speedup by predictor (Great, I/R, 8/48):")
-	var rows [][]string
+	// One batch: the base machine once per workload, then every
+	// predictor on every workload, all run concurrently.
+	workloads := valuespec.Workloads()
+	var specs []valuespec.Spec
+	for _, w := range workloads {
+		specs = append(specs, valuespec.Spec{Workload: w, Config: cfg})
+	}
 	for _, pr := range predictors {
-		var accSum, spSum float64
-		for _, w := range valuespec.Workloads() {
-			base, err := valuespec.Simulate(valuespec.Spec{Workload: w, Config: cfg})
-			if err != nil {
-				log.Fatal(err)
-			}
+		for _, w := range workloads {
 			m := model
-			res, err := valuespec.Simulate(valuespec.Spec{
+			specs = append(specs, valuespec.Spec{
 				Workload: w, Config: cfg, Model: &m,
 				Setting:      valuespec.Setting{Update: valuespec.UpdateImmediate},
 				NewPredictor: pr.mk,
 			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			accSum += res.Stats.PredictionAccuracy()
-			spSum += res.IPC() / base.IPC()
 		}
-		n := float64(len(valuespec.Workloads()))
+	}
+	results, err := valuespec.SimulateAll(specs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, runs := results[:len(workloads)], results[len(workloads):]
+
+	fmt.Println("Prediction accuracy and speedup by predictor (Great, I/R, 8/48):")
+	var rows [][]string
+	for i, pr := range predictors {
+		var accSum, spSum float64
+		for j := range workloads {
+			res := runs[i*len(workloads)+j]
+			accSum += res.Stats.PredictionAccuracy()
+			spSum += res.IPC() / base[j].IPC()
+		}
+		n := float64(len(workloads))
 		rows = append(rows, []string{
 			pr.name,
 			fmt.Sprintf("%.1f%%", 100*accSum/n),

@@ -106,8 +106,8 @@ func Characterize(w Workload, scale int) (Characteristics, error) {
 	for r, ok := m.NextRef(); ok; r, ok = m.NextRef() {
 		mix.Observe(r)
 	}
-	if !m.Halted() {
-		return Characteristics{}, fmt.Errorf("bench: %s did not halt", w.Name)
+	if err := m.Err(); err != nil {
+		return Characteristics{}, fmt.Errorf("bench: %s: %w", w.Name, err)
 	}
 	return Characteristics{
 		Name:          w.Name,

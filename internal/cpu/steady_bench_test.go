@@ -161,18 +161,18 @@ func (w *workCounts) report(b *testing.B) {
 // BenchmarkReadyQueueWide runs whole simulations on a window far wider than
 // the paper's largest configuration (16-wide, 512 entries), where the
 // per-cycle selection and sweep walks span eight bitset words. The trace is
-// recorded once outside the timed loop; each iteration replays it through a
+// built once outside the timed loop; each iteration replays it through a
 // fresh cursor, as a cached sweep does. It reports the work counters per
 // simulation.
 func BenchmarkReadyQueueWide(b *testing.B) {
-	rec := trace.Encode(&trace.SliceSource{Records: wakeupRecs(b, 99, 20000)})
+	recs := wakeupRecs(b, 99, 20000)
 	cfg := flatMemConfig(Config{IssueWidth: 16, WindowSize: 512})
 	var retired int64
 	var work workCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), rec.Source())
+		p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), &trace.SliceSource{Records: recs})
 		if err != nil {
 			b.Fatal(err)
 		}

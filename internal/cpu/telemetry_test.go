@@ -110,7 +110,7 @@ func TestTelemetryQuadrantsReconcile(t *testing.T) {
 		capacity int
 	}{{"whole", 1 << 16}, {"decimated", 8}} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
+			p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), &trace.SliceSource{Records: recs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestTelemetryQuadrantsReconcile(t *testing.T) {
 func TestTelemetryIndependence(t *testing.T) {
 	recs := telemetryRecs(t, 4000)
 	run := func(tl *Telemetry, chunk int) *Stats {
-		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
+		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), &trace.SliceSource{Records: recs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestTelemetrySamplesAtBoundaries(t *testing.T) {
 	recs := telemetryRecs(t, 3000)
 	const interval = 64
 	for _, capacity := range []int{1 << 16, 6} {
-		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
+		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), &trace.SliceSource{Records: recs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestTelemetrySamplesAtBoundaries(t *testing.T) {
 
 func TestTelemetryCSVAndSnapshot(t *testing.T) {
 	recs := telemetryRecs(t, 2000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.Encode(&trace.SliceSource{Records: recs}).Source())
+	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), &trace.SliceSource{Records: recs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,16 +203,16 @@ func wakeupRecs(tb testing.TB, seed int64, n int) []trace.Record {
 
 // BenchmarkWakeup runs whole simulations on the 16-wide/96-entry
 // configuration, where the per-cycle wakeup and selection work is largest.
-// The trace is recorded once outside the timed loop; each iteration replays
+// The trace is built once outside the timed loop; each iteration replays
 // it through a fresh cursor. It reports the work counters per simulation.
 func BenchmarkWakeup(b *testing.B) {
-	rec := trace.Encode(&trace.SliceSource{Records: wakeupRecs(b, 99, 20000)})
+	recs := wakeupRecs(b, 99, 20000)
 	cfg := flatMemConfig(Config16x96())
 	var retired int64
 	var work workCounts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), rec.Source())
+		p, err := New(cfg, fcmSpec(core.Great(), confidence.NewResetting(10, 2)), &trace.SliceSource{Records: recs})
 		if err != nil {
 			b.Fatal(err)
 		}

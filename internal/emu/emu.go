@@ -1,14 +1,16 @@
 // Package emu implements the functional emulator for the valuespec ISA.
 //
 // The emulator executes a program architecturally (no timing) and emits one
-// trace.Record per dynamic instruction. It is the substitute for running
-// SPEC binaries under SimpleScalar's functional front end. Instructions
-// execute on a trace.Exec, the replay cursor's own rules over templates
-// decoded once per program; the emulator adds only data memory, HALT, the
-// instruction budget and the PC range check.
+// trace.Record per dynamic instruction, or records the run (Record) for
+// replay. It is the substitute for running SPEC binaries under
+// SimpleScalar's functional front end. Instructions execute on a
+// trace.Exec, the replay cursor's own rules over templates decoded once
+// per program; the emulator adds only data memory, HALT, the instruction
+// budget and the PC range check.
 package emu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -29,6 +31,7 @@ type Machine struct {
 	out    trace.Record // the record NextRef hands over
 	budget int64        // instruction limit, <0 means unlimited
 	halted bool
+	err    error // the fault that halted the machine
 }
 
 // Option configures a Machine.
@@ -67,6 +70,11 @@ func (m *Machine) Halted() bool { return m.halted }
 // PC returns the current program counter (static instruction index).
 func (m *Machine) PC() int { return m.x.PC }
 
+// Err returns the fault that halted the machine, or nil while it runs and
+// after HALT or an exhausted budget. Next and NextRef end the stream at a
+// fault as at a halt, so their consumers check Err when it ends.
+func (m *Machine) Err() error { return m.err }
+
 // Executed returns the number of dynamic instructions executed so far.
 func (m *Machine) Executed() int64 { return m.x.Seq }
 
@@ -92,7 +100,8 @@ func (m *Machine) step() error {
 	}
 	if pc := m.x.PC; pc < 0 || pc >= len(m.prog.Code) {
 		m.halted = true
-		return fmt.Errorf("emu: pc %d out of range [0,%d)", pc, len(m.prog.Code))
+		m.err = fmt.Errorf("emu: pc %d out of range [0,%d)", pc, len(m.prog.Code))
+		return m.err
 	}
 	r := &m.out
 	m.x.Rebuild(r)
@@ -111,8 +120,29 @@ func (m *Machine) step() error {
 	return nil
 }
 
+// Record runs p to its end on a machine New(p, opts...) builds and returns
+// the recording of the run: the program, the number of records it
+// executed and the value each load returned, written as the machine runs.
+// A fault fails the recording.
+func Record(p *program.Program, opts ...Option) (*trace.Recording, error) {
+	m, err := New(p, opts...)
+	if err != nil {
+		return nil, err
+	}
+	var loads []byte
+	for !m.halted {
+		if err := m.step(); err != nil {
+			return nil, err
+		}
+		if m.out.Instr.Op == isa.LD {
+			loads = binary.AppendVarint(loads, m.out.DstVal)
+		}
+	}
+	return trace.NewRecording(p.Code, p.Entry, int(m.x.Seq), loads), nil
+}
+
 // Next implements trace.Source: it steps the machine, reporting false at
-// halt or on an execution fault.
+// halt or on an execution fault (see Err).
 func (m *Machine) Next() (trace.Record, bool) {
 	if m.step() != nil {
 		return trace.Record{}, false
@@ -122,7 +152,7 @@ func (m *Machine) Next() (trace.Record, bool) {
 
 // NextRef implements trace.RefSource: it steps the machine into its own
 // scratch record and returns a pointer to it, reporting false at halt or on
-// an execution fault.
+// an execution fault (see Err).
 func (m *Machine) NextRef() (*trace.Record, bool) {
 	if m.step() != nil {
 		return nil, false

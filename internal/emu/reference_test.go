@@ -16,9 +16,9 @@ import (
 
 // refMachine is the reference emulator: a class switch over each
 // instruction, written against the ISA's definitions and sharing no
-// execution rule with trace.Exec, which the emulator runs on. The trace
-// encoder checks each record against trace.Exec's own rules, so it cannot
-// catch a wrong rule; this reference can. Data memory is a plain map.
+// execution rule with trace.Exec, which the emulator and the replay cursor
+// both run on. A replay checked only against the emulator cannot catch a
+// wrong rule; this reference can. Data memory is a plain map.
 type refMachine struct {
 	code   []isa.Instruction
 	regs   [isa.NumRegs]int64
@@ -111,8 +111,9 @@ func (m *refMachine) setReg(r isa.Reg, v int64) {
 // lockstep runs p on the emulator and on the reference side by side, both
 // under budget (<= 0 for none), until the reference reports an error. Every
 // record must match field by field as it is produced, every error must
-// match, and so must the final architectural state. It returns the
-// reference's final error.
+// match, and so must the final architectural state. Then it records p
+// (emu.Record) and replays the recording against a fresh reference
+// (replayMatches). It returns the reference's final error.
 func lockstep(t testing.TB, p *program.Program, budget int64) error {
 	t.Helper()
 	m, err := emu.New(p, emu.WithBudget(budget))
@@ -147,7 +148,49 @@ func lockstep(t testing.TB, p *program.Program, budget int64) error {
 			t.Fatalf("final mem[%d] = %d, reference %d", addr, m.Mem(addr), val)
 		}
 	}
+	if (m.Err() == nil) != errors.Is(werr, emu.ErrHalted) {
+		t.Fatalf("Err() = %v after the reference's %v", m.Err(), werr)
+	}
+	rec, rerr := emu.Record(p, emu.WithBudget(budget))
+	if !errors.Is(werr, emu.ErrHalted) {
+		if rerr == nil || rerr.Error() != werr.Error() {
+			t.Fatalf("recording failed with %v, reference %v", rerr, werr)
+		}
+		return werr
+	}
+	if rerr != nil {
+		t.Fatalf("recording: %v", rerr)
+	}
+	replayMatches(t, rec, newRef(p, budget))
 	return werr
+}
+
+// replayMatches replays rec against ref, which must run the same program
+// to a clean halt: each replayed record must match ref's field by field,
+// the replay must end where ref halts, and it must read the load log
+// exactly.
+func replayMatches(t testing.TB, rec *trace.Recording, ref *refMachine) {
+	t.Helper()
+	src := rec.Source()
+	for {
+		want, werr := ref.Step()
+		got, ok := src.NextRef()
+		if werr != nil {
+			if ok {
+				t.Fatalf("replay runs past the reference's %d records: %+v", ref.seq, *got)
+			}
+			break
+		}
+		if !ok {
+			t.Fatalf("replay ended after %d records, before the reference: %v", want.Seq, src.Err())
+		}
+		if *got != want {
+			t.Fatalf("replayed record %d differs:%s", want.Seq, fieldDiffs(*got, want))
+		}
+	}
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // fieldDiffs names each field on which got and want differ.
@@ -163,8 +206,8 @@ func fieldDiffs(got, want trace.Record) string {
 }
 
 // TestEmulatorMatchesReference runs every kernel at scale 1 and at its
-// default scale through the emulator and the reference, then the budget
-// and PC range paths.
+// default scale through the emulator, its recording's replay and the
+// reference, then the budget and PC range paths.
 func TestEmulatorMatchesReference(t *testing.T) {
 	for _, w := range bench.All() {
 		for _, scale := range []int{1, w.DefaultScale} {
@@ -197,8 +240,9 @@ func TestEmulatorMatchesReference(t *testing.T) {
 }
 
 // FuzzEmulatorMatchesReference decodes each input into a small program that
-// passes program.Validate and runs it on the emulator and the reference for
-// at most 4,096 instructions: records and errors must be identical.
+// passes program.Validate and runs it on the emulator, its recording's
+// replay and the reference for at most 4,096 instructions: records and
+// errors must be identical.
 func FuzzEmulatorMatchesReference(f *testing.F) {
 	for _, src := range []string{
 		// One program per instruction class.

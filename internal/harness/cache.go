@@ -31,10 +31,12 @@ type traceEntry struct {
 
 // TraceCache memoizes the functional emulation of each (workload, scale)
 // pair so a sweep emulates every workload once and replays the recorded
-// stream for all subsequent specs. The emulator streams straight into a
-// compact trace.Recording (a few bytes per record; see trace.Encode), never
-// a []trace.Record. Safe for concurrent use; each caller gets an
-// independent replay cursor over the shared, immutable recording.
+// stream for all subsequent specs. The emulator writes a compact
+// trace.Recording as it runs (emu.Record): the program and the value of
+// each load, a fraction of a byte per record, never a []trace.Record. A
+// workload that faults fails every spec that asks for it. Safe for
+// concurrent use; each caller gets an independent replay cursor over the
+// shared, immutable recording.
 // Hit/miss/record/eviction counters are published through an internal
 // obs.Registry.
 //
@@ -118,12 +120,12 @@ func (c *TraceCache) Source(w bench.Workload, scale int) (trace.Source, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		m, err := emu.New(w.Build(scale))
+		rec, err := emu.Record(w.Build(scale))
 		if err != nil {
 			e.err = fmt.Errorf("harness: %s: %w", w.Name, err)
 			return
 		}
-		e.rec = trace.Encode(m)
+		e.rec = rec
 		c.mu.Lock()
 		c.records.Add(int64(e.rec.Len()))
 		e.bytes = e.rec.Bytes()

@@ -248,7 +248,10 @@ func simulate(spec Spec, cache *TraceCache) (Result, error) {
 	}
 	st, err := p.Run()
 	if err == nil {
-		err = checkLaws(st, delivered(src))
+		var n int64
+		if n, err = delivered(src); err == nil {
+			err = checkLaws(st, n)
+		}
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %s on %s: %w", spec.Workload.Name, ConfigName(spec.Config), err)
@@ -263,12 +266,15 @@ func simulate(spec Spec, cache *TraceCache) (Result, error) {
 
 // delivered returns how many records src handed a pipeline that ran to
 // completion: the whole recording for a replay cursor, every executed
-// instruction for the emulator.
-func delivered(src trace.Source) int64 {
+// instruction for the emulator. It fails if the stream ended other than
+// at its end: on an emulator fault, or on a load log the replay did not
+// consume exactly.
+func delivered(src trace.Source) (int64, error) {
 	if m, ok := src.(*emu.Machine); ok {
-		return m.Executed()
+		return m.Executed(), m.Err()
 	}
-	return int64(src.(*trace.MemorySource).Len())
+	ms := src.(*trace.MemorySource)
+	return int64(ms.Len()), ms.Err()
 }
 
 // checkLaws checks, at O(1) cost, the conservation laws a completed run

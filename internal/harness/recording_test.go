@@ -2,24 +2,27 @@ package harness
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"valuespec/internal/bench"
 	"valuespec/internal/core"
 	"valuespec/internal/cpu"
 	"valuespec/internal/emu"
+	"valuespec/internal/isa"
+	"valuespec/internal/program"
 	"valuespec/internal/trace"
 )
 
 // TestTraceCacheReplaysKernels replays every kernel, at scale 1 and at its
 // default scale, through TraceCache.Source and compares it field for field
-// with a fresh emulator run. It also bounds what the compact recording
-// stores: no more irregular (verbatim) records than the kernel has static
-// PCs, and at most 1 byte per record at either scale, since only load
-// results are stored. A derivation bug that silently falls back to
-// verbatim copies fails here, not only in the benchmark's memory numbers.
+// with a fresh emulator run; each replay must read its load log exactly.
+// It also bounds what the compact recording stores: at most 1 byte per
+// record at either scale, since a recording holds only the program and
+// each load's value.
 func TestTraceCacheReplaysKernels(t *testing.T) {
 	for _, atDefault := range []bool{false, true} {
 		if atDefault && testing.Short() {
@@ -53,15 +56,8 @@ func TestTraceCacheReplaysKernels(t *testing.T) {
 			if _, ok := src.Next(); ok {
 				t.Fatalf("%s@%d: replay runs past the emulator's %d records", w.Name, scale, n)
 			}
-
-			prog := w.Build(scale)
-			m, err = emu.New(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec := trace.Encode(m); rec.Irregular() > len(prog.Code) {
-				t.Errorf("%s@%d: %d irregular records, more than its %d static PCs",
-					w.Name, scale, rec.Irregular(), len(prog.Code))
+			if err := src.(*trace.MemorySource).Err(); err != nil {
+				t.Fatalf("%s@%d: %v", w.Name, scale, err)
 			}
 		}
 		perRec := float64(c.CachedBytes()) / float64(c.CachedRecords())
@@ -69,6 +65,82 @@ func TestTraceCacheReplaysKernels(t *testing.T) {
 			atDefault, c.CachedRecords(), c.CachedBytes(), perRec)
 		if perRec > 1 {
 			t.Errorf("%.2f B/record at default scale %t, want at most 1", perRec, atDefault)
+		}
+	}
+}
+
+// TestFaultingWorkloadFailsItsSpec runs a workload that runs off the end
+// of its code (two ADDIs, no HALT): the emulator faults at PC 2, and the
+// spec must fail with that fault on the replay path and on the
+// execute-driven path, not pass as a run that finished at the fault.
+func TestFaultingWorkloadFailsItsSpec(t *testing.T) {
+	w := bench.Workload{Name: "no-halt", DefaultScale: 1, Build: func(int) *program.Program {
+		return program.MustAssemble("addi r1, r1, 1\naddi r2, r1, 2")
+	}}
+	spec := Spec{Workload: w, Config: cpu.Config8x48()}
+	const want = "pc 2 out of range [0,2)"
+	if _, err := simulateAll(context.Background(), []Spec{spec}, NewTraceCache(), nil, nil); err == nil ||
+		!strings.Contains(err.Error(), want) {
+		t.Errorf("replay path: err = %v, want the fault %q", err, want)
+	}
+	if _, err := Simulate(spec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("execute-driven path: err = %v, want the fault %q", err, want)
+	}
+}
+
+// TestReplayRejectsWrongLoadLog replays a kernel's recording with its load
+// log one value short and one value long, through a cache that holds the
+// forged recording: each spec must fail with the cursor's error, where
+// the exact log reproduces the emulator's statistics.
+func TestReplayRejectsWrongLoadLog(t *testing.T) {
+	w := bench.All()[0]
+	great := core.Great()
+	spec := Spec{Workload: w, Scale: 1, Config: cpu.Config8x48(), Model: &great}
+	want, err := simulate(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(1)
+	m, err := emu.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []int64
+	n := 0
+	for r, ok := m.NextRef(); ok; r, ok = m.NextRef() {
+		n++
+		if r.Instr.Op == isa.LD {
+			vals = append(vals, r.DstVal)
+		}
+	}
+	logOf := func(vals []int64) []byte {
+		var log []byte
+		for _, v := range vals {
+			log = binary.AppendVarint(log, v)
+		}
+		return log
+	}
+	for _, tc := range []struct {
+		name string
+		log  []byte
+		fail string // "" for a clean run
+	}{
+		{"exact", logOf(vals), ""},
+		{"one value dropped", logOf(vals[:len(vals)-1]), "load log ran out"},
+		{"one value appended", logOf(append(vals[:len(vals):len(vals)], 7)), "left after the last record"},
+	} {
+		c := NewTraceCache()
+		e := &traceEntry{rec: trace.NewRecording(p.Code, p.Entry, n, tc.log)}
+		e.once.Do(func() {})
+		c.entries[traceKey{workload: w.Name, scale: 1}] = e
+		got, err := simulate(spec, c)
+		switch {
+		case tc.fail == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.fail == "" && *got.Stats != *want.Stats:
+			t.Errorf("%s: replayed stats differ from the emulator's\nreplay:  %+v\nemulator: %+v", tc.name, *got.Stats, *want.Stats)
+		case tc.fail != "" && (err == nil || !strings.Contains(err.Error(), tc.fail)):
+			t.Errorf("%s: err = %v, want one saying %q", tc.name, err, tc.fail)
 		}
 	}
 }

@@ -57,7 +57,8 @@ type RefSource interface {
 }
 
 // SliceSource replays a pre-recorded slice of records; used heavily in tests
-// to drive the timing simulator with hand-constructed streams.
+// to drive the timing simulator with hand-constructed streams. It is a
+// RefSource: NextRef hands over each record in place.
 type SliceSource struct {
 	Records []Record
 	pos     int
@@ -65,12 +66,20 @@ type SliceSource struct {
 
 // Next implements Source.
 func (s *SliceSource) Next() (Record, bool) {
-	if s.pos >= len(s.Records) {
+	r, ok := s.NextRef()
+	if !ok {
 		return Record{}, false
 	}
-	r := s.Records[s.pos]
+	return *r, true
+}
+
+// NextRef implements RefSource: it returns a pointer into Records.
+func (s *SliceSource) NextRef() (*Record, bool) {
+	if s.pos >= len(s.Records) {
+		return nil, false
+	}
 	s.pos++
-	return r, true
+	return &s.Records[s.pos-1], true
 }
 
 // Reset rewinds the source to the beginning.
