@@ -35,7 +35,7 @@ func metricName(format string, args ...interface{}) string {
 // runStudy simulates one study, failing the benchmark on error.
 func runStudy(b *testing.B, st harness.AnyStudy) {
 	b.Helper()
-	if err := harness.Run(context.Background(), st); err != nil {
+	if _, err := harness.Run(context.Background(), harness.SimulateAllCtx, st); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -10,6 +10,9 @@
 //	vasm -budget 10000 prog.s    # cap execution
 //	vasm -dump 0x100:8 prog.s    # also dump 8 words of memory at 0x100
 //
+// A program that faults, say by running off the end of its code, prints its
+// state as a halted one does and then fails with the fault (exit status 1).
+//
 // The assembly syntax is documented in internal/program (see Assemble).
 package main
 
@@ -84,26 +87,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer func() {
-			if err := tw.Flush(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("recorded %d trace records to %s\n", tw.Count(), *traceOut)
-		}()
 	}
 	var dyn trace.Mix
-	for {
-		rec, ok := m.Next()
-		if !ok {
-			break
-		}
-		dyn.Observe(&rec)
-		if tw != nil {
-			if err := tw.Write(&rec); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
+	runErr := execute(m, &dyn, tw)
 	fmt.Printf("%s: %d instructions executed, halted=%t, final pc=%d\n",
 		prog.Name, m.Executed(), m.Halted(), m.PC())
 	if *mix {
@@ -126,6 +112,33 @@ func main() {
 		fmt.Printf("memory [%#x, %#x):\n", addr, addr+count)
 		for i := int64(0); i < count; i++ {
 			fmt.Printf("  %#06x: %d\n", addr+i, m.Mem(addr+i))
+		}
+	}
+	if tw != nil {
+		if err := tw.Flush(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("recorded %d trace records to %s\n", tw.Count(), *traceOut)
+	}
+	if runErr != nil {
+		log.Fatal(runErr)
+	}
+}
+
+// execute runs m to its end, observing each record into mix and, when tw is
+// non-nil, writing it to the trace. It returns the fault that stopped the
+// machine (Machine.Err), or nil after HALT or an exhausted budget.
+func execute(m *emu.Machine, mix *trace.Mix, tw *trace.Writer) error {
+	for {
+		rec, ok := m.Next()
+		if !ok {
+			return m.Err()
+		}
+		mix.Observe(&rec)
+		if tw != nil {
+			if err := tw.Write(&rec); err != nil {
+				return err
+			}
 		}
 	}
 }

@@ -141,21 +141,12 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("serving observability on http://%s (/metrics /progress /progress/stream /healthz /readyz /debug/pprof/)\n", obsrv.Addr())
-		progress.BatchStart(1)
-		progress.SpecStart()
 	}
-	t0 := time.Now()
-	res, err := harness.Simulate(spec)
-	if progress != nil {
-		var st *cpu.Stats
-		if err == nil {
-			st = res.Stats
-		}
-		progress.SpecDone(st, err, time.Since(t0))
-	}
+	results, err := harness.SimulateBatch(context.Background(), []harness.Spec{spec}, progress)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := results[0]
 	label := "base"
 	if spec.Model != nil {
 		label = fmt.Sprintf("%s %s", spec.Model.Name, spec.Setting)

@@ -15,10 +15,13 @@
 //	       -predictors -confsweep
 //	vsweep -all             # everything
 //	vsweep -all -serve 127.0.0.1:9090   # + live /metrics, /progress, pprof
+//	vsweep -fig3 -fig4 -submit http://127.0.0.1:9090   # on a vserved daemon
 //
-// -serve exposes the run's live observability (Prometheus metrics, sweep
-// progress as JSON and SSE, pprof) for its duration and prints a final
-// progress summary table; see docs/OBSERVABILITY.md.
+// The selected sections make one run: every distinct spec they ask for is
+// simulated once, locally or, with -submit, as one job on a daemon. -serve
+// exposes the run's live observability (Prometheus metrics, sweep progress
+// as JSON and SSE, pprof) for its duration and prints a final progress
+// summary table; see docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -67,8 +70,8 @@ func main() {
 		branchq      = flag.Bool("branchq", false, "branch-quality ablation (gshare vs perfect)")
 		all          = flag.Bool("all", false, "run everything")
 		quick        = flag.Bool("quick", false, "restrict sweeps to the 8/48 configuration")
-		submitURL    = flag.String("submit", "", "run -fig3/-fig4 on a vserved daemon at this URL (e.g. http://127.0.0.1:9090) instead of simulating locally")
-		shard        = flag.Int("shard", 0, "with -submit, split each batch into N jobs submitted concurrently, so a fleet of workers drains them in parallel; results are reassembled in order and stay byte-identical")
+		submitURL    = flag.String("submit", "", "simulate the run's distinct specs as one job on a vserved daemon at this URL (e.g. http://127.0.0.1:9090) instead of locally; a run with a spec that cannot be serialized is refused before anything is submitted")
+		shard        = flag.Int("shard", 0, "with -submit, split the run into N jobs submitted concurrently, so a fleet of workers drains them in parallel; results are reassembled in order and stay byte-identical")
 		serveAddr    = flag.String("serve", "", "serve live observability on this address for the duration of the run, e.g. 127.0.0.1:9090 (port 0 picks a free one): Prometheus /metrics, /progress JSON + SSE stream, /series, /dash, /healthz, /readyz, /debug/pprof/")
 		specReport   = flag.Bool("spec-report", false, "print the speculation-outcome breakdown — the predicted/used four-quadrant split per (config, model, setting) group — after the sweeps")
 		scale        = flag.Int("scale", 0, "workload scale (0 = defaults)")
@@ -78,40 +81,12 @@ func main() {
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-	if *submitURL != "" {
-		// Remote execution covers the figure sweeps. Several ablations hold
-		// closure specs, which a submission cannot express.
-		unsupported := *table1 || *fig3detail || *latency || *verification || *invalidation ||
-			*resolution || *forwarding || *wakeup || *selection || *predictors || *confsweep ||
-			*scaling || *geometry || *scope || *branchq || *all
-		if unsupported {
-			log.Fatal("-submit supports only -fig3 and -fig4 (with -quick/-scale/-out/-svg)")
-		}
-		if !*fig3 && !*fig4 {
-			log.Fatal("-submit needs -fig3 or -fig4")
-		}
-	}
-	// One submitter for the whole run, so the final summary covers every
-	// remotely executed batch.
-	var sub *submitter
-	if *submitURL != "" {
-		sub = newSubmitter(*submitURL)
-		sub.shards = *shard
-	}
-	// Speculation-outcome collection: both executors fold every completed
-	// speculative spec's four-quadrant counts into the process-wide report.
-	var specRep *harness.SpecReport
-	if *specReport {
-		specRep = harness.NewSpecReport()
-		harness.SetSpecReport(specRep)
-	}
-	// Live observability: a SharedRegistry fed by the harness progress
+	// Live observability: a SharedRegistry fed by the run's progress
 	// tracker, served over HTTP for the duration of the run.
 	var progress *harness.Progress
 	var obsrv *obsweb.Server
 	if *serveAddr != "" {
 		progress = harness.NewProgress(obs.NewSharedRegistry())
-		harness.SetProgress(progress)
 		obsrv = obsweb.New(obsweb.Config{
 			Metrics:  progress.Registry(),
 			Progress: func() any { return progress.Snapshot() },
@@ -164,9 +139,8 @@ func main() {
 	irSetting := harness.Setting{Update: cpu.UpdateImmediate}
 
 	// Each selected section adds its study to one run and its printer to the
-	// output. The run simulates every distinct spec once; the sections then
-	// print in order. With -submit the figure sections run their studies on
-	// the daemon instead.
+	// output. The run simulates every distinct spec once, locally or on the
+	// daemon; the sections then print in order.
 	var studies []harness.AnyStudy
 	var sections []func()
 	var simTime time.Duration
@@ -194,11 +168,6 @@ func main() {
 		studies = append(studies, st)
 		sections = append(sections, func() {
 			section("Fig. 3: speculative execution models, average speedup (harmonic mean)")
-			if sub != nil {
-				t0 := time.Now()
-				submitStudy(sub, "fig3", st)
-				simTime = time.Since(t0)
-			}
 			save(*outDir, report.Fig3(st.Out))
 			var bars []textplot.Bar
 			for _, c := range st.Out {
@@ -249,9 +218,6 @@ func main() {
 		studies = append(studies, st)
 		sections = append(sections, func() {
 			section("Fig. 4: average prediction accuracy (Great model, real confidence)")
-			if sub != nil {
-				submitStudy(sub, "fig4", st)
-			}
 			save(*outDir, report.Fig4(st.Out))
 			for _, c := range st.Out {
 				label := fmt.Sprintf("%s %s", c.Update, c.Config)
@@ -415,9 +381,20 @@ func main() {
 		flag.Usage()
 		return
 	}
-	if sub == nil && len(studies) > 0 {
+	batch := func(ctx context.Context, specs []harness.Spec) ([]harness.Result, error) {
+		return harness.SimulateBatch(ctx, specs, progress)
+	}
+	var sub *submitter
+	if *submitURL != "" {
+		sub = newSubmitter(*submitURL, *shard, progress)
+		batch = sub.run
+	}
+	var results []harness.Result
+	if len(studies) > 0 {
 		t0 := time.Now()
-		check(harness.Run(context.Background(), studies...))
+		var err error
+		results, err = harness.Run(context.Background(), batch, studies...)
+		check(err)
 		simTime = time.Since(t0)
 	}
 	for _, show := range sections {
@@ -433,10 +410,9 @@ func main() {
 		sub.summary()
 	}
 
-	if specRep != nil {
-		harness.SetSpecReport(nil)
+	if *specReport {
 		section("Speculation-outcome breakdown (fraction of predictions)")
-		rows := specRep.Rows()
+		rows := harness.SpecReportRows(results)
 		if len(rows) == 0 {
 			fmt.Println("no speculative specs completed")
 		} else {
@@ -487,16 +463,7 @@ func main() {
 		if err := obsrv.Shutdown(ctx); err != nil {
 			log.Printf("observability server shutdown: %v", err)
 		}
-		harness.SetProgress(nil)
 	}
-}
-
-// submitStudy runs st on the daemon as one job and folds its results.
-func submitStudy[T any](sub *submitter, name string, st *harness.Study[T]) {
-	results, err := sub.run(name, st.Specs)
-	check(err)
-	st.Out, err = st.Fold(results)
-	check(err)
 }
 
 // saveSVG writes an SVG document into dir (no-op when dir is empty).

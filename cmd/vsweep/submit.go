@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,30 +16,33 @@ import (
 	"valuespec/internal/textplot"
 )
 
-// submitter runs spec batches on a remote vserved daemon instead of the
-// local worker pool: it posts each batch as one job, polls until the job
-// settles, and converts the stored result set back to harness results. The
-// simulator is deterministic, so figures aggregated from remote Stats are
-// identical to locally computed ones. After each job it pulls the server-
-// side span timeline from /jobs/{id}/trace, so the final summary can say
-// where every job's wall time went without shelling into the daemon.
+// submitter runs a sweep's batch on a remote vserved daemon instead of the
+// local worker pool: it posts the specs as one job (or as shards jobs),
+// polls until each job settles, and hands back the stored statistics in
+// spec order. The simulator is deterministic, so figures folded from remote
+// Stats are identical to locally computed ones. After each job it pulls the
+// server-side span timeline from /jobs/{id}/trace, so the final summary can
+// say where every job's wall time went without shelling into the daemon.
 type submitter struct {
 	base   string // daemon URL, e.g. http://127.0.0.1:9090
 	client *http.Client
-	// shards > 1 splits each batch into that many contiguous jobs submitted
+	// shards > 1 splits the batch into that many contiguous jobs submitted
 	// concurrently, so a fleet of workers drains one sweep in parallel; the
 	// results are reassembled in spec order, so figures stay byte-identical.
 	shards int
+	// progress, when non-nil, counts each job's specs as submitted, then as
+	// completed when its results arrive.
+	progress *harness.Progress
 
 	mu         sync.Mutex
-	breakdowns []jobBreakdown // one per completed job, submission order
+	breakdowns []jobBreakdown // one per completed job, completion order
 }
 
 // jobBreakdown is one job's server-side timing, read from its trace. A
 // daemon running without tracing leaves the durations zero and Traced
 // false.
 type jobBreakdown struct {
-	Name      string // batch label ("fig3 base")
+	Name      string // job label ("vsweep [1/3]")
 	JobID     string
 	Specs     int
 	Traced    bool
@@ -48,71 +52,62 @@ type jobBreakdown struct {
 	Total     time.Duration // whole lifecycle (submit -> terminal)
 }
 
-func newSubmitter(url string) *submitter {
+func newSubmitter(url string, shards int, progress *harness.Progress) *submitter {
 	return &submitter{
-		base:   strings.TrimRight(url, "/"),
-		client: &http.Client{Timeout: 30 * time.Second},
+		base:     strings.TrimRight(url, "/"),
+		client:   &http.Client{Timeout: 30 * time.Second},
+		shards:   shards,
+		progress: progress,
 	}
 }
 
-// run executes one batch remotely, blocking until every job finishes. With
-// shards > 1 the batch splits into contiguous chunks submitted as separate
-// jobs; their results concatenate back in spec order.
-func (s *submitter) run(name string, specs []harness.Spec) ([]harness.Result, error) {
-	if s.shards > 1 && len(specs) > 1 {
-		return s.runSharded(name, specs)
+// run is the sweep's batch on the daemon, blocking until every job
+// finishes. It converts every spec before submitting any, so a spec that
+// cannot travel (a component closure or an instrument) refuses the whole
+// run and no job is created. With shards > 1 the specs split into
+// contiguous chunks submitted as separate jobs; their results concatenate
+// back in spec order. The context goes unused: vsweep never cancels its
+// run, and the client's timeout bounds each request.
+func (s *submitter) run(_ context.Context, specs []harness.Spec) ([]harness.Result, error) {
+	wire := make([]jobs.SimSpec, len(specs))
+	for i, hs := range specs {
+		ss, err := jobs.FromHarness(hs)
+		if err != nil {
+			return nil, fmt.Errorf("-submit refused: spec %d [%s]: %w", i, hs.Label(), err)
+		}
+		wire[i] = ss
 	}
-	return s.runOne(name, specs)
-}
-
-// runSharded fans one batch out as s.shards concurrent jobs.
-func (s *submitter) runSharded(name string, specs []harness.Spec) ([]harness.Result, error) {
-	n := s.shards
-	if n > len(specs) {
-		n = len(specs)
-	}
-	type chunk struct{ lo, hi int }
-	chunks := make([]chunk, n)
-	for i := range chunks {
-		// Contiguous, near-even split: the first len%n chunks get one extra.
-		lo := i * len(specs) / n
-		hi := (i + 1) * len(specs) / n
-		chunks[i] = chunk{lo, hi}
-	}
+	n := max(1, min(s.shards, len(specs)))
 	results := make([][]harness.Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, c := range chunks {
-		i, c := i, c
+	for i := range n {
+		// Contiguous, near-even split: the later chunks get the extra specs.
+		lo, hi := i*len(specs)/n, (i+1)*len(specs)/n
+		name := "vsweep"
+		if n > 1 {
+			name = fmt.Sprintf("vsweep [%d/%d]", i+1, n)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			label := fmt.Sprintf("%s [%d/%d]", name, i+1, n)
-			results[i], errs[i] = s.runOne(label, specs[c.lo:c.hi])
+			results[i], errs[i] = s.runOne(name, specs[lo:hi], wire[lo:hi])
 		}()
 	}
 	wg.Wait()
 	var out []harness.Result
-	for i := range chunks {
+	for i := range results {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("shard %d/%d of %s: %w", i+1, n, name, errs[i])
+			return nil, errs[i]
 		}
 		out = append(out, results[i]...)
 	}
 	return out, nil
 }
 
-// runOne executes one batch as a single remote job.
-func (s *submitter) runOne(name string, specs []harness.Spec) ([]harness.Result, error) {
-	req := jobs.Request{Name: name, Specs: make([]jobs.SimSpec, len(specs))}
-	for i, hs := range specs {
-		ss, err := jobs.FromHarness(hs)
-		if err != nil {
-			return nil, fmt.Errorf("spec %d: %w", i, err)
-		}
-		req.Specs[i] = ss
-	}
-	body, err := json.Marshal(req)
+// runOne executes specs, in wire form, as a single remote job.
+func (s *submitter) runOne(name string, specs []harness.Spec, wire []jobs.SimSpec) ([]harness.Result, error) {
+	body, err := json.Marshal(jobs.Request{Name: name, Specs: wire})
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +120,9 @@ func (s *submitter) runOne(name string, specs []harness.Spec) ([]harness.Result,
 		return nil, fmt.Errorf("submitting %s: %w", name, err)
 	}
 	fmt.Printf("submitted %s as job %s (%d specs)\n", name, view.ID, len(specs))
+	if s.progress != nil {
+		s.progress.BatchStart(len(specs))
+	}
 
 	job, err := s.wait(view.ID)
 	if err != nil {
@@ -150,13 +148,16 @@ func (s *submitter) runOne(name string, specs []harness.Spec) ([]harness.Result,
 	if len(rs.Results) != len(specs) {
 		return nil, fmt.Errorf("job %s returned %d results for %d specs", job.ID, len(rs.Results), len(specs))
 	}
-	out := make([]harness.Result, len(rs.Results))
+	out := make([]harness.Result, len(specs))
 	for i, r := range rs.Results {
-		hs, err := r.Spec.ToHarness()
-		if err != nil {
-			return nil, err
+		if r.Stats == nil {
+			return nil, fmt.Errorf("job %s returned no stats for spec %d", job.ID, i)
 		}
-		out[i] = harness.Result{Spec: hs, Stats: r.Stats}
+		out[i] = harness.Result{Spec: specs[i], Stats: r.Stats}
+		if s.progress != nil {
+			s.progress.SpecStart()
+			s.progress.SpecDone(r.Stats, nil, b.Run/time.Duration(len(specs)))
+		}
 	}
 	return out, nil
 }
@@ -217,7 +218,7 @@ func (s *submitter) fetchBreakdown(name, id string, specs int) jobBreakdown {
 }
 
 // summary prints the per-job server-side breakdown gathered from the trace
-// endpoint; it is the last thing a -submit sweep writes.
+// endpoint.
 func (s *submitter) summary() {
 	if len(s.breakdowns) == 0 {
 		return

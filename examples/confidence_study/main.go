@@ -49,7 +49,7 @@ func main() {
 	// The counter-width sweep runs in the same batch and shares its base
 	// runs with the comparison.
 	sweep := harness.ConfidenceSweep(cfg, model, setting, workloads, 0, 5)
-	if err := harness.Run(context.Background(), byEstimator, sweep); err != nil {
+	if _, err := harness.Run(context.Background(), harness.SimulateAllCtx, byEstimator, sweep); err != nil {
 		log.Fatal(err)
 	}
 	var bars []textplot.Bar

@@ -30,7 +30,7 @@ func main() {
 	setting := valuespec.Setting{Update: valuespec.UpdateImmediate}
 
 	st := harness.LatencySensitivity(cfg, baseline, setting, valuespec.Workloads(), 0, 3)
-	if err := harness.Run(context.Background(), st); err != nil {
+	if _, err := harness.Run(context.Background(), harness.SimulateAllCtx, st); err != nil {
 		log.Fatal(err)
 	}
 

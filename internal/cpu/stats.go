@@ -3,6 +3,8 @@ package cpu
 import (
 	"fmt"
 	"strings"
+
+	"valuespec/internal/obs"
 )
 
 // Stats aggregates the measurements of one simulation.
@@ -134,6 +136,19 @@ func (s *Stats) Breakdown() (ch, cl, ih, il float64) {
 	}
 	n := float64(s.Predictions)
 	return float64(s.CH) / n, float64(s.CL) / n, float64(s.IH) / n, float64(s.IL) / n
+}
+
+// Outcomes returns the four sets as speculation outcomes: a prediction is
+// used exactly when its confidence was high, so CH, IH, CL and IL are the
+// correct-used, wrong-used, correct-unused and wrong-unused predictions.
+func (s *Stats) Outcomes() obs.SpecOutcomes {
+	return obs.SpecOutcomes{
+		Predictions:   s.Predictions,
+		CorrectUsed:   s.CH,
+		WrongUsed:     s.IH,
+		CorrectUnused: s.CL,
+		WrongUnused:   s.IL,
+	}
 }
 
 // String renders a multi-line human-readable summary.

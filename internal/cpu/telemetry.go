@@ -371,14 +371,8 @@ type TelemetrySnapshot struct {
 func (t *Telemetry) Snapshot() *TelemetrySnapshot {
 	end, _ := t.bounds.Last()
 	s := &TelemetrySnapshot{
-		Interval: t.interval,
-		Outcomes: obs.SpecOutcomes{
-			Predictions:   end.st.Predictions,
-			CorrectUsed:   end.st.CH,
-			WrongUsed:     end.st.IH,
-			CorrectUnused: end.st.CL,
-			WrongUnused:   end.st.IL,
-		},
+		Interval:          t.interval,
+		Outcomes:          end.st.Outcomes(),
 		VerifyLatency:     summarizeLatency(t.hists[hVerifyLatency]),
 		InvalidateLatency: summarizeLatency(t.hists[hInvalidateLatency]),
 		Series:            make(map[string][]obs.Point),

@@ -210,8 +210,9 @@ func (c *TraceCache) Evictions() int64 {
 // are in flight, or use the locked accessors above.
 func (c *TraceCache) Registry() *obs.Registry { return c.reg }
 
-// defaultTraceCache backs SimulateAll and Run.
+// defaultTraceCache backs SimulateAll, SimulateAllCtx and SimulateBatch.
 var defaultTraceCache = NewTraceCache()
 
-// DefaultTraceCache returns the process-wide cache used by SimulateAll and Run.
+// DefaultTraceCache returns the process-wide cache the batch functions
+// (SimulateAll, SimulateAllCtx, SimulateBatch) replay from.
 func DefaultTraceCache() *TraceCache { return defaultTraceCache }

@@ -46,14 +46,14 @@ func BenchmarkSimulateAllCached(b *testing.B) {
 	specs := fig3Batch(12)
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := simulateAll(context.Background(), specs, nil, nil, nil); err != nil {
+			if _, err := simulateAll(context.Background(), specs, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := simulateAll(context.Background(), specs, NewTraceCache(), nil, nil); err != nil {
+			if _, err := simulateAll(context.Background(), specs, NewTraceCache(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}

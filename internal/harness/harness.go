@@ -121,11 +121,7 @@ func (r Result) IPC() float64 { return r.Stats.IPC() }
 
 // Simulate runs one simulation to completion, execute-driven: the pipeline
 // consumes the functional emulator directly.
-func Simulate(spec Spec) (Result, error) {
-	res, err := simulate(spec, nil)
-	ActiveSpecReport().Record(spec, res.Stats)
-	return res, err
-}
+func Simulate(spec Spec) (Result, error) { return simulate(spec, nil) }
 
 // spare is the reusable state of one simulation: a pipeline, and the
 // paper's FCM and resetting-confidence tables. simulate takes a spare from
@@ -345,20 +341,19 @@ func SimulateAll(specs []Spec) ([]Result, error) {
 // granularity is one spec — an individual simulation is bounded by its
 // Config.MaxCycles, not by ctx.
 func SimulateAllCtx(ctx context.Context, specs []Spec) ([]Result, error) {
-	return simulateAll(ctx, specs, defaultTraceCache, ActiveProgress(), ActiveSpecReport())
+	return simulateAll(ctx, specs, defaultTraceCache, nil)
 }
 
-// SimulateBatch runs one batch with an explicit per-batch progress tracker
-// (nil disables tracking) instead of the process-wide one installed with
-// SetProgress. The jobs service uses this to give every job its own live
-// Progress snapshot while many jobs run concurrently.
+// SimulateBatch is SimulateAllCtx reporting into a progress tracker (nil
+// disables tracking). The jobs service gives every job its own tracker, so
+// each has a live Progress snapshot while many jobs run concurrently;
+// cmd/vsweep and cmd/vsim pass their -serve tracker.
 func SimulateBatch(ctx context.Context, specs []Spec, progress *Progress) ([]Result, error) {
-	return simulateAll(ctx, specs, defaultTraceCache, progress, ActiveSpecReport())
+	return simulateAll(ctx, specs, defaultTraceCache, progress)
 }
 
-// simulateAll runs one batch on the worker pool; rep records each spec as
-// it completes.
-func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress *Progress, rep *SpecReport) ([]Result, error) {
+// simulateAll runs one batch on the worker pool.
+func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress *Progress) ([]Result, error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
 	workers := runtime.GOMAXPROCS(0)
@@ -396,7 +391,6 @@ func simulateAll(ctx context.Context, specs []Spec, cache *TraceCache, progress 
 					errs[i] = err
 					continue
 				}
-				rep.Record(res.Spec, res.Stats)
 				results[i] = res
 			}
 		}()
@@ -572,12 +566,6 @@ type Fig4Cell struct {
 // timing, averaging the per-benchmark fractions arithmetically as the paper
 // does.
 func Fig4(configs []cpu.Config, workloads []bench.Workload, scale int) *Study[[]Fig4Cell] {
-	return &Study[[]Fig4Cell]{Specs: Fig4Specs(configs, workloads, scale), Fold: Fig4FromResults}
-}
-
-// Fig4Specs expands the Fig. 4 sweep into its simulation plan: the
-// real-confidence Great-model runs for each configuration and update timing.
-func Fig4Specs(configs []cpu.Config, workloads []bench.Workload, scale int) []Spec {
 	great := core.Great()
 	var specs []Spec
 	for _, cfg := range configs {
@@ -590,12 +578,12 @@ func Fig4Specs(configs []cpu.Config, workloads []bench.Workload, scale int) []Sp
 			}
 		}
 	}
-	return specs
+	return &Study[[]Fig4Cell]{Specs: specs, Fold: fig4Cells}
 }
 
-// Fig4FromResults aggregates pre-computed simulation results (in Fig4Specs
-// order) into the Fig. 4 cells.
-func Fig4FromResults(results []Result) ([]Fig4Cell, error) {
+// fig4Cells folds Fig. 4's results into one cell per configuration and
+// update timing, in the order first seen.
+func fig4Cells(results []Result) ([]Fig4Cell, error) {
 	groups := make(map[string][]Result)
 	var order []string
 	for _, r := range results {

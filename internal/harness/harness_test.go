@@ -30,7 +30,7 @@ func testWorkloads(t *testing.T) []bench.Workload {
 // runStudies simulates the studies as one batch, failing the test on error.
 func runStudies(t testing.TB, studies ...AnyStudy) {
 	t.Helper()
-	if err := Run(context.Background(), studies...); err != nil {
+	if _, err := Run(context.Background(), SimulateAllCtx, studies...); err != nil {
 		t.Fatal(err)
 	}
 }

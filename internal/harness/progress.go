@@ -3,7 +3,6 @@ package harness
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"valuespec/internal/cpu"
@@ -45,10 +44,9 @@ const ewmaAlpha = 0.2
 // obsweb server (and any other scraper) reads a consistent picture while
 // the SimulateAll worker pool hammers it. All methods are goroutine-safe.
 //
-// Install process-wide with SetProgress; SimulateAll and Run then report
-// into it on every batch, including down its cancellation path (a failing
-// spec counts as failed, and the batch's unclaimed specs stay visibly
-// pending).
+// A batch reports into the tracker passed to SimulateBatch, including down
+// its cancellation path (a failing spec counts as failed, and the batch's
+// unclaimed specs stay visibly pending).
 type Progress struct {
 	shared  *obs.SharedRegistry
 	workers int
@@ -165,13 +163,7 @@ func (p *Progress) SpecDone(st *cpu.Stats, err error, d time.Duration) {
 			p.cycles += st.Cycles
 			p.retired += st.Retired
 			specCycles = st.Cycles
-			p.outcomes.Merge(obs.SpecOutcomes{
-				Predictions:   st.Predictions,
-				CorrectUsed:   st.CH,
-				WrongUsed:     st.IH,
-				CorrectUnused: st.CL,
-				WrongUnused:   st.IL,
-			})
+			p.outcomes.Merge(st.Outcomes())
 		}
 		if sec := d.Seconds(); p.ewmaSec == 0 {
 			p.ewmaSec = sec
@@ -269,15 +261,3 @@ func (p *Progress) publishLocked(specCycles int64) {
 		}
 	})
 }
-
-// activeProgress is the process-wide tracker batches report into; nil
-// (the default) means tracking is off and costs one atomic load per batch.
-var activeProgress atomic.Pointer[Progress]
-
-// SetProgress installs the process-wide progress tracker consulted by
-// SimulateAll and Run (cmd/vsweep does this under -serve); pass nil to
-// remove it.
-func SetProgress(p *Progress) { activeProgress.Store(p) }
-
-// ActiveProgress returns the installed tracker, or nil.
-func ActiveProgress() *Progress { return activeProgress.Load() }

@@ -11,8 +11,8 @@ import (
 	"valuespec/internal/obs"
 )
 
-// TestProgressTracksSimulateAll runs a small batch through SimulateAll with
-// a tracker installed and checks the snapshot and the published registry
+// TestProgressTracksSimulateAll runs a small batch on the worker pool with
+// a tracker attached and checks the snapshot and the published registry
 // agree with the results.
 func TestProgressTracksSimulateAll(t *testing.T) {
 	w, err := bench.ByName("compress")
@@ -29,11 +29,8 @@ func TestProgressTracksSimulateAll(t *testing.T) {
 	}
 	shared := obs.NewSharedRegistry()
 	pr := NewProgress(shared)
-	SetProgress(pr)
-	defer SetProgress(nil)
-
 	cache := NewTraceCache()
-	results, err := simulateAll(context.Background(), specs, cache, pr, nil)
+	results, err := simulateAll(context.Background(), specs, cache, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +89,7 @@ func TestProgressFailurePath(t *testing.T) {
 	good := Spec{Workload: w, Scale: testScale, Config: cpu.Config8x48()}
 	shared := obs.NewSharedRegistry()
 	pr := NewProgress(shared)
-	SetProgress(pr)
-	defer SetProgress(nil)
-
-	if _, err := simulateAll(context.Background(), []Spec{bad, good, good, good}, nil, pr, nil); err == nil {
+	if _, err := simulateAll(context.Background(), []Spec{bad, good, good, good}, nil, pr); err == nil {
 		t.Fatal("expected an error from the invalid config")
 	}
 	snap := pr.Snapshot()

@@ -79,7 +79,7 @@ func TestFaultingWorkloadFailsItsSpec(t *testing.T) {
 	}}
 	spec := Spec{Workload: w, Config: cpu.Config8x48()}
 	const want = "pc 2 out of range [0,2)"
-	if _, err := simulateAll(context.Background(), []Spec{spec}, NewTraceCache(), nil, nil); err == nil ||
+	if _, err := simulateAll(context.Background(), []Spec{spec}, NewTraceCache(), nil); err == nil ||
 		!strings.Contains(err.Error(), want) {
 		t.Errorf("replay path: err = %v, want the fault %q", err, want)
 	}
@@ -163,11 +163,11 @@ func TestResultsReleasePipelines(t *testing.T) {
 		specs[i] = Spec{Workload: w, Scale: 1, Config: cpu.Config8x48(), Model: &great}
 	}
 	// Record the trace and warm the spare pool outside the measurement.
-	if _, err := simulateAll(context.Background(), specs, cache, nil, nil); err != nil {
+	if _, err := simulateAll(context.Background(), specs, cache, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := liveHeap()
-	results, err := simulateAll(context.Background(), specs, cache, nil, nil)
+	results, err := simulateAll(context.Background(), specs, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

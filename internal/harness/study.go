@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"valuespec/internal/core"
 	"valuespec/internal/cpu"
@@ -30,22 +31,27 @@ func (s *Study[T]) fold(rs []Result) (err error) {
 	return err
 }
 
-// Run simulates the specs of every study in one batch and folds each study
+// Run simulates the specs of every study as one batch and folds each study
 // over its own results. A spec asked for more than once, by one study or by
 // several, is simulated once when its result cannot depend on who asked
-// (see Spec.key). Every study still gets one Result per spec it asked for,
-// in order, each carrying the spec that asked, and the active SpecReport
-// records every asking spec in the order asked. If any spec fails, Run
-// folds nothing and returns a *BatchError indexed over the asked specs.
-func Run(ctx context.Context, studies ...AnyStudy) error {
+// (see Spec.key): batch gets each distinct spec once, in the order first
+// asked, and must return one Result per spec in that order. Library callers
+// pass SimulateAllCtx; cmd/vsweep passes SimulateBatch with its progress
+// tracker, or a batch that submits the specs to a vserved daemon.
+//
+// Every study gets one Result per spec it asked for, in order, each carrying
+// the spec that asked, and Run returns all of them, study after study, for
+// reports over the run (SpecReportRows). If any spec fails, Run folds
+// nothing and returns a *BatchError indexed over the asked specs.
+func Run(ctx context.Context, batch func(context.Context, []Spec) ([]Result, error), studies ...AnyStudy) ([]Result, error) {
 	var asked []Spec
 	for _, st := range studies {
 		asked = append(asked, st.specs()...)
 	}
 	distinct, at := dedupe(asked)
-	results, err := simulateAll(ctx, distinct, defaultTraceCache, ActiveProgress(), nil)
+	results, err := batch(ctx, distinct)
 	var be *BatchError
-	if errors.As(err, &be) {
+	if errors.As(err, &be) && be.Total == len(distinct) {
 		errs := make([]error, len(distinct))
 		for _, f := range be.Failures {
 			errs[f.Index] = f.Err
@@ -56,26 +62,28 @@ func Run(ctx context.Context, studies ...AnyStudy) error {
 				failed.Failures = append(failed.Failures, SpecFailure{Index: i, Spec: asked[i], Err: errs[j]})
 			}
 		}
-		return failed
+		return nil, failed
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep := ActiveSpecReport()
+	if len(results) != len(distinct) {
+		return nil, fmt.Errorf("harness: batch returned %d results for %d specs", len(results), len(distinct))
+	}
 	out := make([]Result, len(asked))
 	for i, j := range at {
 		st := *results[j].Stats
 		out[i] = Result{Spec: asked[i], Stats: &st, Phases: results[j].Phases}
-		rep.Record(asked[i], &st)
 	}
+	rest := out
 	for _, st := range studies {
 		n := len(st.specs())
-		if err := st.fold(out[:n:n]); err != nil {
-			return err
+		if err := st.fold(rest[:n:n]); err != nil {
+			return nil, err
 		}
-		out = out[n:]
+		rest = rest[n:]
 	}
-	return nil
+	return out, nil
 }
 
 // specKey is everything the result of a spec without closures or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"valuespec/internal/bench"
@@ -42,13 +43,11 @@ func everyStudy(ws []bench.Workload) []AnyStudy {
 // out returns a study's fold output, whatever its type.
 func out(st AnyStudy) any { return reflect.ValueOf(st).Elem().FieldByName("Out").Interface() }
 
-// withProgress installs a fresh progress tracker for the test's duration.
-func withProgress(t *testing.T) *Progress {
-	t.Helper()
+// tracked returns a batch that reports into a fresh progress tracker, and
+// the tracker.
+func tracked() (func(context.Context, []Spec) ([]Result, error), *Progress) {
 	pr := NewProgress(obs.NewSharedRegistry())
-	SetProgress(pr)
-	t.Cleanup(func() { SetProgress(nil) })
-	return pr
+	return func(ctx context.Context, specs []Spec) ([]Result, error) { return SimulateBatch(ctx, specs, pr) }, pr
 }
 
 // TestRunMatchesSeparateRuns runs every study, on the two shortest kernels,
@@ -75,20 +74,17 @@ func TestRunMatchesSeparateRuns(t *testing.T) {
 			}
 		}
 	}
-	pr := withProgress(t)
-	rep := NewSpecReport()
-	SetSpecReport(rep)
-	err := Run(context.Background(), together...)
-	SetSpecReport(nil)
+	batch, pr := tracked()
+	results, err := Run(context.Background(), batch, together...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	simulated := pr.Snapshot().SpecsTotal
-	if simulated >= int64(asked) {
-		t.Errorf("one run simulated %d specs for %d asked", simulated, asked)
+	if simulated >= int64(asked) || len(results) != asked {
+		t.Errorf("one run simulated %d specs and returned %d results for %d asked", simulated, len(results), asked)
 	}
 	recorded := 0
-	for _, row := range rep.Rows() {
+	for _, row := range SpecReportRows(results) {
 		recorded += row.Specs
 	}
 	if recorded != speculative {
@@ -123,9 +119,11 @@ func TestRunDeduplicatesByContent(t *testing.T) {
 		return &Study[[]Result]{Specs: specs, Fold: func(rs []Result) ([]Result, error) { return rs, nil }}
 	}
 
-	pr := withProgress(t)
+	batch, pr := tracked()
 	st := asIs(spec, renamed, closure)
-	runStudies(t, st)
+	if _, err := Run(context.Background(), batch, st); err != nil {
+		t.Fatal(err)
+	}
 	if n := pr.Snapshot().SpecsTotal; n != 2 {
 		t.Errorf("simulated %d specs, want 2: the renamed twin merges, the closure spec runs", n)
 	}
@@ -142,9 +140,30 @@ func TestRunDeduplicatesByContent(t *testing.T) {
 	nameless.Name = ""
 	unnamed := spec
 	unnamed.Model = &nameless
-	err := Run(context.Background(), asIs(spec, unnamed))
+	_, err := Run(context.Background(), SimulateAllCtx, asIs(spec, unnamed))
 	var be *BatchError
 	if !errors.As(err, &be) || len(be.Failures) != 1 || be.Failures[0].Index != 1 {
 		t.Fatalf("nameless model: got %v, want one failure at index 1", err)
+	}
+}
+
+// TestRunChecksBatchLength: a batch that answers with fewer or more results
+// than the specs it was given fails the run instead of folding misaligned
+// results.
+func TestRunChecksBatchLength(t *testing.T) {
+	w := testWorkloads(t)[0]
+	st := Fig4([]cpu.Config{cpu.Config4x24()}, []bench.Workload{w}, 1)
+	for _, skew := range []int{-1, 1} {
+		batch := func(ctx context.Context, specs []Spec) ([]Result, error) {
+			rs, err := SimulateAllCtx(ctx, specs)
+			if skew < 0 {
+				return rs[:len(rs)-1], err
+			}
+			return append(rs, rs[0]), err
+		}
+		if _, err := Run(context.Background(), batch, st); err == nil ||
+			!strings.Contains(err.Error(), "results for 2 specs") {
+			t.Errorf("skew %d: err = %v, want a result-count error", skew, err)
+		}
 	}
 }

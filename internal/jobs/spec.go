@@ -2,7 +2,8 @@
 // FIFO+priority job queue, a content-addressed result store, and a worker
 // pool that executes submitted sweeps through the harness. cmd/vserved
 // exposes it over HTTP (mounted into the internal/obsweb server), and
-// cmd/vsweep can submit its figure sweeps to a running daemon with -submit.
+// cmd/vsweep can submit a run's distinct specs to a running daemon with
+// -submit.
 //
 // A job is a declarative batch of simulations (Request): each SimSpec names
 // a workload and carries a full processor configuration, an optional

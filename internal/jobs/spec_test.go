@@ -79,36 +79,43 @@ func TestSimSpecValidate(t *testing.T) {
 }
 
 // TestEnvelopeAcceptsClients: every spec the repository's own clients send
-// lies inside the envelope — vsweep -submit's Fig. 3 and Fig. 4 batches on
-// all three paper machines, unsharded, and the nonce-steered scale-1 and
-// default-scale specs of vsload and perfbench's service mix — and the
-// largest unsharded body stays well under MaxRequestBytes.
+// lies inside the envelope — the distinct specs of every closure-free study
+// of vsweep -all at the default scale, the one request vsweep -submit sends
+// for them, and the nonce-steered scale-1 and default-scale specs of vsload
+// and perfbench's service mix — and that request's body stays well under
+// MaxRequestBytes.
 func TestEnvelopeAcceptsClients(t *testing.T) {
-	base, runs := harness.Fig3Specs(cpu.PaperConfigs(), core.Presets(), harness.PaperSettings(), bench.All(), 0)
-	batches := [][]harness.Spec{base, runs, harness.Fig4Specs(cpu.PaperConfigs(), bench.All(), 0)}
-	for _, batch := range batches {
-		req := Request{Name: "client batch"}
-		for _, hs := range batch {
-			ss, err := FromHarness(hs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, scale := range []int{0, 1} {
-				ss.Scale = scale
-				ss.Config.MaxCycles = 1<<40 + 1<<30 // a nonce, as vsload and perfbench set it
-				if err := ss.Validate(); err != nil {
-					t.Errorf("client spec %s rejected: %v", ss.Label(), err)
-				}
-			}
-			req.Specs = append(req.Specs, ss)
-		}
-		body, err := json.Marshal(req)
+	sent, _ := submittable(vsweepStudies(cpu.PaperConfigs(), bench.All(), 0))
+	specs := distinctSpecs(t, sent...)
+	if len(specs) != 640 {
+		t.Errorf("the closure-free studies of vsweep -all ask for %d distinct specs, want 640", len(specs))
+	}
+	req := Request{Name: "vsweep"}
+	for _, hs := range specs {
+		ss, err := FromHarness(hs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(body) > MaxRequestBytes/4 {
-			t.Errorf("a %d-spec client body is %d bytes, within 4x of MaxRequestBytes %d", len(req.Specs), len(body), MaxRequestBytes)
+		if err := ss.Validate(); err != nil {
+			t.Errorf("vsweep spec %s rejected: %v", ss.Label(), err)
 		}
+		for _, scale := range []int{0, 1} {
+			nonced := ss
+			nonced.Scale = scale
+			nonced.Config.MaxCycles = 1<<40 + 1<<30 // a nonce, as vsload and perfbench set it
+			if err := nonced.Validate(); err != nil {
+				t.Errorf("client spec %s rejected: %v", nonced.Label(), err)
+			}
+		}
+		req.Specs = append(req.Specs, ss)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d specs in a %d-byte request", len(req.Specs), len(body))
+	if len(body) > MaxRequestBytes/4 {
+		t.Errorf("a %d-spec client body is %d bytes, within 4x of MaxRequestBytes %d", len(req.Specs), len(body), MaxRequestBytes)
 	}
 }
 

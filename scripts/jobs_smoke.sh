@@ -3,8 +3,10 @@
 # daemon with no workers, kill the daemon, restart it with workers and watch
 # the job recover and complete (durability), re-submit the same spec and
 # require a dedup hit answered from the result store, then run a real
-# vsweep -submit sweep and diff its CSV against a locally simulated run
-# (byte-identical results). Nonzero exit on any failure.
+# vsweep -submit sweep as one job and diff its CSV and JSON files and its
+# spec report against a locally simulated run (byte-identical results), and
+# check that a sweep holding a closure spec is refused before any job is
+# created. Nonzero exit on any failure.
 #
 # Usage: scripts/jobs_smoke.sh [workdir]
 set -eu
@@ -140,15 +142,38 @@ curl -fsS "http://$addr/metrics" | grep -q '^valuespec_jobs_e2e_ms_count' ||
 	fail "/metrics missing jobs_e2e_ms histogram"
 echo "jobs_smoke: $tid has a complete submit->store->job span timeline"
 
-# --- equivalence: remote sweep results match a local simulation -----------
-"$sweep" -fig4 -quick -scale 2 -out "$dir/local" >"$dir/local.log" 2>&1 ||
+# --- equivalence: a remote run matches a local one, as one job -----------
+# Fig. 4's specs are all among Fig. 3's and the verification ablation shares
+# its base runs, so the run's distinct specs travel as one request.
+run_args="-fig3 -fig4 -verification -quick -scale 2 -spec-report"
+"$sweep" $run_args -out "$dir/local" >"$dir/local.log" 2>&1 ||
 	fail "local vsweep run failed: $(cat "$dir/local.log")"
-"$sweep" -fig4 -quick -scale 2 -submit "http://$addr" -out "$dir/remote" >"$dir/remote.log" 2>&1 ||
+"$sweep" $run_args -submit "http://$addr" -out "$dir/remote" >"$dir/remote.log" 2>&1 ||
 	fail "vsweep -submit run failed: $(cat "$dir/remote.log")"
-cmp -s "$dir/local/fig4.csv" "$dir/remote/fig4.csv" ||
-	fail "remote fig4.csv differs from local run"
-echo "jobs_smoke: vsweep -submit results byte-identical to local run"
+[ "$(ls "$dir/local")" = "$(ls "$dir/remote")" ] ||
+	fail "remote -out files ($(ls "$dir/remote" | tr '\n' ' ')) differ from local ($(ls "$dir/local" | tr '\n' ' '))"
+for f in "$dir"/local/*.csv "$dir"/local/*.json; do
+	cmp -s "$f" "$dir/remote/${f##*/}" || fail "remote ${f##*/} differs from the local run"
+done
+report() { sed -n '/^== Speculation-outcome breakdown/,$p' "$1"; }
+[ -n "$(report "$dir/local.log")" ] || fail "local run printed no spec report"
+[ "$(report "$dir/local.log")" = "$(report "$dir/remote.log")" ] ||
+	fail "remote spec report differs from the local run: $(report "$dir/remote.log")"
+n=$(grep -c '^submitted ' "$dir/remote.log" || true)
+[ "$n" = 1 ] || fail "vsweep -submit submitted $n jobs, want 1: $(grep '^submitted ' "$dir/remote.log")"
+echo "jobs_smoke: vsweep -submit ran as one job; files and spec report byte-identical to the local run"
+
+# --- refusal: a closure spec refuses the run before any job exists --------
+jobs_total() { curl -fsS "http://$addr/jobs?view=summary" | sed -n 's/.*"total": \([0-9]*\).*/\1/p'; }
+before=$(jobs_total)
+if "$sweep" -predictors -quick -scale 2 -submit "http://$addr" >"$dir/refused.log" 2>&1; then
+	fail "vsweep -predictors -submit succeeded, want a refusal: $(cat "$dir/refused.log")"
+fi
+grep -q 'cannot be serialized' "$dir/refused.log" ||
+	fail "refusal does not name the spec: $(cat "$dir/refused.log")"
+[ "$(jobs_total)" = "$before" ] || fail "refused run created a job ($before jobs before, $(jobs_total) after)"
+echo "jobs_smoke: vsweep -predictors -submit refused before creating a job"
 
 stop_daemon
 trap - EXIT INT TERM
-echo "jobs_smoke: OK (durable restart + dedup + span timeline + remote/local equivalence)"
+echo "jobs_smoke: OK (durable restart + dedup + span timeline + remote/local equivalence + refusal)"

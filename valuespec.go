@@ -317,13 +317,13 @@ func Table1(scale int) ([]Table1Row, error) { return harness.Table1(scale) }
 // Fig3 regenerates the paper's Fig. 3 sweep.
 func Fig3(configs []Config, models []Model, settings []Setting, workloads []Workload, scale int) ([]Fig3Cell, error) {
 	st := harness.Fig3(configs, models, settings, workloads, scale)
-	err := harness.Run(context.Background(), st)
+	_, err := harness.Run(context.Background(), harness.SimulateAllCtx, st)
 	return st.Out, err
 }
 
 // Fig4 regenerates the paper's Fig. 4 accuracy breakdown.
 func Fig4(configs []Config, workloads []Workload, scale int) ([]Fig4Cell, error) {
 	st := harness.Fig4(configs, workloads, scale)
-	err := harness.Run(context.Background(), st)
+	_, err := harness.Run(context.Background(), harness.SimulateAllCtx, st)
 	return st.Out, err
 }
