@@ -56,9 +56,6 @@ var targets = []struct{ pkg, pattern string }{
 	// BenchmarkJournalGroupCommit gates the batched journal's concurrent
 	// submit path.
 	{"./internal/jobs", "^(BenchmarkJobStorePutGet|BenchmarkQueueSubmitDrain|BenchmarkJournalGroupCommit)$"},
-	// BenchmarkLoadRecorder gates the soak harness's concurrent latency
-	// histogram: one lock-free Observe per recorded sample, zero allocations.
-	{"./internal/load", "^BenchmarkLoadRecorder$"},
 	// BenchmarkSpanEmitDisabled gates the tracing-off fast path at 0
 	// allocs/op, the same contract as BenchmarkEmitNilObserver.
 	{"./internal/obs", "^(BenchmarkSharedRegistrySnapshot|BenchmarkPromExposition|BenchmarkSpanEmitDisabled|BenchmarkSpanEmitEnabled|BenchmarkTraceExport)$"},

@@ -40,6 +40,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
+	"strings"
 	"time"
 
 	"valuespec/internal/bench"
@@ -51,6 +53,13 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// The ready lines of the processes vsload spawns: a daemon prints its base
+// URL, a fleet worker its id.
+var (
+	servingLine = regexp.MustCompile(`serving jobs on (http://\S+)`)
+	workerLine  = regexp.MustCompile(`worker (\S+) serving coordinator`)
+)
 
 // options is the parsed command line, factored out so tests can drive
 // parsing and validation without a process.
@@ -206,31 +215,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	client := load.NewClient(o.url)
-	var daemon *load.Daemon
+	var daemon *load.Proc
 	if o.spawn != "" {
 		logPath := "vsload-daemon.log"
-		d, err := load.StartDaemon(o.spawn, logPath, 30*time.Second)
+		d, err := load.StartProc(strings.Fields(o.spawn), logPath, servingLine, 30*time.Second)
 		if err != nil {
 			fmt.Fprintln(stderr, "vsload:", err)
 			return 1
 		}
 		daemon = d
-		defer daemon.Stop()
-		client.SetBase(daemon.Base())
-		logf("spawned daemon at %s (log: %s)", daemon.Base(), logPath)
+		defer daemon.Kill()
+		client.SetBase(daemon.Ready())
+		logf("spawned daemon at %s (log: %s)", daemon.Ready(), logPath)
 	}
-	var fleetWorkers []*load.WorkerProc
+	var fleetWorkers []*load.Proc
 	for i := 0; i < o.fleetWorkers; i++ {
 		logPath := fmt.Sprintf("vsload-worker-%d.log", i+1)
-		cmdline := fmt.Sprintf("%s -coordinator %s", o.workerCmd, client.Base())
-		w, err := load.StartWorkerProc(cmdline, logPath, 30*time.Second)
+		args := append(strings.Fields(o.workerCmd), "-coordinator", client.Base())
+		w, err := load.StartProc(args, logPath, workerLine, 30*time.Second)
 		if err != nil {
 			fmt.Fprintln(stderr, "vsload:", err)
 			return 1
 		}
 		fleetWorkers = append(fleetWorkers, w)
-		defer w.Stop()
-		logf("spawned fleet worker %s (log: %s)", w.ID(), logPath)
+		defer w.Kill()
+		logf("spawned fleet worker %s (log: %s)", w.Ready(), logPath)
 	}
 
 	var source load.SpecSource

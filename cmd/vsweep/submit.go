@@ -1,18 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
 
 	"valuespec/internal/harness"
 	"valuespec/internal/jobs"
+	"valuespec/internal/load"
 	"valuespec/internal/textplot"
 )
 
@@ -23,9 +20,9 @@ import (
 // Stats are identical to locally computed ones. After each job it pulls the
 // server-side span timeline from /jobs/{id}/trace, so the final summary can
 // say where every job's wall time went without shelling into the daemon.
+// Every request goes through load.Client, the job API's one client.
 type submitter struct {
-	base   string // daemon URL, e.g. http://127.0.0.1:9090
-	client *http.Client
+	client *load.Client
 	// shards > 1 splits the batch into that many contiguous jobs submitted
 	// concurrently, so a fleet of workers drains one sweep in parallel; the
 	// results are reassembled in spec order, so figures stay byte-identical.
@@ -38,13 +35,15 @@ type submitter struct {
 	breakdowns []jobBreakdown // one per completed job, completion order
 }
 
-// jobBreakdown is one job's server-side timing, read from its trace. A
-// daemon running without tracing leaves the durations zero and Traced
-// false.
+// jobBreakdown is one job's server-side timing, read from its trace. A job
+// answered from the daemon's result store (Deduped) ran nothing, so it has
+// no timings to read. A daemon running without tracing leaves the durations
+// zero and Traced false.
 type jobBreakdown struct {
 	Name      string // job label ("vsweep [1/3]")
 	JobID     string
 	Specs     int
+	Deduped   bool
 	Traced    bool
 	QueueWait time.Duration
 	Run       time.Duration
@@ -54,8 +53,7 @@ type jobBreakdown struct {
 
 func newSubmitter(url string, shards int, progress *harness.Progress) *submitter {
 	return &submitter{
-		base:     strings.TrimRight(url, "/"),
-		client:   &http.Client{Timeout: 30 * time.Second},
+		client:   load.NewClient(strings.TrimRight(url, "/")),
 		shards:   shards,
 		progress: progress,
 	}
@@ -107,24 +105,16 @@ func (s *submitter) run(_ context.Context, specs []harness.Spec) ([]harness.Resu
 
 // runOne executes specs, in wire form, as a single remote job.
 func (s *submitter) runOne(name string, specs []harness.Spec, wire []jobs.SimSpec) ([]harness.Result, error) {
-	body, err := json.Marshal(jobs.Request{Name: name, Specs: wire})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.client.Post(s.base+"/jobs", "application/json", bytes.NewReader(body))
+	ack, err := s.client.Submit(jobs.Request{Name: name, Specs: wire})
 	if err != nil {
 		return nil, fmt.Errorf("submitting %s: %w", name, err)
 	}
-	var view jobs.JobView
-	if err := decodeOrError(resp, &view); err != nil {
-		return nil, fmt.Errorf("submitting %s: %w", name, err)
-	}
-	fmt.Printf("submitted %s as job %s (%d specs)\n", name, view.ID, len(specs))
+	fmt.Printf("submitted %s as job %s (%d specs)\n", name, ack.ID, len(specs))
 	if s.progress != nil {
 		s.progress.BatchStart(len(specs))
 	}
 
-	job, err := s.wait(view.ID)
+	job, err := s.wait(ack.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -132,17 +122,13 @@ func (s *submitter) runOne(name string, specs []harness.Spec, wire []jobs.SimSpe
 		return nil, fmt.Errorf("job %s (%s) finished %s: %s", job.ID, name, job.State, job.Error)
 	}
 
-	b := s.fetchBreakdown(name, job.ID, len(specs))
+	b := s.fetchBreakdown(name, job, len(specs))
 	s.mu.Lock()
 	s.breakdowns = append(s.breakdowns, b)
 	s.mu.Unlock()
 
-	resp, err = s.client.Get(s.base + "/jobs/" + job.ID + "/result")
+	rs, err := s.client.Result(job.ID)
 	if err != nil {
-		return nil, fmt.Errorf("fetching result of %s: %w", job.ID, err)
-	}
-	var rs jobs.ResultSet
-	if err := decodeOrError(resp, &rs); err != nil {
 		return nil, fmt.Errorf("fetching result of %s: %w", job.ID, err)
 	}
 	if len(rs.Results) != len(specs) {
@@ -165,37 +151,29 @@ func (s *submitter) runOne(name string, specs []harness.Spec, wire []jobs.SimSpe
 // wait polls the job until it reaches a terminal state.
 func (s *submitter) wait(id string) (jobs.Job, error) {
 	for {
-		resp, err := s.client.Get(s.base + "/jobs/" + id)
+		job, err := s.client.Job(id)
 		if err != nil {
 			return jobs.Job{}, fmt.Errorf("polling job %s: %w", id, err)
 		}
-		var view jobs.JobView
-		if err := decodeOrError(resp, &view); err != nil {
-			return jobs.Job{}, fmt.Errorf("polling job %s: %w", id, err)
-		}
-		if view.State.Terminal() {
-			return view.Job, nil
+		if job.State.Terminal() {
+			return job, nil
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
 }
 
-// fetchBreakdown reads a finished job's span timeline from the daemon. Any
-// failure (tracing disabled, old daemon, spans already evicted from the
-// ring) degrades to an untraced breakdown instead of failing the sweep.
-func (s *submitter) fetchBreakdown(name, id string, specs int) jobBreakdown {
-	b := jobBreakdown{Name: name, JobID: id, Specs: specs}
-	resp, err := s.client.Get(s.base + "/jobs/" + id + "/trace")
-	if err != nil {
+// fetchBreakdown reads a settled job's span timeline from the daemon. A
+// job answered from the result store ran nothing and has no timings to
+// read. Any failure (tracing disabled, old daemon, spans already evicted
+// from the ring) degrades to an untraced breakdown instead of failing the
+// sweep.
+func (s *submitter) fetchBreakdown(name string, job jobs.Job, specs int) jobBreakdown {
+	b := jobBreakdown{Name: name, JobID: job.ID, Specs: specs, Deduped: job.Deduped}
+	if job.Deduped {
 		return b
 	}
-	var view struct {
-		Spans []struct {
-			Name       string  `json:"name"`
-			DurationMS float64 `json:"duration_ms"`
-		} `json:"spans"`
-	}
-	if err := decodeOrError(resp, &view); err != nil {
+	view, err := s.client.Trace(job.ID)
+	if err != nil {
 		return b
 	}
 	for _, sp := range view.Spans {
@@ -218,20 +196,26 @@ func (s *submitter) fetchBreakdown(name, id string, specs int) jobBreakdown {
 }
 
 // summary prints the per-job server-side breakdown gathered from the trace
-// endpoint.
+// endpoint. A job answered from the result store is marked as such; the
+// tracing hint is printed only when a job that ran came back without spans.
 func (s *submitter) summary() {
 	if len(s.breakdowns) == 0 {
 		return
 	}
 	section("Remote job breakdown (server-side, from /jobs/{id}/trace)")
-	traced := false
+	storeHits, untraced := false, false
 	var rows [][]string
 	for _, b := range s.breakdowns {
-		if !b.Traced {
+		switch {
+		case b.Deduped:
+			storeHits = true
+			rows = append(rows, []string{b.Name, b.JobID, fmt.Sprint(b.Specs), "-", "store hit", "-", "-"})
+			continue
+		case !b.Traced:
+			untraced = true
 			rows = append(rows, []string{b.Name, b.JobID, fmt.Sprint(b.Specs), "-", "-", "-", "-"})
 			continue
 		}
-		traced = true
 		rows = append(rows, []string{
 			b.Name, b.JobID, fmt.Sprint(b.Specs),
 			b.QueueWait.Round(time.Millisecond).String(),
@@ -242,24 +226,10 @@ func (s *submitter) summary() {
 	}
 	fmt.Print(textplot.Table(
 		[]string{"Batch", "Job", "Specs", "Queue wait", "Run", "Store", "Total"}, rows))
-	if !traced {
+	if storeHits {
+		fmt.Println("(store hit: the daemon answered the job from its result store; nothing ran)")
+	}
+	if untraced {
 		fmt.Println("(daemon reported no spans; start vserved with tracing enabled for timings)")
 	}
-}
-
-// decodeOrError decodes a 2xx JSON body into v, or surfaces the API's JSON
-// error message.
-func decodeOrError(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return fmt.Errorf("daemon: %s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("daemon: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -10,16 +10,14 @@
 //     the content-addressed result store's dedup path under contention) and
 //     Uniform (every submission unique, driving the durable queue and the
 //     worker pool).
-//   - Recorder is a concurrent HDR-style latency histogram (log-bucketed,
-//     16 sub-buckets per octave, <=6.25% relative quantile error) that the
-//     submitters feed from many goroutines without locks.
 //   - Runner paces submissions against a running vserved at a target rate
 //     and concurrency, samples queue depth over time, then drains: every
 //     acknowledged job must reach a terminal state within the deadline.
+//     Its latency percentiles are exact, read from every recorded sample.
 //   - Reconcile verifies exactly-once execution against the daemon's
 //     durable /jobs listing: no acknowledged job lost, none duplicated,
 //     every completed job's result present under the expected content hash.
-//     Chaos soaks (Daemon kill -9 + restart mid-run) reuse the same check.
+//     Chaos soaks (a Proc's kill -9 + restart mid-run) reuse the same check.
 //   - SLO is a declarative threshold spec (SLO_BASELINE.json) evaluated
 //     over the final Report; violations make vsload exit nonzero, the same
 //     contract cmd/benchcheck enforces for the simulator hot paths.
@@ -54,10 +52,12 @@ type progressView struct {
 	Inflight   int `json:"inflight"`
 }
 
-// Client is a minimal HTTP client for the vserved job API. The base URL is
-// swappable at runtime, which is how a chaos restart redirects in-flight
-// submitters to the reborn daemon's new ephemeral port. Safe for concurrent
-// use.
+// Client is the HTTP client of the vserved job API, shared by the soak
+// harness and vsweep -submit. The base URL is swappable at runtime, which
+// is how a chaos restart redirects in-flight submitters to the reborn
+// daemon's new ephemeral port. A reply outside 2xx comes back as an error
+// carrying the API's JSON error message and the HTTP status. Safe for
+// concurrent use.
 type Client struct {
 	http *http.Client
 
@@ -98,17 +98,49 @@ func (c *Client) SetBase(base string) {
 	c.mu.Unlock()
 }
 
-// Healthy probes GET /healthz; any error means the daemon is unreachable.
-func (c *Client) Healthy() error {
-	resp, err := c.http.Get(c.Base() + "/healthz")
+// do sends one request to the daemon and decodes a 2xx JSON reply into v
+// (nil skips the body). Any other status is an error carrying the API's
+// JSON error message, or the start of the body, and the status.
+func (c *Client) do(method, path string, body []byte, v any) error {
+	req, err := http.NewRequest(method, c.Base()+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("load: daemon unreachable: %w", err)
+		return fmt.Errorf("load: %s %s: %w", method, path, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return fmt.Errorf("load: %s %s: daemon unreachable: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("load: /healthz returned HTTP %d", resp.StatusCode)
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		var e struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
+			msg = []byte(e.Error)
+		}
+		return fmt.Errorf("load: %s %s: %s (HTTP %d)", method, path, bytes.TrimSpace(msg), resp.StatusCode)
+	}
+	if v == nil {
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("load: %s %s: decoding reply: %w", method, path, err)
 	}
 	return nil
+}
+
+// get is do for a GET.
+func (c *Client) get(path string, v any) error {
+	return c.do(http.MethodGet, path, nil, v)
+}
+
+// Healthy probes GET /healthz; any error means the daemon is unreachable.
+func (c *Client) Healthy() error {
+	return c.get("/healthz", nil)
 }
 
 // Submit POSTs one request to /jobs and returns the daemon's acknowledgment.
@@ -117,23 +149,37 @@ func (c *Client) Submit(req jobs.Request) (SubmitAck, error) {
 	if err != nil {
 		return SubmitAck{}, fmt.Errorf("load: encoding request: %w", err)
 	}
-	resp, err := c.http.Post(c.Base()+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return SubmitAck{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return SubmitAck{}, fmt.Errorf("load: POST /jobs: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	var ack SubmitAck
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return SubmitAck{}, fmt.Errorf("load: decoding submit response: %w", err)
+	if err := c.do(http.MethodPost, "/jobs", body, &ack); err != nil {
+		return SubmitAck{}, err
 	}
 	if ack.ID == "" {
 		return SubmitAck{}, errors.New("load: submit response has no job id")
 	}
 	return ack, nil
+}
+
+// Job fetches one job's durable record (GET /jobs/{id}).
+func (c *Client) Job(id string) (jobs.Job, error) {
+	var j jobs.Job
+	err := c.get("/jobs/"+id, &j)
+	return j, err
+}
+
+// Result fetches a done job's stored results (GET /jobs/{id}/result).
+func (c *Client) Result(id string) (*jobs.ResultSet, error) {
+	var rs jobs.ResultSet
+	if err := c.get("/jobs/"+id+"/result", &rs); err != nil {
+		return nil, err
+	}
+	return &rs, nil
+}
+
+// Trace fetches a job's span timeline (GET /jobs/{id}/trace).
+func (c *Client) Trace(id string) (jobs.TraceView, error) {
+	var tv jobs.TraceView
+	err := c.get("/jobs/"+id+"/trace", &tv)
+	return tv, err
 }
 
 // Summaries fetches the compact job listing (GET /jobs?view=summary): every
@@ -145,23 +191,12 @@ func (c *Client) Summaries() ([]jobs.JobSummary, error) {
 	const pageSize = 1000
 	var all []jobs.JobSummary
 	for offset := 0; ; {
-		url := fmt.Sprintf("%s/jobs?view=summary&offset=%d&limit=%d", c.Base(), offset, pageSize)
-		resp, err := c.http.Get(url)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, fmt.Errorf("load: GET /jobs?view=summary: HTTP %d", resp.StatusCode)
-		}
 		var out struct {
 			Jobs  []jobs.JobSummary `json:"jobs"`
 			Total int               `json:"total"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("load: decoding job summaries: %w", err)
+		if err := c.get(fmt.Sprintf("/jobs?view=summary&offset=%d&limit=%d", offset, pageSize), &out); err != nil {
+			return nil, err
 		}
 		all = append(all, out.Jobs...)
 		offset += len(out.Jobs)
@@ -174,69 +209,23 @@ func (c *Client) Summaries() ([]jobs.JobSummary, error) {
 }
 
 // ResultHash fetches a done job's stored result and returns its content
-// hash, verifying the result actually exists and parses.
+// hash, verifying the result actually exists and parses. It decodes only
+// the hash, so reconciling thousands of jobs stays cheap.
 func (c *Client) ResultHash(id string) (string, error) {
-	resp, err := c.http.Get(c.Base() + "/jobs/" + id + "/result")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("load: GET /jobs/%s/result: HTTP %d", id, resp.StatusCode)
-	}
 	var rs struct {
 		SpecHash string `json:"spec_hash"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
-		return "", fmt.Errorf("load: decoding result of %s: %w", id, err)
-	}
-	return rs.SpecHash, nil
+	err := c.get("/jobs/"+id+"/result", &rs)
+	return rs.SpecHash, err
 }
 
 // QueueDepth samples the daemon's /progress snapshot; ok is false when the
 // endpoint is unreachable or not serving a daemon snapshot (e.g. mid
 // chaos-restart), which the sampler simply skips.
 func (c *Client) QueueDepth() (depth, inflight int, ok bool) {
-	resp, err := c.http.Get(c.Base() + "/progress")
-	if err != nil {
-		return 0, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, false
-	}
 	var v progressView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	if err := c.get("/progress", &v); err != nil {
 		return 0, 0, false
 	}
 	return v.QueueDepth, v.Inflight, true
-}
-
-// Metric fetches one counter's value from the Prometheus exposition, for
-// smoke-level consistency checks against jobs.* metrics (single daemon life
-// only: the registry is in-memory and resets on restart).
-func (c *Client) Metric(name string) (float64, error) {
-	resp, err := c.http.Get(c.Base() + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("load: GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		fields := bytes.Fields(line)
-		if len(fields) == 2 && string(fields[0]) == name {
-			var v float64
-			if _, err := fmt.Sscanf(string(fields[1]), "%g", &v); err != nil {
-				return 0, fmt.Errorf("load: parsing metric %s: %w", name, err)
-			}
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("load: metric %s not in exposition", name)
 }

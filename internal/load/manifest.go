@@ -170,8 +170,9 @@ func reconcile(ctx context.Context, client *Client, entries []Entry, opts reconc
 		}
 	}
 
-	// Classify every acknowledged job against the durable record.
-	var e2e Recorder
+	// Classify every acknowledged job against the durable record, keeping
+	// each executed job's submit-to-done latency in µs.
+	var e2e []int64
 	hashes := make(map[string]string) // hash -> a done job id carrying it
 	for id, e := range want {
 		s, ok := listing[id]
@@ -195,7 +196,7 @@ func reconcile(ctx context.Context, client *Client, entries []Entry, opts reconc
 			if s.Deduped {
 				out.DedupHits++
 			} else {
-				e2e.Observe(s.FinishedAt.Sub(s.SubmittedAt).Microseconds())
+				e2e = append(e2e, s.FinishedAt.Sub(s.SubmittedAt).Microseconds())
 			}
 			hashes[e.SpecHash] = id
 		case jobs.StateFailed:
@@ -215,7 +216,7 @@ func reconcile(ctx context.Context, client *Client, entries []Entry, opts reconc
 	if len(want) > 0 {
 		out.DedupRate = round3(float64(out.DedupHits) / float64(len(want)))
 	}
-	out.E2E = e2e.Snapshot().Stats()
+	out.E2E = latencyStats(e2e)
 
 	// Every unique hash with at least one done job must have a fetchable
 	// result under exactly that hash.

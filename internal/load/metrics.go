@@ -2,13 +2,11 @@ package load
 
 import "valuespec/internal/obs"
 
-// Live Prometheus series the runner mirrors into Config.Metrics while a
+// Live Prometheus series the runner publishes into Config.Metrics while a
 // soak runs, so an obsweb /metrics (and /dash) on the same registry shows
-// the client-side view mid-soak instead of only the final report. The
-// submit-latency histogram is mirrored bucket-exactly from the concurrent
-// HDR recorder: each sampling tick replays the new bucket counts into the
-// registry histogram at their bucket lower bounds, so registry quantiles
-// track the recorder's within its usual 6.25% bucket error.
+// the client-side view mid-soak instead of only the final report. Each
+// acknowledged submission's latency is observed into the histogram as it
+// lands, so its count and sum equal the report's exactly.
 const (
 	MetricSubmitUS   = "load.submit_us"   // histogram: accepted-submission latency, µs
 	MetricAcked      = "load.acked"       // counter: submissions acknowledged
@@ -32,32 +30,13 @@ func (r *Runner) registerMetrics() {
 	})
 }
 
-// publishMetrics mirrors the runner's live state into Config.Metrics: the
-// recorder's new bucket counts since the last call, the ack/reject totals,
-// and (when a depth poll succeeded) the queue gauges. Called only from the
-// sampler goroutine and, after it has been joined, from Run's final flush,
-// so prevBuckets needs no lock.
-func (r *Runner) publishMetrics(depth, inflight int, haveDepth bool) {
+// publishDepth sets the queue gauges from one depth sample.
+func (r *Runner) publishDepth(depth, inflight int) {
 	if r.cfg.Metrics == nil {
 		return
 	}
-	snap := r.submit.Snapshot()
-	r.mu.Lock()
-	acked, rejected := len(r.entries), r.rejected
-	r.mu.Unlock()
 	r.cfg.Metrics.Do(func(reg *obs.Registry) {
-		h := reg.Histogram(MetricSubmitUS)
-		for i, c := range snap.counts {
-			if d := c - r.prevBuckets[i]; d > 0 {
-				h.ObserveN(recBucketLowerBound(i), d)
-				r.prevBuckets[i] = c
-			}
-		}
-		reg.Counter(MetricAcked).Set(int64(acked))
-		reg.Counter(MetricRejected).Set(int64(rejected))
-		if haveDepth {
-			reg.Gauge(MetricQueueDepth).Set(float64(depth))
-			reg.Gauge(MetricInflight).Set(float64(inflight))
-		}
+		reg.Gauge(MetricQueueDepth).Set(float64(depth))
+		reg.Gauge(MetricInflight).Set(float64(inflight))
 	})
 }

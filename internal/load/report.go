@@ -3,6 +3,7 @@ package load
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Report is the full outcome of one soak: throughput, latency
@@ -79,5 +80,41 @@ func (r *Report) Format(w io.Writer) {
 	} else {
 		fmt.Fprintf(w, "  verdict      FAIL: %d invariant violation(s), %d SLO breach(es)\n",
 			len(r.Violations), len(r.SLOViolations))
+	}
+}
+
+// LatencyStats summarizes latency samples for reports, in milliseconds.
+type LatencyStats struct {
+	Count  uint64  `json:"count"`
+	P50MS  float64 `json:"p50_ms"`
+	P95MS  float64 `json:"p95_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	MaxMS  float64 `json:"max_ms"`
+	MeanMS float64 `json:"mean_ms"`
+}
+
+// latencyStats summarizes microsecond samples in milliseconds, sorting us
+// in place. Each percentile is a recorded sample: the one at rank
+// floor(q*n) of the sorted samples, clamped to n-1. A negative sample (a
+// wall-clock step between two durable timestamps) counts as zero.
+func latencyStats(us []int64) LatencyStats {
+	n := len(us)
+	if n == 0 {
+		return LatencyStats{}
+	}
+	var sum int64
+	for i, v := range us {
+		us[i] = max(v, 0)
+		sum += us[i]
+	}
+	slices.Sort(us)
+	at := func(q float64) float64 { return float64(us[min(int(q*float64(n)), n-1)]) / 1000 }
+	return LatencyStats{
+		Count:  uint64(n),
+		P50MS:  at(0.50),
+		P95MS:  at(0.95),
+		P99MS:  at(0.99),
+		MaxMS:  at(1),
+		MeanMS: round3(float64(sum) / float64(n) / 1000),
 	}
 }

@@ -57,11 +57,10 @@ type Config struct {
 	VerifyResults bool
 	// Chaos, when non-nil, kills and restarts the daemon mid-soak.
 	Chaos *Chaos
-	// Metrics, when non-nil, receives the live load.* series (submit-latency
-	// histogram, ack/reject counters, queue-depth gauges) on every sampling
-	// tick, so an obsweb server over the same registry exposes the soak
-	// mid-run. Requires SampleInterval >= 0 for live updates; the final
-	// totals are published regardless when the soak ends.
+	// Metrics, when non-nil, receives the live load.* series, so an obsweb
+	// server over the same registry exposes the soak mid-run: each
+	// acknowledged submission's latency and the ack and reject counters as
+	// they happen, the queue-depth gauges on every sampling tick.
 	Metrics *obs.SharedRegistry
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
@@ -72,16 +71,13 @@ type Config struct {
 type Runner struct {
 	cfg Config
 
-	mu       sync.Mutex
-	entries  []Entry
+	mu      sync.Mutex
+	entries []Entry
+	// submitUS holds each entry's submit latency in µs, at the same index.
+	submitUS []int64
 	rejected int
 	lastErr  error
 	depths   []DepthSample
-
-	submit Recorder
-	// prevBuckets tracks how much of each recorder bucket has already been
-	// mirrored into cfg.Metrics; see publishMetrics for the access rules.
-	prevBuckets [numRecBuckets]uint64
 }
 
 // DepthSample is one queue-depth observation.
@@ -214,9 +210,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	chaosWG.Wait()
 	close(stop)
 	samplerWG.Wait()
-	// Final flush: the sampler has been joined, so the mirrored totals are
-	// exact even when sampling was disabled or the last tick raced the stop.
-	r.publishMetrics(0, 0, false)
 	if chaosErr != nil {
 		return nil, chaosErr
 	}
@@ -226,6 +219,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 
 	r.mu.Lock()
 	entries := append([]Entry(nil), r.entries...)
+	submitUS := append([]int64(nil), r.submitUS...)
 	rejected, lastErr := r.rejected, r.lastErr
 	depths := append([]DepthSample(nil), r.depths...)
 	r.mu.Unlock()
@@ -240,7 +234,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		Acked:         len(entries),
 		Rejected:      rejected,
 		ChaosRestarts: chaosRestarts,
-		Submit:        r.submit.Snapshot().Stats(),
+		Submit:        latencyStats(submitUS),
 		Depth:         depths,
 	}
 	if rejected > 0 && lastErr != nil {
@@ -292,14 +286,27 @@ func (r *Runner) submitOne() {
 		r.reject(err)
 		return
 	}
-	r.submit.ObserveSince(began)
+	us := time.Since(began).Microseconds()
 	if ack.SpecHash != hash {
 		r.reject(fmt.Errorf("load: daemon hashed %s, client expects %s", ack.SpecHash, hash))
 		return
 	}
+	r.record(Entry{ID: ack.ID, SpecHash: ack.SpecHash, Deduped: ack.Deduped}, us)
+}
+
+// record keeps one acknowledged submission and its submit latency in µs,
+// and observes both into Config.Metrics.
+func (r *Runner) record(e Entry, us int64) {
 	r.mu.Lock()
-	r.entries = append(r.entries, Entry{ID: ack.ID, SpecHash: ack.SpecHash, Deduped: ack.Deduped})
+	r.entries = append(r.entries, e)
+	r.submitUS = append(r.submitUS, us)
 	r.mu.Unlock()
+	if r.cfg.Metrics != nil {
+		r.cfg.Metrics.Do(func(reg *obs.Registry) {
+			reg.Histogram(MetricSubmitUS).Observe(us)
+			reg.Counter(MetricAcked).Add(1)
+		})
+	}
 }
 
 func (r *Runner) reject(err error) {
@@ -307,6 +314,9 @@ func (r *Runner) reject(err error) {
 	r.rejected++
 	r.lastErr = err
 	r.mu.Unlock()
+	if r.cfg.Metrics != nil {
+		r.cfg.Metrics.Add(MetricRejected, 1)
+	}
 }
 
 // sample polls queue depth until stop closes.
@@ -320,10 +330,10 @@ func (r *Runner) sample(start time.Time, stop <-chan struct{}, wg *sync.WaitGrou
 			return
 		case <-tick.C:
 			depth, inflight, ok := r.cfg.Client.QueueDepth()
-			r.publishMetrics(depth, inflight, ok)
 			if !ok {
 				continue
 			}
+			r.publishDepth(depth, inflight)
 			r.mu.Lock()
 			r.depths = append(r.depths, DepthSample{
 				ElapsedMS: time.Since(start).Milliseconds(),

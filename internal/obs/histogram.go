@@ -68,24 +68,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// ObserveN records n identical samples of value v in one step. It is the
-// bulk form of Observe, for mirroring externally-bucketed recorders (e.g.
-// the load generator's HDR histogram) without replaying every sample.
-func (h *Histogram) ObserveN(v int64, n uint64) {
-	if n == 0 {
-		return
-	}
-	h.counts[BucketIndex(v)] += n
-	h.count += n
-	h.sum += v * int64(n)
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.count }
 

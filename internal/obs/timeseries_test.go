@@ -208,26 +208,3 @@ func TestSpecOutcomes(t *testing.T) {
 		t.Fatalf("expected unreconciled after skew")
 	}
 }
-
-func TestHistogramObserveN(t *testing.T) {
-	h1 := NewHistogram()
-	h2 := NewHistogram()
-	vals := []int64{0, 3, 17, 1024, 99999}
-	for _, v := range vals {
-		for i := 0; i < 7; i++ {
-			h1.Observe(v)
-		}
-		h2.ObserveN(v, 7)
-	}
-	h2.ObserveN(5, 0) // no-op
-	if h1.Count() != h2.Count() || h1.Sum() != h2.Sum() ||
-		h1.Min() != h2.Min() || h1.Max() != h2.Max() {
-		t.Fatalf("ObserveN mismatch: count %d/%d sum %d/%d min %d/%d max %d/%d",
-			h1.Count(), h2.Count(), h1.Sum(), h2.Sum(), h1.Min(), h2.Min(), h1.Max(), h2.Max())
-	}
-	for q := 0.0; q <= 1.0; q += 0.25 {
-		if h1.Quantile(q) != h2.Quantile(q) {
-			t.Fatalf("quantile %v mismatch: %v vs %v", q, h1.Quantile(q), h2.Quantile(q))
-		}
-	}
-}

@@ -4,9 +4,10 @@
 # the job recover and complete (durability), re-submit the same spec and
 # require a dedup hit answered from the result store, then run a real
 # vsweep -submit sweep as one job and diff its CSV and JSON files and its
-# spec report against a locally simulated run (byte-identical results), and
-# check that a sweep holding a closure spec is refused before any job is
-# created. Nonzero exit on any failure.
+# spec report against a locally simulated run (byte-identical results), run
+# it again to see it answered from the result store, and check that a sweep
+# holding a closure spec is refused before any job is created. Nonzero exit
+# on any failure.
 #
 # Usage: scripts/jobs_smoke.sh [workdir]
 set -eu
@@ -161,7 +162,23 @@ report() { sed -n '/^== Speculation-outcome breakdown/,$p' "$1"; }
 	fail "remote spec report differs from the local run: $(report "$dir/remote.log")"
 n=$(grep -c '^submitted ' "$dir/remote.log" || true)
 [ "$n" = 1 ] || fail "vsweep -submit submitted $n jobs, want 1: $(grep '^submitted ' "$dir/remote.log")"
+hint='start vserved with tracing enabled'
+! grep -q "$hint" "$dir/remote.log" || fail "a traced job that ran printed the tracing hint: $(cat "$dir/remote.log")"
 echo "jobs_smoke: vsweep -submit ran as one job; files and spec report byte-identical to the local run"
+
+# --- store hit: the same run again is answered from the result store -----
+"$sweep" $run_args -submit "http://$addr" -out "$dir/rerun" >"$dir/rerun.log" 2>&1 ||
+	fail "repeated vsweep -submit run failed: $(cat "$dir/rerun.log")"
+[ "$(ls "$dir/local")" = "$(ls "$dir/rerun")" ] ||
+	fail "repeated -out files ($(ls "$dir/rerun" | tr '\n' ' ')) differ from local ($(ls "$dir/local" | tr '\n' ' '))"
+for f in "$dir"/local/*.csv "$dir"/local/*.json; do
+	cmp -s "$f" "$dir/rerun/${f##*/}" || fail "repeated ${f##*/} differs from the local run"
+done
+grep -q 'store hit' "$dir/rerun.log" ||
+	fail "repeated run's breakdown does not mark the store hit: $(cat "$dir/rerun.log")"
+! grep -q "$hint" "$dir/rerun.log" ||
+	fail "a store hit printed the tracing hint: $(cat "$dir/rerun.log")"
+echo "jobs_smoke: repeated vsweep -submit answered from the result store; files byte-identical, no tracing hint"
 
 # --- refusal: a closure spec refuses the run before any job exists --------
 jobs_total() { curl -fsS "http://$addr/jobs?view=summary" | sed -n 's/.*"total": \([0-9]*\).*/\1/p'; }
@@ -176,4 +193,4 @@ echo "jobs_smoke: vsweep -predictors -submit refused before creating a job"
 
 stop_daemon
 trap - EXIT INT TERM
-echo "jobs_smoke: OK (durable restart + dedup + span timeline + remote/local equivalence + refusal)"
+echo "jobs_smoke: OK (durable restart + dedup + span timeline + remote/local equivalence + store hit + refusal)"
