@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,15 +18,18 @@ import (
 
 // DefaultLeaseTTL is the lease length when CoordinatorConfig leaves it zero.
 // Every other protocol timing follows the TTL: workers renew every
-// TTL×2/15 (so a lease outlives seven missed heartbeats), the coordinator
-// sweeps for lapsed leases every TTL/4, and a worker silent for 2×TTL drops
-// out of the live count. DefaultHeartbeat is the renewal cadence at the
-// default TTL, which a worker uses until its first lease tells it the
-// coordinator's.
+// TTL×2/15 (so a lease outlives seven missed heartbeats), an empty /lease
+// is held open for up to that cadence, the coordinator sweeps for lapsed
+// leases every TTL/4, and a worker silent for 2×TTL drops out of the live
+// count. DefaultHeartbeat is the renewal cadence at the default TTL, which
+// a worker uses until its first lease tells it the coordinator's.
 const (
 	DefaultLeaseTTL  = 15 * time.Second
 	DefaultHeartbeat = DefaultLeaseTTL * 2 / 15
 )
+
+// requestTimeout bounds a worker's protocol calls; a held /lease ends inside it.
+const requestTimeout = 30 * time.Second
 
 // CoordinatorConfig wires a Coordinator to the job service it fronts.
 type CoordinatorConfig struct {
@@ -58,9 +62,10 @@ type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]*workerState
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// ctx ends at Close, stopping the scanner and releasing held leases.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // NewCoordinator builds a coordinator over cfg.Service.
@@ -75,8 +80,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		workers: make(map[string]*workerState),
-		stop:    make(chan struct{}),
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
 	c.mux.HandleFunc("POST /lease", c.handleLease)
 	c.mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
 	c.mux.HandleFunc("POST /complete", c.handleComplete)
@@ -113,7 +118,7 @@ func (c *Coordinator) Start() {
 		defer t.Stop()
 		for {
 			select {
-			case <-c.stop:
+			case <-c.ctx.Done():
 				return
 			case <-t.C:
 				c.scanExpiry()
@@ -122,12 +127,16 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Close stops the scanner. The mounted handler keeps answering (returning
-// errors for leases) until the owning HTTP server shuts down.
+// Close stops the scanner and releases every held /lease. The mounted
+// handler keeps answering until the owning HTTP server shuts down, refusing
+// leases with 503 so that workers back off. Safe to call twice.
 func (c *Coordinator) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
+	c.stop()
 	c.wg.Wait()
 }
+
+// heartbeat is the renewal cadence workers are told to keep, TTL×2/15.
+func (c *Coordinator) heartbeat() time.Duration { return c.cfg.LeaseTTL * 2 / 15 }
 
 // scanExpiry requeues lapsed leases and forgets workers that have been
 // silent past the liveness window.
@@ -188,7 +197,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("lease capacity %d", req.Capacity))
 		return
 	}
-	leased, err := c.cfg.Service.LeaseJobs(req.Worker, req.Capacity, c.cfg.LeaseTTL)
+	if c.ctx.Err() != nil {
+		httpError(w, http.StatusServiceUnavailable, errors.New("fleet: coordinator is shutting down"))
+		return
+	}
+	// Seen while it waits: an empty request is held until a job is queued,
+	// the client goes away, Close runs or a heartbeat cadence passes; the
+	// worker asks again at once, so a job reaches an idle fleet in a round trip.
+	c.mu.Lock()
+	c.touchLocked(req.Worker)
+	c.mu.Unlock()
+	c.publishGauges()
+	ctx, cancel := context.WithTimeout(r.Context(), min(c.heartbeat(), requestTimeout/2))
+	defer cancel()
+	defer context.AfterFunc(c.ctx, cancel)()
+	leased, err := c.cfg.Service.LeaseJobs(ctx, req.Worker, req.Capacity, c.cfg.LeaseTTL)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
@@ -206,7 +229,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, LeaseResponse{
 		Jobs:            leased,
 		TTLMillis:       c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMillis: (c.cfg.LeaseTTL * 2 / 15).Milliseconds(),
+		HeartbeatMillis: c.heartbeat().Milliseconds(),
 	})
 }
 
@@ -253,11 +276,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
+	received := time.Now()
 	var req CompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding complete: %w", err))
 		return
 	}
+	c.remoteRun(req.Job, req.Worker, req.RunMillis, received, "")
 	job, err := c.cfg.Service.CompleteLeased(req.Job, req.Token, req.Results)
 	if err != nil {
 		c.settleError(w, "complete", req.Worker, req.Job, err)
@@ -265,19 +290,18 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	c.forget(req.Worker, req.Job)
 	c.count(MetricRemoteCompletes, 1)
-	if req.RunMillis > 0 && c.cfg.Metrics != nil {
-		c.cfg.Metrics.Observe(jobs.MetricRunMS, req.RunMillis)
-	}
 	c.publishGauges()
 	writeJSON(w, http.StatusOK, job)
 }
 
 func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
+	received := time.Now()
 	var req FailRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding fail: %w", err))
 		return
 	}
+	c.remoteRun(req.Job, req.Worker, req.RunMillis, received, req.Error)
 	job, err := c.cfg.Service.FailLeased(req.Job, req.Token, errors.New(req.Error))
 	if err != nil {
 		c.settleError(w, "fail", req.Worker, req.Job, err)
@@ -287,6 +311,28 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	c.count(MetricRemoteFailures, 1)
 	c.publishGauges()
 	writeJSON(w, http.StatusOK, job)
+}
+
+// remoteRun records a worker's attempt (cause: its error, if it failed) as
+// the daemon records its own, before the settle: a jobs.run_ms sample and a
+// run span lasting the worker's run_ms and ending at the report's arrival.
+func (c *Coordinator) remoteRun(id, worker string, runMS int64, received time.Time, cause string) {
+	job, ok := c.cfg.Service.Job(id)
+	if !ok {
+		return // the settle reports the unknown job
+	}
+	if c.cfg.Metrics != nil {
+		c.cfg.Metrics.Observe(jobs.MetricRunMS, max(runMS, 0))
+	}
+	attrs := []obs.SpanAttr{
+		{Key: "spec_hash", Value: job.SpecHash},
+		{Key: "worker", Value: worker},
+		{Key: "attempt", Value: fmt.Sprint(job.Attempts)},
+	}
+	if cause != "" {
+		attrs = append(attrs, obs.SpanAttr{Key: "error", Value: cause})
+	}
+	c.cfg.Service.Tracer().Emit(id, jobs.SpanRun, received.Add(-time.Duration(runMS)*time.Millisecond), received, attrs...)
 }
 
 // settleError maps a completion-path error to its status: a stale lease is

@@ -6,7 +6,8 @@
 // The protocol is four POSTs and one GET:
 //
 //	POST /lease      worker asks for up to Capacity jobs; each comes fenced
-//	                 by a lease token and a TTL
+//	                 by a lease token and a TTL. An empty request is held
+//	                 until a job is queued or a heartbeat cadence passes
 //	POST /heartbeat  worker renews its leases and pushes an algebraic delta
 //	                 of its local metrics registry plus per-job progress
 //	POST /complete   worker returns a finished job's results, fenced by the
@@ -15,14 +16,15 @@
 //	GET  /fleet      fleet-wide snapshot: queue state plus per-worker view
 //
 // The lease is the job service's one state machine: the daemon's own
-// workers hold leases too (ones that never expire) and settle through the
-// same token-fenced calls /complete and /fail reach, and both run jobs
-// through the shared jobs.Executor. A worker that stops heartbeating loses
-// its leases, the coordinator requeues the jobs (without charging the retry
-// budget), and the next lease hands them out under a fresh token. A zombie worker's late POST /complete carries the
-// rotated-away token and is rejected with 409; because the store is
-// content-addressed and the simulator deterministic, even a raced duplicate
-// write is byte-identical and harmless.
+// workers hold leases too (ones that never expire, from the same
+// jobs.Queue.Lease) and settle through the same token-fenced calls
+// /complete and /fail reach, and both run jobs through the shared
+// jobs.Executor. A worker that stops heartbeating loses its leases, the
+// coordinator requeues the jobs (without charging the retry budget), and
+// the next lease hands them out under a fresh token. A zombie worker's late
+// POST /complete carries the rotated-away token and is rejected with 409;
+// because the store is content-addressed and the simulator deterministic,
+// even a raced duplicate write is byte-identical and harmless.
 //
 // Telemetry flows worker -> coordinator as obs.WireRegistry deltas: every
 // heartbeat carries the counters/histograms accumulated since the previous

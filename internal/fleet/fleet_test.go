@@ -19,8 +19,8 @@ import (
 	"valuespec/internal/obs"
 )
 
-// testFleet is one coordinator over a real (Workers:0) job service, mounted
-// on an httptest server.
+// testFleet is one coordinator over a real (Workers:0), tracing job
+// service, mounted on an httptest server.
 type testFleet struct {
 	svc   *jobs.Service
 	coord *Coordinator
@@ -32,7 +32,7 @@ type testFleet struct {
 func newTestFleet(t *testing.T, ttl time.Duration) *testFleet {
 	t.Helper()
 	reg := obs.NewSharedRegistry()
-	svc, err := jobs.Open(jobs.Config{DataDir: t.TempDir(), Workers: 0, Metrics: reg})
+	svc, err := jobs.Open(jobs.Config{DataDir: t.TempDir(), Workers: 0, Metrics: reg, Tracer: obs.NewTracer(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func newTestFleet(t *testing.T, ttl time.Duration) *testFleet {
 	coord.Start()
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() {
+		coord.Close() // releases held leases, so the server's Close need not wait them out
 		srv.Close()
-		coord.Close()
 		svc.Close()
 	})
 	return &testFleet{svc: svc, coord: coord, srv: srv, reg: reg}
@@ -81,7 +81,6 @@ func newTestWorker(t *testing.T, f *testFleet, id string, sim jobs.SimulateFunc)
 		Coordinator: f.srv.URL,
 		ID:          id,
 		Capacity:    2,
-		Poll:        20 * time.Millisecond,
 		Simulate:    sim,
 	})
 	if err != nil {
@@ -285,8 +284,9 @@ func TestFleetHeartbeatAfterExpiry(t *testing.T) {
 // fails for good once the budget is spent.
 func TestFleetWorkerFailure(t *testing.T) {
 	reg := obs.NewSharedRegistry()
+	tracer := obs.NewTracer(0)
 	svc, err := jobs.Open(jobs.Config{
-		DataDir: t.TempDir(), Workers: 0, Metrics: reg,
+		DataDir: t.TempDir(), Workers: 0, Metrics: reg, Tracer: tracer,
 		MaxRetries: 1, RetryBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -295,7 +295,7 @@ func TestFleetWorkerFailure(t *testing.T) {
 	coord := NewCoordinator(CoordinatorConfig{Service: svc, Metrics: reg, LeaseTTL: 5 * time.Second})
 	coord.Start()
 	srv := httptest.NewServer(coord.Handler())
-	defer func() { srv.Close(); coord.Close(); svc.Close() }()
+	defer func() { coord.Close(); srv.Close(); svc.Close() }()
 
 	req := jobs.Request{Name: "flaky", Specs: []jobs.SimSpec{{Workload: "compress"}}}
 	job, _, err := svc.Submit(req)
@@ -308,7 +308,7 @@ func TestFleetWorkerFailure(t *testing.T) {
 		attempts.Add(1)
 		return nil, errors.New("scripted failure")
 	}
-	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "flaky-w", Poll: 20 * time.Millisecond, Simulate: failing})
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "flaky-w", Simulate: failing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +334,30 @@ func TestFleetWorkerFailure(t *testing.T) {
 	}
 	if !strings.Contains(final.Error, "scripted failure") {
 		t.Errorf("final error %q lost the worker's cause", final.Error)
+	}
+	// Each failed attempt is a run span carrying its error and a jobs.run_ms
+	// sample, as a failed local attempt is.
+	var runs int
+	for _, sp := range tracer.Spans(job.ID) {
+		if sp.Name != jobs.SpanRun {
+			continue
+		}
+		runs++
+		if cause, _ := sp.Attr("error"); !strings.Contains(cause, "scripted failure") {
+			t.Errorf("run span error = %q, want the worker's cause", cause)
+		}
+		if worker, _ := sp.Attr("worker"); worker != "flaky-w" {
+			t.Errorf("run span worker = %q, want flaky-w", worker)
+		}
+		if attempt, _ := sp.Attr("attempt"); attempt != fmt.Sprint(runs) {
+			t.Errorf("run span %d attempt = %q", runs, attempt)
+		}
+	}
+	if runs != 2 {
+		t.Errorf("%d run spans, want one per attempt (2)", runs)
+	}
+	if n := reg.Snapshot().Histogram(jobs.MetricRunMS).Count(); n != 2 {
+		t.Errorf("%s count = %d, want 2", jobs.MetricRunMS, n)
 	}
 }
 
@@ -379,6 +403,151 @@ func TestFleetViewProgress(t *testing.T) {
 	}
 	if len(wv.Progress) != 1 || wv.Progress[0].Snapshot.SpecsTotal != 1 {
 		t.Errorf("worker progress = %+v", wv.Progress)
+	}
+}
+
+// TestFleetRunSpan: a job a fleet worker completed has the timeline a local
+// job has — submit, queue_wait, run, store, job — and its run span lasts at
+// least the run the worker timed.
+func TestFleetRunSpan(t *testing.T) {
+	f := newTestFleet(t, 5*time.Second)
+	const runFor = 50 * time.Millisecond
+	slow := func(ctx context.Context, specs []harness.Spec, p *harness.Progress) ([]harness.Result, error) {
+		time.Sleep(runFor)
+		return fakeSimulate(ctx, specs, p)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go newTestWorker(t, f, "spanner", slow).Run(ctx)
+	job := waitState(t, f, f.submit(t, "spans", 1).ID, jobs.StateDone, 10*time.Second)
+
+	rec := httptest.NewRecorder()
+	f.svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+job.ID+"/trace", nil))
+	var view jobs.TraceView
+	if err := json.NewDecoder(rec.Body).Decode(&view); err != nil {
+		t.Fatalf("decoding trace (HTTP %d): %v", rec.Code, err)
+	}
+	got := map[string]jobs.SpanView{}
+	for _, sp := range view.Spans {
+		got[sp.Name] = sp
+	}
+	for _, name := range []string{jobs.SpanSubmit, jobs.SpanQueueWait, jobs.SpanRun, jobs.SpanStore, jobs.SpanJob} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("trace of %s lacks a %q span: %+v", job.ID, name, view.Spans)
+		}
+	}
+	run := got[jobs.SpanRun]
+	if d := time.Duration(run.DurationMS * float64(time.Millisecond)); d < runFor {
+		t.Errorf("run span lasts %v, want at least the worker's %v", d, runFor)
+	}
+	if run.Attrs["worker"] != "spanner" || run.Attrs["attempt"] != "1" {
+		t.Errorf("run span attrs = %v, want worker spanner, attempt 1", run.Attrs)
+	}
+}
+
+// TestFleetIdleWorkerStartsAtOnce: an idle worker, configured by default,
+// waits in a /lease the coordinator holds, so each job submitted to an idle
+// fleet starts within a round trip: eight submissions spread over 500 ms
+// each wait under 100 ms in the queue.
+func TestFleetIdleWorkerStartsAtOnce(t *testing.T) {
+	f := newTestFleet(t, 5*time.Second)
+	w, err := NewWorker(WorkerConfig{Coordinator: f.srv.URL, ID: "idle", Simulate: fakeSimulate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go w.Run(ctx)
+
+	began := time.Now()
+	var submitted []jobs.Job
+	for i, at := range []time.Duration{0, 45, 110, 160, 240, 310, 390, 480} {
+		time.Sleep(time.Until(began.Add(at * time.Millisecond)))
+		submitted = append(submitted, f.submit(t, fmt.Sprintf("idle%d", i), 1))
+	}
+	var waits []time.Duration
+	for _, job := range submitted {
+		done := waitState(t, f, job.ID, jobs.StateDone, 10*time.Second)
+		wait := done.StartedAt.Sub(done.SubmittedAt)
+		waits = append(waits, wait.Round(time.Millisecond))
+		if wait >= 100*time.Millisecond {
+			t.Errorf("job %s waited %v in the queue of an idle fleet, want under 100ms", done.ID, wait)
+		}
+	}
+	t.Logf("queue waits: %v", waits)
+}
+
+// TestFleetWorkerBacksOffFailedLease: a worker whose coordinator refuses
+// every /lease waits one heartbeat cadence (2 s before its first lease
+// says otherwise) between attempts instead of spinning.
+func TestFleetWorkerBacksOffFailedLease(t *testing.T) {
+	var leases atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
+		leases.Add(1)
+		httpError(w, http.StatusServiceUnavailable, errors.New("coordinator unavailable"))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "patient", Simulate: fakeSimulate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	w.Run(ctx)
+	if n := leases.Load(); n < 1 || n > 2 {
+		t.Errorf("worker made %d lease calls in 2s against a refusing coordinator, want 1 or 2", n)
+	}
+}
+
+// TestFleetCloseReleasesHeldLease: Close answers an empty /lease the
+// coordinator is holding at once, and refuses the next one with 503.
+func TestFleetCloseReleasesHeldLease(t *testing.T) {
+	f := newTestFleet(t, DefaultLeaseTTL) // holds an empty /lease for 2s
+	type answer struct {
+		status int
+		at     time.Time
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(f.srv.URL+"/lease", "application/json",
+			strings.NewReader(`{"worker": "parked", "capacity": 1}`))
+		if err != nil {
+			t.Error(err)
+			answered <- answer{}
+			return
+		}
+		resp.Body.Close()
+		answered <- answer{resp.StatusCode, time.Now()}
+	}()
+	// The worker is marked seen before its request is held.
+	for deadline := time.Now().Add(5 * time.Second); len(f.coord.Snapshot().Workers) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the /lease never reached the coordinator")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case a := <-answered:
+		t.Fatalf("an empty /lease was answered (HTTP %d) before Close, want it held", a.status)
+	default:
+	}
+	closed := time.Now()
+	f.coord.Close()
+	select {
+	case a := <-answered:
+		if a.status != http.StatusOK {
+			t.Errorf("released /lease answered HTTP %d, want 200", a.status)
+		}
+		if d := a.at.Sub(closed); d > 100*time.Millisecond {
+			t.Errorf("Close released the held /lease after %v, want within 100ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not release the held /lease")
+	}
+	if status := postJSONStatus(t, f.srv.URL+"/lease", LeaseRequest{Worker: "late", Capacity: 1}, nil); status != http.StatusServiceUnavailable {
+		t.Errorf("/lease after Close answered HTTP %d, want 503", status)
 	}
 }
 

@@ -29,9 +29,6 @@ type WorkerConfig struct {
 	ID string
 	// Capacity is how many jobs run concurrently; <= 0 means 1.
 	Capacity int
-	// Poll is how long to sleep after an empty lease before asking again;
-	// <= 0 means 500ms. Heartbeat cadence comes from the coordinator.
-	Poll time.Duration
 	// JobTimeout bounds one job execution; 0 means no bound. A job whose
 	// request carries TimeoutSeconds > 0 uses that instead.
 	JobTimeout time.Duration
@@ -47,7 +44,7 @@ type WorkerConfig struct {
 	// hangs); nil selects harness.SimulateBatch.
 	Simulate jobs.SimulateFunc
 	// HTTP is the client used for all protocol calls; nil uses a client
-	// with a 30s timeout.
+	// with a 30s timeout, which a held /lease stays well inside.
 	HTTP *http.Client
 	// Logger receives worker lifecycle logs; nil discards them.
 	Logger *slog.Logger
@@ -65,8 +62,8 @@ type Worker struct {
 	free int
 	prev *obs.Registry // registry snapshot at the previous heartbeat
 
-	// wake pokes the lease loop the moment a run frees a slot, so drain
-	// throughput is bounded by lease round-trips, not the idle poll period.
+	// wake pokes a full worker's lease loop when a run frees a slot; one
+	// with a free slot is always in a /lease the coordinator holds.
 	wake chan struct{}
 
 	// heartbeat is the renewal cadence; cadence pokes the heartbeat loop
@@ -103,14 +100,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 500 * time.Millisecond
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewSharedRegistry()
 	}
 	if cfg.HTTP == nil {
-		cfg.HTTP = &http.Client{Timeout: 30 * time.Second}
+		cfg.HTTP = &http.Client{Timeout: requestTimeout}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -142,9 +136,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 func (w *Worker) ID() string { return w.cfg.ID }
 
 // Run leases and executes jobs until ctx is cancelled, then cancels every
-// in-flight run and returns. The error is ctx.Err() — a worker has no
-// terminal failure of its own; it just keeps polling through coordinator
-// outages (the whole point is surviving each other's restarts).
+// in-flight run and returns. An empty answer is asked again at once (the
+// coordinator held it); a failed /lease waits a heartbeat cadence, so the
+// worker never spins against a dead coordinator. The error is ctx.Err() —
+// a worker keeps retrying through coordinator outages (the whole point is
+// surviving each other's restarts).
 func (w *Worker) Run(ctx context.Context) error {
 	hbCtx, hbCancel := context.WithCancel(ctx)
 	var hbDone sync.WaitGroup
@@ -159,7 +155,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		free := w.free
 		w.mu.Unlock()
 		if free <= 0 {
-			w.idle(ctx)
+			select {
+			case <-ctx.Done():
+			case <-w.wake:
+			}
 			continue
 		}
 		leased, err := w.lease(ctx, free)
@@ -168,6 +167,14 @@ func (w *Worker) Run(ctx context.Context) error {
 				break
 			}
 			w.cfg.Logger.Warn("lease failed", "worker", w.cfg.ID, "err", err)
+			w.mu.Lock()
+			retry := w.heartbeat
+			w.mu.Unlock()
+			select {
+			case <-ctx.Done():
+			case <-time.After(retry):
+			}
+			continue
 		}
 		for _, job := range leased {
 			job := job
@@ -177,24 +184,11 @@ func (w *Worker) Run(ctx context.Context) error {
 				w.runJob(ctx, job)
 			}()
 		}
-		if len(leased) == 0 {
-			w.idle(ctx)
-		}
 	}
 	runs.Wait()
 	hbCancel()
 	hbDone.Wait()
 	return ctx.Err()
-}
-
-// idle waits for the poll period, a freed slot, or cancellation — whichever
-// comes first.
-func (w *Worker) idle(ctx context.Context) {
-	select {
-	case <-ctx.Done():
-	case <-w.wake:
-	case <-time.After(w.cfg.Poll):
-	}
 }
 
 // lease asks the coordinator for up to free jobs.
@@ -433,7 +427,7 @@ func (w *Worker) postRetry(path string, body, out any) error {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 200 * time.Millisecond)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 		err = w.post(ctx, path, body, out)
 		cancel()
 		if err == nil || isStale(err) {

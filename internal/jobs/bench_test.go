@@ -37,7 +37,7 @@ func BenchmarkJobStorePutGet(b *testing.B) {
 }
 
 // BenchmarkQueueSubmitDrain measures the durable queue cycle for a batch of
-// jobs: submit, pop (a lease grant), complete under the granted token —
+// jobs: submit, a local lease grant, complete under the granted token —
 // three journaled transitions per job, each acknowledged only after its
 // group commit reaches disk.
 func BenchmarkQueueSubmitDrain(b *testing.B) {
@@ -70,7 +70,7 @@ func BenchmarkQueueSubmitDrain(b *testing.B) {
 			ids[k] = j.ID
 		}
 		for range ids {
-			j, ok := q.Pop()
+			j, ok := leaseLocal(b, q)
 			if !ok {
 				b.Fatal("queue closed")
 			}

@@ -119,7 +119,7 @@ func TestJournalCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each job here costs 5 records (submit, pop, park, pop, complete),
+	// Each job here costs 5 records (submit, lease, park, lease, complete),
 	// so the journal outgrows the live set by more than compactFactor and
 	// crosses compactMinRecords with ~compactMinRecords/5 jobs.
 	const jobsN = compactMinRecords/5 + 16
@@ -129,17 +129,17 @@ func TestJournalCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, ok := q.Pop()
+		first, ok := leaseLocal(t, q)
 		if !ok {
-			t.Fatal("pop failed")
+			t.Fatal("lease failed")
 		}
 		if _, err := q.ParkLease(j.ID, first.LeaseToken, fmt.Errorf("churn")); err != nil {
 			t.Fatal(err)
 		}
 		q.Release(j.ID)
-		second, ok := q.Pop()
+		second, ok := leaseLocal(t, q)
 		if !ok {
-			t.Fatal("pop failed")
+			t.Fatal("lease failed")
 		}
 		if _, err := q.CompleteLease(j.ID, second.LeaseToken); err != nil {
 			t.Fatal(err)

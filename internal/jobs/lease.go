@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -9,22 +10,17 @@ import (
 )
 
 // Service-level lease orchestration: the one job state machine. The queue
-// grants every run as a lease — Pop to the daemon's own workers, Lease to
-// fleet workers (internal/fleet wraps these calls in HTTP) — and every run
-// settles through CompleteLeased or FailLeased, fenced by its token, with the
-// same metrics, spans and logs, so a job's timeline reads identically
-// whether it ran in process or on a remote worker.
+// grants every run as a lease through Queue.Lease — to the daemon's own
+// workers, and through LeaseJobs to fleet workers (internal/fleet wraps
+// these calls in HTTP) — and every run settles through CompleteLeased or
+// FailLeased, fenced by its token, with the same metrics, spans and logs,
+// so a job's timeline reads identically wherever it ran.
 
 // LeaseJobs leases up to max pending jobs to worker for ttl, charging one
-// attempt each — the remote analogue of Pop.
-func (s *Service) LeaseJobs(worker string, max int, ttl time.Duration) ([]Job, error) {
-	s.mu.Lock()
-	closing := s.closing
-	s.mu.Unlock()
-	if closing {
-		return nil, errors.New("jobs: service is shutting down")
-	}
-	leased, err := s.queue.Lease(worker, max, ttl)
+// attempt each; like Queue.Lease, it waits for work until ctx ends, and
+// fails once Close has closed the queue.
+func (s *Service) LeaseJobs(ctx context.Context, worker string, max int, ttl time.Duration) ([]Job, error) {
+	leased, err := s.queue.Lease(ctx, worker, max, ttl)
 	if err != nil {
 		return leased, err
 	}

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"container/heap"
+	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -60,9 +61,55 @@ func TestLeaseTokensUnguessable(t *testing.T) {
 	}
 }
 
+// TestLeaseWakeupNotLost: two Leases wait on an empty queue and one gives
+// up; the one job submitted next must go to the other at once, so a waiter
+// that left cannot swallow the wake-up.
+func TestLeaseWakeupNotLost(t *testing.T) {
+	q, err := OpenQueue(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	type grant struct {
+		jobs []Job
+		err  error
+		at   time.Time
+	}
+	quitting, quit := context.WithCancel(context.Background())
+	staying, stay := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stay()
+	quitter, stayer := make(chan grant, 1), make(chan grant, 1)
+	wait := func(ctx context.Context, out chan<- grant) {
+		leased, err := q.Lease(ctx, "", 1, 0)
+		out <- grant{leased, err, time.Now()}
+	}
+	go wait(quitting, quitter)
+	go wait(staying, stayer)
+	// Either interleaving must hold; the pause makes the one where both
+	// already wait the likely one.
+	time.Sleep(20 * time.Millisecond)
+	quit()
+	if g := <-quitter; len(g.jobs) != 0 || g.err != nil {
+		t.Fatalf("the cancelled Lease returned %v, %v; want nothing", g.jobs, g.err)
+	}
+	req := testRequest("a", 0)
+	job, err := q.Submit(req, hashFor(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := time.Now()
+	g := <-stayer
+	if len(g.jobs) != 1 || g.jobs[0].ID != job.ID || g.err != nil {
+		t.Fatalf("the waiting Lease returned %v, %v; want %s", g.jobs, g.err, job.ID)
+	}
+	if d := g.at.Sub(submitted); d > 100*time.Millisecond {
+		t.Errorf("the waiting Lease got the job %v after its submission, want within 100ms", d)
+	}
+}
+
 func TestQueueLeaseBasics(t *testing.T) {
 	q, ja, jb := leaseQueue(t)
-	leased, err := q.Lease("w1", 8, time.Minute)
+	leased, err := q.Lease(doneCtx(), "w1", 8, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +151,7 @@ func TestQueueLeaseBasics(t *testing.T) {
 // worker is told the lease is lost.
 func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 	q, ja, _ := leaseQueue(t)
-	leased, err := q.Lease("w1", 1, 10*time.Millisecond)
+	leased, err := q.Lease(doneCtx(), "w1", 1, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +190,13 @@ func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 // be rejected, and must not disturb the terminal state.
 func TestLeaseZombieDoubleComplete(t *testing.T) {
 	q, ja, _ := leaseQueue(t)
-	first, err := q.Lease("w1", 1, time.Millisecond)
+	first, err := q.Lease(doneCtx(), "w1", 1, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.ExpireLeases(time.Now().UTC().Add(time.Second))
 
-	second, err := q.Lease("w2", 1, time.Minute)
+	second, err := q.Lease(doneCtx(), "w2", 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +235,14 @@ func TestLeaseCoordinatorRestart(t *testing.T) {
 	reqA, reqB := testRequest("a", 0), testRequest("b", 0)
 	ja, _ := q.Submit(reqA, hashFor(t, reqA))
 	jb, _ := q.Submit(reqB, hashFor(t, reqB))
-	leased, err := q.Lease("w1", 1, time.Minute)
+	leased, err := q.Lease(doneCtx(), "w1", 1, time.Minute)
 	if err != nil || len(leased) != 1 {
 		t.Fatalf("lease: %v %v", leased, err)
 	}
 	if _, err := q.CompleteLease(ja.ID, leased[0].LeaseToken); err != nil {
 		t.Fatal(err)
 	}
-	leasedB, err := q.Lease("w1", 1, time.Minute)
+	leasedB, err := q.Lease(doneCtx(), "w1", 1, time.Minute)
 	if err != nil || len(leasedB) != 1 || leasedB[0].ID != jb.ID {
 		t.Fatalf("lease b: %v %v", leasedB, err)
 	}
@@ -235,12 +282,12 @@ func TestFailLeasedOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []State{StateQueued, StateFailed} {
-		var leased []Job
-		for deadline := time.Now().Add(5 * time.Second); len(leased) == 0 && time.Now().Before(deadline); {
-			if leased, err = s.LeaseJobs("w1", 1, time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(time.Millisecond) // the parked retry releases after its backoff
+		// The lease waits out the parked retry's backoff.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		leased, err := s.LeaseJobs(ctx, "w1", 1, time.Minute)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(leased) != 1 || leased[0].ID != job.ID {
 			t.Fatalf("leased %v, want %s", leased, job.ID)
@@ -302,7 +349,7 @@ func TestJournalReplayProperty(t *testing.T) {
 					model[job.ID] = StateQueued
 					ids = append(ids, job.ID)
 				case k < 12: // lease a batch
-					leased, err := q.Lease(fmt.Sprintf("w%d", rng.Intn(3)), 1+rng.Intn(3), time.Hour)
+					leased, err := q.Lease(doneCtx(), fmt.Sprintf("w%d", rng.Intn(3)), 1+rng.Intn(3), time.Hour)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -135,7 +135,7 @@ func runConservationSequence(t *testing.T, seed int64, ops int, remote bool) {
 		if remote && rng.Float64() < 0.3 {
 			switch k := rng.Intn(10); {
 			case k < 4: // lease a batch
-				leased, err := svc.LeaseJobs("remote", 1+rng.Intn(2), time.Hour)
+				leased, err := svc.LeaseJobs(doneCtx(), "remote", 1+rng.Intn(2), time.Hour)
 				if err != nil {
 					t.Fatalf("op %d: lease: %v", i, err)
 				}

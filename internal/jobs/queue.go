@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"container/heap"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -95,21 +96,23 @@ func (h *jobHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 // to a group-committed journal (see journal.go), so a burst of transitions
 // costs one fsync rather than one per job, and the in-memory picture can be
 // rebuilt exactly after a crash by replaying the journal (last record per
-// job wins). Pop blocks until work is available (or the queue closes), which
-// is what the service's workers park on. Safe for concurrent use.
+// job wins). Lease waits until work is pending, which is what the service's
+// workers and the coordinator's held /lease requests park on. Safe for
+// concurrent use.
 //
 // Durability contract per transition: submissions and terminal transitions
 // (complete, fail, cancel, park) return only after their record is fsynced —
-// they are acknowledgments. Pop and lease bookkeeping (grant, renewal,
-// expiry) stage their records without waiting: losing one to a crash only
-// errs towards re-running a job, which the content-addressed store makes
-// idempotent.
+// they are acknowledgments. Lease bookkeeping (renewal, expiry) stages its
+// records without waiting: losing one to a crash only errs towards
+// re-running a job, which the content-addressed store makes idempotent.
 type Queue struct {
 	journal *journal
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	jobs      map[string]*Job
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// ready, made by a Lease that finds nothing pending, is closed (and
+	// cleared) when a job becomes pending or the queue closes.
+	ready     chan struct{}
 	pending   jobHeap
 	nextSeq   int64
 	closed    bool
@@ -148,7 +151,6 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 		return nil, fmt.Errorf("jobs: queue: %w", err)
 	}
 	q := &Queue{jobs: make(map[string]*Job), nextSeq: 1}
-	q.cond = sync.NewCond(&q.mu)
 
 	j, err := openJournal(dir, commitInterval, func(job Job) {
 		q.applyRecord(job)
@@ -295,7 +297,7 @@ func (q *Queue) submit(req Request, hash string, state State) (Job, error) {
 	q.mu.Unlock()
 	// The submit acknowledgment is durable: wait for the group commit that
 	// covers this record (shared with every concurrent submission). Only
-	// then does the job become poppable — a worker must never observe work
+	// then does the job become leasable — a worker must never observe work
 	// whose submission could still be lost to a crash.
 	if err := q.journal.wait(seq); err != nil {
 		return job, err
@@ -304,19 +306,28 @@ func (q *Queue) submit(req Request, hash string, state State) (Job, error) {
 		q.mu.Lock()
 		if j.State == StateQueued {
 			heap.Push(&q.pending, j)
-			q.cond.Signal()
+			q.wakeLocked()
 		}
 		q.mu.Unlock()
 	}
 	return job, nil
 }
 
+// wakeLocked wakes every waiting Lease to re-check under the lock, so a
+// waiter that gave up cannot swallow a wake-up. Caller holds q.mu.
+func (q *Queue) wakeLocked() {
+	if q.ready != nil {
+		close(q.ready)
+		q.ready = nil
+	}
+}
+
 // grantLocked takes the best pending job and grants it as a lease: running,
 // one attempt charged, a fresh token that fences its settle calls, held by
 // worker until expiry. The token is 16 bytes from crypto/rand in hex, so no
-// client can derive another holder's token from its own. Pop grants with no
-// worker and no expiry — the daemon's own runs, which ExpireLeases, Leased
-// and the fleet view ignore.
+// client can derive another holder's token from its own. The daemon's own
+// runs have no worker and no expiry, so ExpireLeases, Leased and the fleet
+// view ignore them.
 // The record is staged; the returned sequence is what to wait on. Caller
 // holds q.mu and has checked pending is non-empty.
 func (q *Queue) grantLocked(worker string, expiry time.Time) (*Job, uint64, error) {
@@ -347,74 +358,66 @@ func (q *Queue) skipCanceledLocked() {
 	}
 }
 
-// Pop blocks until a job is available, grants it as a lease that never
-// expires (see grantLocked) and returns a copy; ok is false once the queue
-// is closed — closing wakes every blocked Pop, and jobs still pending stay
-// durably queued for the next open to recover.
-func (q *Queue) Pop() (Job, bool) {
+// Lease is the queue's one grant. It waits until a job is pending, the
+// queue closes (an error) or ctx ends (nothing), then grants up to max jobs
+// to worker, each expiring ttl from now unless renewed (ttl 0: never; the
+// daemon's own workers lease with worker "" and ttl 0), and returns copies.
+// An already-done ctx makes it a non-blocking poll. The grant records ride
+// one group commit that Lease waits for; a failure to stage or commit comes
+// back beside the jobs granted in memory, which the caller still holds.
+func (q *Queue) Lease(ctx context.Context, worker string, max int, ttl time.Duration) ([]Job, error) {
+	if max <= 0 {
+		return nil, nil
+	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	for {
 		if q.closed {
-			return Job{}, false
+			q.mu.Unlock()
+			return nil, fmt.Errorf("jobs: queue closed")
 		}
 		q.skipCanceledLocked()
 		if q.pending.Len() > 0 {
-			j, seq, err := q.grantLocked("", time.Time{})
-			job := *j
-			q.mu.Unlock()
-			// A commit failure is survivable here: the record on disk may
-			// still say queued, which only errs towards re-running after a
-			// crash — but wait for the group commit so that a job observed
-			// running is running on disk too.
-			if err == nil {
-				_ = q.journal.wait(seq)
-			}
-			q.mu.Lock()
-			return job, true
+			break
 		}
-		q.cond.Wait()
-	}
-}
-
-// Lease is the fleet coordinator's non-blocking Pop: it grants up to max
-// pending jobs to worker, each expiring ttl from now unless renewed, and
-// returns copies. The lease records ride one group commit and the call
-// waits for it — handing out a lease whose record was lost to a crash would
-// only waste a worker's time, but the fsync is shared across the whole
-// batch, so the wait is cheap.
-func (q *Queue) Lease(worker string, max int, ttl time.Duration) ([]Job, error) {
-	if max <= 0 || worker == "" {
-		return nil, nil
-	}
-	expiry := time.Now().UTC().Add(ttl)
-	q.mu.Lock()
-	if q.closed {
+		if ctx.Err() != nil {
+			q.mu.Unlock()
+			return nil, nil
+		}
+		if q.ready == nil {
+			q.ready = make(chan struct{})
+		}
+		ready := q.ready
 		q.mu.Unlock()
-		return nil, fmt.Errorf("jobs: queue closed")
+		select {
+		case <-ready:
+		case <-ctx.Done():
+		}
+		q.mu.Lock()
+	}
+	var expiry time.Time
+	if ttl > 0 {
+		expiry = time.Now().UTC().Add(ttl)
 	}
 	var out []Job
 	var last uint64
-	for len(out) < max {
-		q.skipCanceledLocked()
-		if q.pending.Len() == 0 {
+	var err error
+	for len(out) < max && q.pending.Len() > 0 {
+		j, seq, gerr := q.grantLocked(worker, expiry)
+		out = append(out, *j)
+		if gerr != nil {
+			err = gerr
 			break
 		}
-		j, seq, err := q.grantLocked(worker, expiry)
-		if err != nil {
-			q.mu.Unlock()
-			return out, err
-		}
 		last = seq
-		out = append(out, *j)
+		q.skipCanceledLocked()
 	}
 	q.mu.Unlock()
 	if last > 0 {
-		if err := q.journal.wait(last); err != nil {
-			return out, err
+		if werr := q.journal.wait(last); err == nil {
+			err = werr
 		}
 	}
-	return out, nil
+	return out, err
 }
 
 // Heartbeat renews worker's leases on the named jobs, extending each expiry
@@ -443,7 +446,7 @@ func (q *Queue) Heartbeat(worker string, ids []string, ttl time.Duration) []stri
 // ExpireLeases requeues every fleet-leased job whose expiry has passed — a
 // worker that stopped heartbeating: the job goes back to queued with its
 // lease cleared (so the dead worker's late settle is fenced off) and is
-// immediately poppable again. Expiry does not charge the retry budget; a
+// immediately leasable again. Expiry does not charge the retry budget; a
 // worker crash is the coordinator's fault to absorb, like its own restart.
 // Returns copies of the requeued jobs.
 func (q *Queue) ExpireLeases(now time.Time) []Job {
@@ -464,7 +467,7 @@ func (q *Queue) ExpireLeases(now time.Time) []Job {
 		j.Error = fmt.Sprintf("lease expired: worker %s stopped heartbeating", worker)
 		_, _ = q.stageLocked(j)
 		heap.Push(&q.pending, j)
-		q.cond.Signal()
+		q.wakeLocked()
 		out = append(out, *j)
 	}
 	return out
@@ -483,7 +486,7 @@ func (q *Queue) CompleteLease(id, token string) (Job, error) {
 }
 
 // ParkLease settles a failed attempt for a retry: the job is queued on disk
-// but not poppable until Release, so a crash during the backoff recovers it
+// but not leasable until Release, so a crash during the backoff recovers it
 // while live workers don't pick it up early.
 func (q *Queue) ParkLease(id, token string, cause error) (Job, error) {
 	return q.settleLease(id, token, func(j *Job) {
@@ -578,7 +581,7 @@ func (q *Queue) Release(id string) {
 		}
 	}
 	heap.Push(&q.pending, j)
-	q.cond.Signal()
+	q.wakeLocked()
 }
 
 // Cancel marks any live job canceled: queued, parked for a retry, or
@@ -646,7 +649,7 @@ func (q *Queue) Len() int {
 	return len(q.jobs)
 }
 
-// Depth returns how many jobs are poppable right now.
+// Depth returns how many jobs are leasable right now.
 func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -672,12 +675,12 @@ func (q *Queue) Leased() int {
 	return n
 }
 
-// Close rejects further submissions, wakes every blocked Pop, and drains the
-// journal through a final group commit.
+// Close rejects further submissions, wakes every waiting Lease, and drains
+// the journal through a final group commit.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
-	q.cond.Broadcast()
+	q.wakeLocked()
 	q.mu.Unlock()
 	q.journal.Close()
 }

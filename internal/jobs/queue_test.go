@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -18,6 +19,28 @@ func hashFor(t *testing.T, req Request) string {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// leaseLocal is the daemon pool's grant: it waits for one job and holds it
+// under a local lease (worker "", no expiry). ok is false once the queue is
+// closed.
+func leaseLocal(t testing.TB, q *Queue) (Job, bool) {
+	t.Helper()
+	leased, err := q.Lease(context.Background(), "", 1, 0)
+	if len(leased) == 0 {
+		return Job{}, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return leased[0], true
+}
+
+// doneCtx is an already-cancelled context: a Lease under it never waits.
+func doneCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
 }
 
 func TestQueuePriorityFIFO(t *testing.T) {
@@ -39,7 +62,7 @@ func TestQueuePriorityFIFO(t *testing.T) {
 	}
 	var got []string
 	for i := 0; i < 4; i++ {
-		j, ok := q.Pop()
+		j, ok := leaseLocal(t, q)
 		if !ok {
 			t.Fatal("queue closed early")
 		}
@@ -53,12 +76,13 @@ func TestQueuePriorityFIFO(t *testing.T) {
 	}
 }
 
-// TestQueuePopGrantsLocalLease: Pop grants the same token-fenced lease as
-// Lease, with no worker and no expiry, so the fleet's lease bookkeeping
-// never sees it, and Cancel of the running job fences its late settle.
+// TestQueuePopGrantsLocalLease: the daemon pool's grant (worker "", ttl 0)
+// is the same token-fenced lease a fleet worker gets, with no worker and no
+// expiry, so the fleet's lease bookkeeping never sees it, and Cancel of the
+// running job fences its late settle.
 func TestQueuePopGrantsLocalLease(t *testing.T) {
 	q, ja, jb := leaseQueue(t)
-	a, ok := q.Pop()
+	a, ok := leaseLocal(t, q)
 	if !ok {
 		t.Fatal("queue closed early")
 	}
@@ -78,7 +102,7 @@ func TestQueuePopGrantsLocalLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, _ := q.Pop()
+	b, _ := leaseLocal(t, q)
 	if b.LeaseToken == a.LeaseToken {
 		t.Error("two grants share a token")
 	}
@@ -110,15 +134,15 @@ func TestQueueRecovery(t *testing.T) {
 	}
 	jc, _ := q.Submit(reqC, hashFor(t, reqC))
 	// a completes; b stays queued; c is mid-run when the process "dies".
-	popped, ok := q.Pop()
+	popped, ok := leaseLocal(t, q)
 	if !ok {
-		t.Fatal("pop failed")
+		t.Fatal("lease failed")
 	}
 	if _, err := q.CompleteLease(ja.ID, popped.LeaseToken); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.Pop(); !ok { // b running
-		t.Fatal("pop failed")
+	if _, ok := leaseLocal(t, q); !ok { // b running
+		t.Fatal("lease failed")
 	}
 	// No Close: simulate a crash by just reopening from the same directory.
 
@@ -137,10 +161,10 @@ func TestQueueRecovery(t *testing.T) {
 	if q2.Depth() != 2 {
 		t.Errorf("depth after recovery = %d, want 2", q2.Depth())
 	}
-	j1, _ := q2.Pop()
-	j2, _ := q2.Pop()
+	j1, _ := leaseLocal(t, q2)
+	j2, _ := leaseLocal(t, q2)
 	if j1.Request.Name != "b" || j2.Request.Name != "c" {
-		t.Errorf("recovered pop order %s,%s want b,c", j1.Request.Name, j2.Request.Name)
+		t.Errorf("recovered lease order %s,%s want b,c", j1.Request.Name, j2.Request.Name)
 	}
 	// The recovered running job keeps its attempt count and charges another.
 	if j1.Attempts != 2 {
@@ -166,19 +190,19 @@ func TestQueueCancelAndParkRelease(t *testing.T) {
 	ja, _ := q.Submit(reqA, hashFor(t, reqA))
 	jb, _ := q.Submit(reqB, hashFor(t, reqB))
 
-	// Cancel a while queued: Pop must skip it.
+	// Cancel a while queued: Lease must skip it.
 	if _, err := q.Cancel(ja.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Cancel(ja.ID); err == nil {
 		t.Error("second cancel succeeded, want error")
 	}
-	j, ok := q.Pop()
+	j, ok := leaseLocal(t, q)
 	if !ok || j.ID != jb.ID {
-		t.Fatalf("pop skipped to %v, want %s", j.ID, jb.ID)
+		t.Fatalf("lease skipped to %v, want %s", j.ID, jb.ID)
 	}
 
-	// Park b (retry backoff): durable as queued, but not poppable.
+	// Park b (retry backoff): durable as queued, but not leasable.
 	if _, err := q.ParkLease(jb.ID, j.LeaseToken, errors.New("transient")); err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +218,17 @@ func TestQueueCancelAndParkRelease(t *testing.T) {
 	if q.Depth() != 1 {
 		t.Errorf("depth after release = %d, want 1", q.Depth())
 	}
-	if j, ok = q.Pop(); !ok || j.ID != jb.ID || j.Attempts != 2 {
-		t.Errorf("released pop = %v ok=%v attempts=%d", j.ID, ok, j.Attempts)
+	if j, ok = leaseLocal(t, q); !ok || j.ID != jb.ID || j.Attempts != 2 {
+		t.Errorf("released lease = %v ok=%v attempts=%d", j.ID, ok, j.Attempts)
 	}
-	// Pop blocks on an empty queue, so "popped exactly once" shows as an
-	// empty pending set rather than a second Pop.
-	if q.Depth() != 0 {
-		t.Errorf("depth after re-pop = %d, want 0", q.Depth())
+	if again, err := q.Lease(doneCtx(), "", 1, 0); len(again) != 0 || err != nil {
+		t.Errorf("second lease of the released job = %v, %v; want nothing", again, err)
 	}
 }
 
-// TestQueueClosePreservesPending checks the shutdown contract Pop gives the
-// service: after Close, Pop returns immediately with ok=false and pending
-// jobs stay durably queued for the next open.
+// TestQueueClosePreservesPending checks the shutdown contract Lease gives
+// the service: after Close, Lease returns at once with no job and an error,
+// and pending jobs stay durably queued for the next open.
 func TestQueueClosePreservesPending(t *testing.T) {
 	dir := t.TempDir()
 	q, err := OpenQueue(dir)
@@ -218,8 +240,8 @@ func TestQueueClosePreservesPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Close()
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop handed out work after Close")
+	if leased, err := q.Lease(context.Background(), "", 1, 0); len(leased) != 0 || err == nil {
+		t.Fatalf("Lease after Close = %v, %v; want no job and an error", leased, err)
 	}
 	if _, err := q.Submit(req, hashFor(t, req)); err == nil {
 		t.Fatal("Submit accepted after Close")

@@ -197,20 +197,22 @@ func (s *Service) countTerminal(st State) {
 	}
 }
 
-// Start launches the worker pool. Each worker holds the jobs it pops as
-// leases that never expire, and settles them through the same token-fenced
-// calls a fleet worker's /complete and /fail reach.
+// Start launches the worker pool. Each worker leases one job at a time
+// under a lease that never expires, and settles it through the same
+// token-fenced calls a fleet worker's /complete and /fail reach. Under a
+// context that never ends, Lease returns no job only once the queue closes;
+// a job whose grant record failed to commit still runs, as after a crash.
 func (s *Service) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			for {
-				job, ok := s.queue.Pop()
-				if !ok {
+				leased, _ := s.queue.Lease(context.Background(), "", 1, 0)
+				if len(leased) == 0 {
 					return
 				}
-				s.runJob(job)
+				s.runJob(leased[0])
 			}
 		}()
 	}
@@ -358,8 +360,8 @@ func (s *Service) Cancel(id string) (Job, error) {
 	return job, nil
 }
 
-// runJob executes one popped job and settles it through CompleteLeased or
-// FailLeased, fenced by the token Pop granted.
+// runJob executes one leased job and settles it through CompleteLeased or
+// FailLeased, fenced by the token its lease carries.
 func (s *Service) runJob(job Job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -371,10 +373,10 @@ func (s *Service) runJob(job Job) {
 	}
 	s.mu.Unlock()
 	if closing {
-		return // shutdown raced the pop: the lease stays for recovery
+		return // shutdown raced the grant: the lease stays for recovery
 	}
 	if s.queue.ValidateLease(job.ID, job.LeaseToken) != nil {
-		// Cancelled between the pop and the registration above, which
+		// Cancelled between the grant and the registration above, which
 		// Cancel could not see yet.
 		s.mu.Lock()
 		delete(s.running, job.ID)

@@ -74,7 +74,7 @@ func (p *Proc) start() error {
 
 	// Tee the child's output into the log, handing over the first ready
 	// line's submatch; the goroutine lives until the child exits and closes
-	// the pipe.
+	// the pipe, then closes readyCh, so an early death is seen at once.
 	readyCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(pr)
@@ -91,12 +91,17 @@ func (p *Proc) start() error {
 		io.Copy(logf, pr)
 		pr.Close()
 		logf.Close()
+		close(readyCh)
 	}()
 
 	select {
-	case p.match = <-readyCh:
-		p.cmd = cmd
-		return nil
+	case match, ok := <-readyCh:
+		if ok {
+			p.match, p.cmd = match, cmd
+			return nil
+		}
+		cmd.Process.Kill() // an exited child keeps its status
+		return fmt.Errorf("load: %s ended its output before printing a line matching %#q: %v (log: %s)", p.args[0], p.ready, cmd.Wait(), p.logPath)
 	case <-time.After(p.timeout):
 		cmd.Process.Kill()
 		cmd.Wait()

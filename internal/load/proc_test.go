@@ -101,3 +101,28 @@ func TestProcReadyTimeout(t *testing.T) {
 		t.Fatalf("start gave up after %v, want about the 200ms timeout", took)
 	}
 }
+
+// TestProcExitsBeforeReady starts a child that prints something else and
+// exits: the start fails as soon as the child's output ends, well inside the
+// 30s timeout, naming the exit status and the log, which holds the output.
+func TestProcExitsBeforeReady(t *testing.T) {
+	needSh(t)
+	logPath := filepath.Join(t.TempDir(), "early.log")
+	began := time.Now()
+	p, err := StartProc([]string{"sh", "-c", "echo boom; exit 3"}, logPath, readyPID, 30*time.Second)
+	if err == nil {
+		p.Kill()
+		t.Fatal("a child that exited before its ready line was accepted")
+	}
+	if took := time.Since(began); took > 2*time.Second {
+		t.Fatalf("start gave up after %v, want at once", took)
+	}
+	for _, want := range []string{"exit status 3", logPath} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if log, err := os.ReadFile(logPath); err != nil || !strings.Contains(string(log), "boom") {
+		t.Errorf("log = %q, %v; want the child's output", log, err)
+	}
+}

@@ -1,12 +1,8 @@
 package obs
 
-import (
-	"slices"
-	"sort"
-)
-
-// Point is one sample of a TimeSeries: an X coordinate (cycle number or
-// elapsed milliseconds, whatever the producer samples on) and a value.
+// Point is one sample of an exported series (a telemetry snapshot's, the
+// /series endpoint's): an X coordinate (cycle number or elapsed
+// milliseconds, whatever the producer samples on) and a value.
 type Point struct {
 	X int64   `json:"x"`
 	Y float64 `json:"y"`
@@ -22,8 +18,8 @@ type Point struct {
 // appended item are always retained, so both endpoints of the run survive
 // any amount of decimation.
 //
-// Like Registry, a Decimating is single-goroutine; aggregation across
-// goroutines goes through Clone/Merge of TimeSeries snapshots.
+// Like Registry, a Decimating is single-goroutine; an owner shared across
+// goroutines guards it with its own lock.
 type Decimating[T any] struct {
 	capacity int
 	stride   int64 // appended items kept: indices ≡ 0 (mod stride)
@@ -147,58 +143,6 @@ func (s *Decimating[T]) All(dst []T) []T {
 		dst = append(dst, s.last)
 	}
 	return dst
-}
-
-// TimeSeries is a decimating sequence of points in ascending X order.
-type TimeSeries struct{ Decimating[Point] }
-
-// NewTimeSeries returns an empty series holding at most capacity retained
-// points.
-func NewTimeSeries(capacity int) *TimeSeries {
-	return &TimeSeries{*NewDecimating[Point](capacity)}
-}
-
-// Append records one point. X coordinates must be non-decreasing.
-func (s *TimeSeries) Append(x int64, y float64) { s.Decimating.Append(Point{X: x, Y: y}) }
-
-// Points appends the retained points, in ascending X order, to dst.
-func (s *TimeSeries) Points(dst []Point) []Point { return s.All(dst) }
-
-// Merge folds every retained point of o into s, as if both series had
-// observed one interleaved run: the union is taken in ascending X order
-// (ties keep both, s's points first), then bounded back to s's capacity by
-// dropping every other point while preserving both endpoints. As long as
-// the union fits the capacity no points are dropped, which is what makes
-// Merge associative below capacity.
-func (s *TimeSeries) Merge(o *TimeSeries) {
-	if o == nil || o.appended == 0 {
-		return
-	}
-	merged := s.Points(nil)
-	merged = o.Points(merged)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].X < merged[j].X })
-
-	last := merged[len(merged)-1]
-	for len(merged) > s.bodyCap() {
-		n := 0
-		for i := 0; i < len(merged); i += 2 {
-			merged[n] = merged[i]
-			n++
-		}
-		merged = merged[:n]
-		s.stride *= 2
-	}
-	s.appended += o.appended
-	s.items = append(s.items[:0], merged...)
-	s.last = last
-	s.lastKept = merged[len(merged)-1].X >= last.X
-}
-
-// Clone returns an independent deep copy of s.
-func (s *TimeSeries) Clone() *TimeSeries {
-	c := &TimeSeries{s.Decimating}
-	c.items = slices.Clone(s.items)
-	return c
 }
 
 // SpecOutcomes is the four-quadrant speculation-outcome counter block of

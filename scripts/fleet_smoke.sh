@@ -4,6 +4,10 @@
 #   1. baseline: a local (in-process) quick Fig. 3 sweep;
 #   2. fleet of 1: the same sweep submitted with -shard 3 to a pure
 #      coordinator (-workers 0) drained by one "vserved -worker" (timed, T1);
+#      every row of its remote breakdown shows the worker's nonzero Run;
+#      then, with the worker idle, one Fig. 4 job must start within 250 ms
+#      of its submission (its queue_wait span), because an idle worker waits
+#      in a /lease the coordinator holds rather than in a poll sleep;
 #   3. fleet of 3: three workers drain the sharded sweep, and one worker is
 #      SIGKILLed while it holds a lease — the lease lapses, the coordinator
 #      requeues, the survivors finish (timed, T3);
@@ -112,8 +116,29 @@ t0=$(date +%s)
 t1=$(($(date +%s) - t0))
 cmp -s "$dir/local/fig3.csv" "$dir/fleet1/fig3.csv" ||
 	fail "fleet-of-1 fig3.csv differs from the local run"
-stop_all
 echo "fleet_smoke: fleet of 1 matched the local run byte-for-byte (T1=${t1}s)"
+# Each job the worker ran carries its run span: no row reads Run 0s or -.
+breakdown=$(sed -n '/^== Remote job breakdown/,$p' "$dir/sweep-fleet1.log")
+runs=$(echo "$breakdown" | awk '{ for (i = 1; i <= NF; i++) if ($i ~ /^j[0-9]+$/) print $(i + 3) }')
+[ -n "$runs" ] || fail "fleet-of-1 sweep printed no remote breakdown rows"
+for r in $runs; do
+	case $r in 0s | -) fail "fleet-of-1 remote breakdown shows Run $r: $breakdown" ;; esac
+done
+echo "fleet_smoke: every fleet-of-1 breakdown row shows the worker's run ($(echo $runs))"
+
+# The worker is idle now, parked in a held /lease: one more job must start
+# within a round trip, not after a poll period.
+"$sweep" -fig4 -quick -scale 1 -submit "http://$addr" -out "$dir/idle" >"$dir/sweep-idle.log" 2>&1 ||
+	fail "idle-fleet sweep failed"
+id=$(sed -n 's/^submitted .* as job \(j[0-9]*\) .*/\1/p' "$dir/sweep-idle.log")
+[ -n "$id" ] || fail "idle-fleet sweep printed no job id: $(cat "$dir/sweep-idle.log")"
+qw=$(curl -fsS "http://$addr/jobs/$id/trace" |
+	awk '/"name": "queue_wait"/ { q = 1 } q && /"duration_ms":/ { sub(/,$/, "", $2); print $2; exit }')
+[ -n "$qw" ] || fail "job $id has no queue_wait span"
+awk -v q="$qw" 'BEGIN { exit !(q < 250) }' ||
+	fail "job $id sent to an idle worker waited ${qw}ms in the queue, want < 250ms"
+echo "fleet_smoke: a job sent to the idle worker waited ${qw}ms in the queue (< 250ms)"
+stop_all
 
 # --- 3. fleet of 3, one worker SIGKILLed while holding a lease (T3) --------
 echo "fleet_smoke: fleet of 3 with a mid-sweep worker SIGKILL"
@@ -158,4 +183,4 @@ else
 	echo "fleet_smoke: speedup T1/T3 = ${speedup}x (report-only: $ncpu CPU(s), workers time-slice one core)"
 fi
 
-echo "fleet_smoke: OK (byte-identical across legs + requeue after worker SIGKILL)"
+echo "fleet_smoke: OK (byte-identical across legs + idle start + requeue after worker SIGKILL)"
