@@ -49,7 +49,9 @@ var targets = []struct{ pkg, pattern string }{
 	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkSpareFootprint)$"},
 	// BenchmarkRecordKernels is the trace cache's cold start: its work
 	// counters pin every kernel's recording length and bytes.
-	{"./internal/trace", "^BenchmarkRecordKernels$"},
+	// BenchmarkReplayKernels is the replay cursor every replayed spec
+	// runs, at 0 allocs/op.
+	{"./internal/trace", "^(BenchmarkRecordKernels|BenchmarkReplayKernels)$"},
 	// The jobs benchmarks are disk-bound (atomic file writes), so their
 	// checked-in ns/op baselines are hand-slackened above any observed run —
 	// a gross-regression gate; their allocation budgets are the tight gate.

@@ -3,9 +3,9 @@
 // The emulator executes a program architecturally (no timing) and emits one
 // trace.Record per dynamic instruction, or records the run (Record) for
 // replay. It is the substitute for running SPEC binaries under
-// SimpleScalar's functional front end. Instructions execute on a
-// trace.Exec, the replay cursor's own rules over templates decoded once
-// per program; the emulator adds only data memory, HALT, the instruction
+// SimpleScalar's functional front end. Each instruction executes by
+// isa.Execute, the one copy of the ISA's rules, on a trace.Exec, as in the
+// replay cursor; the emulator adds data memory, HALT, the instruction
 // budget and the PC range check.
 package emu
 
@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"valuespec/internal/isa"
 	"valuespec/internal/program"
@@ -25,7 +26,6 @@ var ErrHalted = errors.New("emu: machine halted")
 
 // Machine is the architectural state of one running program.
 type Machine struct {
-	prog   *program.Program
 	x      trace.Exec
 	mem    memImage
 	out    trace.Record // the record NextRef hands over
@@ -54,7 +54,7 @@ func New(p *program.Program, opts ...Option) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{prog: p, x: trace.NewExec(p.Code, p.Entry), budget: -1}
+	m := &Machine{x: trace.Exec{Code: isa.Decode(p.Code), PC: p.Entry}, budget: -1}
 	for addr, val := range p.Data {
 		m.mem.write(addr, val)
 	}
@@ -98,23 +98,43 @@ func (m *Machine) step() error {
 	if m.halted {
 		return ErrHalted
 	}
-	if pc := m.x.PC; pc < 0 || pc >= len(m.prog.Code) {
-		m.halted = true
-		m.err = fmt.Errorf("emu: pc %d out of range [0,%d)", pc, len(m.prog.Code))
-		return m.err
+	return m.exec(m.x.Seq+1, &m.out, nil)
+}
+
+// exec executes instructions until x.Seq reaches end or the machine halts:
+// at HALT, with the budget spent, or at a PC outside the code, a fault. It
+// writes each instruction's record into r and appends each load's value
+// to log, unless they are nil.
+func (m *Machine) exec(end int64, r *trace.Record, log *[]byte) error {
+	x := &m.x
+	if m.budget > 0 {
+		end = min(end, m.budget)
 	}
-	r := &m.out
-	m.x.Rebuild(r)
-	switch r.Instr.Op {
-	case isa.LD:
-		r.DstVal = m.mem.read(r.Addr)
-	case isa.ST:
-		m.mem.write(r.Addr, r.SrcVals[1])
-	case isa.HALT:
-		m.halted = true
+	for x.Seq < end {
+		pc := x.PC
+		if uint(pc) >= uint(len(x.Code)) {
+			m.halted = true
+			m.err = fmt.Errorf("emu: pc %d out of range [0,%d)", pc, len(x.Code))
+			return m.err
+		}
+		d := &x.Code[pc]
+		a, b := x.Regs[d.SrcRegs[0]], x.Regs[d.SrcRegs[1]]
+		var load int64
+		switch d.Op {
+		case isa.LD:
+			load = m.mem.read(d.Addr(a))
+			if log != nil {
+				*log = binary.AppendVarint(*log, load)
+			}
+		case isa.ST:
+			m.mem.write(d.Addr(a), b)
+		case isa.HALT:
+			m.halted, end = true, x.Seq+1
+		}
+		dst, addr, taken, next := isa.Execute(&d.Instruction, pc, a, b, load)
+		x.Retire(r, d, a, b, dst, addr, taken, next)
 	}
-	m.x.Advance(r)
-	if m.budget > 0 && m.x.Seq >= m.budget {
+	if x.Seq == m.budget {
 		m.halted = true
 	}
 	return nil
@@ -123,22 +143,17 @@ func (m *Machine) step() error {
 // Record runs p to its end on a machine New(p, opts...) builds and returns
 // the recording of the run: the program, the number of records it
 // executed and the value each load returned, written as the machine runs.
-// A fault fails the recording.
+// It builds no trace.Record. A fault fails the recording.
 func Record(p *program.Program, opts ...Option) (*trace.Recording, error) {
 	m, err := New(p, opts...)
 	if err != nil {
 		return nil, err
 	}
 	var loads []byte
-	for !m.halted {
-		if err := m.step(); err != nil {
-			return nil, err
-		}
-		if m.out.Instr.Op == isa.LD {
-			loads = binary.AppendVarint(loads, m.out.DstVal)
-		}
+	if err := m.exec(math.MaxInt64, nil, &loads); err != nil {
+		return nil, err
 	}
-	return trace.NewRecording(p.Code, p.Entry, int(m.x.Seq), loads), nil
+	return trace.NewRecording(m.x.Code, p.Entry, int(m.x.Seq), loads), nil
 }
 
 // Next implements trace.Source: it steps the machine, reporting false at
@@ -164,17 +179,15 @@ func (m *Machine) NextRef() (*trace.Record, bool) {
 // means no limit beyond the machine's budget) and returns the number of
 // instructions executed by this call.
 func (m *Machine) Run(limit int64) (int64, error) {
-	var n int64
-	for !m.halted {
-		if limit > 0 && n >= limit {
-			break
-		}
-		if err := m.step(); err != nil {
-			return n, err
-		}
-		n++
+	if m.halted {
+		return 0, nil
 	}
-	return n, nil
+	start, end := m.x.Seq, int64(math.MaxInt64)
+	if limit > 0 && limit < end-start {
+		end = start + limit
+	}
+	err := m.exec(end, nil, nil)
+	return m.x.Seq - start, err
 }
 
 // pageBits sizes memory pages at 4096 words (32 KiB); workloads touch a few

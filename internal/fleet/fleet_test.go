@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -573,4 +575,105 @@ func postJSONStatus(t *testing.T, url string, body, out any) int {
 		_ = json.NewDecoder(resp.Body).Decode(out)
 	}
 	return resp.StatusCode
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger and a test to share.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// TestFleetBeatDuringCompleteKeepsRun holds the worker's /complete after
+// the real coordinator has settled the job and, before the response goes
+// back, sends a heartbeat that still lists the run. The coordinator
+// answers it under Lost, since the job is settled; the worker must not
+// take that as a lost lease of a run that has already finished.
+func TestFleetBeatDuringCompleteKeepsRun(t *testing.T) {
+	reg := obs.NewSharedRegistry()
+	svc, err := jobs.Open(jobs.Config{DataDir: t.TempDir(), Workers: 0, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(CoordinatorConfig{Service: svc, Metrics: reg, LeaseTTL: 5 * time.Second})
+	coord.Start()
+	settled, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	h := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/complete" {
+			h.ServeHTTP(rw, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		once.Do(func() { close(settled) })
+		<-release
+		for k, v := range rec.Header() {
+			rw.Header()[k] = v
+		}
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes())
+	}))
+	defer func() { coord.Close(); srv.Close(); svc.Close() }()
+
+	var logs syncBuffer
+	wreg := obs.NewSharedRegistry()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: srv.URL, ID: "w", Simulate: fakeSimulate, Metrics: wreg,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	job, _, err := svc.Submit(jobs.Request{Name: "race", Specs: []jobs.SimSpec{{Workload: "compress"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-settled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never reported the job")
+	}
+	if j, _ := svc.Job(job.ID); j.State != jobs.StateDone {
+		t.Fatalf("job %s after the coordinator settled it, want done", j.State)
+	}
+	w.beat(context.Background())
+	close(release)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(logs.String(), "job completed") {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker never logged its completion:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if strings.Contains(logs.String(), "lease lost") {
+		t.Errorf("a heartbeat during /complete abandoned the finished run:\n%s", logs.String())
+	}
+	var doneJobs int
+	for _, j := range svc.Jobs() {
+		if j.State == jobs.StateDone {
+			doneJobs++
+		}
+	}
+	if n := wreg.Snapshot().Counter(MetricWorkerJobsDone).Value(); doneJobs != 1 || n != 1 {
+		t.Errorf("%d jobs done, %s = %d; want 1 and 1", doneJobs, MetricWorkerJobsDone, n)
+	}
 }

@@ -83,6 +83,11 @@ type workerRun struct {
 	cancel   context.CancelFunc // set once the run starts; nil before
 	progress *harness.Progress
 	started  time.Time
+	// reporting is set once the run has finished and its outcome is on
+	// its way to the coordinator. Heartbeats still list the run, so a slow
+	// upload keeps its lease, but a lost lease no longer abandons it: the
+	// coordinator may have settled the job from that very report.
+	reporting bool
 }
 
 // NewWorker builds a worker; Run drives it.
@@ -246,6 +251,9 @@ func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
 		"worker", w.cfg.ID, "job", job.ID, "spec_hash", job.SpecHash, "specs", len(job.Request.Specs))
 
 	results, _, err := w.exec.Execute(runCtx, job.Request, run.progress)
+	w.mu.Lock()
+	run.reporting = true
+	w.mu.Unlock()
 	elapsed := time.Since(run.started).Milliseconds()
 	w.cfg.Metrics.Observe(MetricWorkerRunMS, elapsed)
 
@@ -343,7 +351,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 }
 
 // beat sends one heartbeat: held lease ids, per-job progress, and the
-// registry delta since the previous beat. Lost leases cancel their runs.
+// registry delta since the previous beat. Lost leases cancel their runs,
+// unless a run is already reporting its outcome.
 func (w *Worker) beat(ctx context.Context) {
 	// Mirror the process-wide trace cache into the push registry as
 	// absolute totals; Diff then carries only the movement, and the
@@ -376,7 +385,7 @@ func (w *Worker) beat(ctx context.Context) {
 	w.mu.Lock()
 	w.prev = cur
 	for _, id := range resp.Lost {
-		if run := w.runs[id]; run != nil && run.cancel != nil {
+		if run := w.runs[id]; run != nil && run.cancel != nil && !run.reporting {
 			w.cfg.Logger.Warn("lease lost, abandoning run", "worker", w.cfg.ID, "job", id)
 			run.cancel()
 		}

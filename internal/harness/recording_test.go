@@ -130,7 +130,7 @@ func TestReplayRejectsWrongLoadLog(t *testing.T) {
 		{"one value appended", logOf(append(vals[:len(vals):len(vals)], 7)), "left after the last record"},
 	} {
 		c := NewTraceCache()
-		e := &traceEntry{rec: trace.NewRecording(p.Code, p.Entry, n, tc.log)}
+		e := &traceEntry{rec: trace.NewRecording(isa.Decode(p.Code), p.Entry, n, tc.log)}
 		e.once.Do(func() {})
 		c.entries[traceKey{workload: w.Name, scale: 1}] = e
 		got, err := simulate(spec, c)

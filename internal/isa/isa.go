@@ -247,81 +247,148 @@ func (in Instruction) String() string {
 	}
 }
 
-// Eval computes the result of a register-writing, non-memory, non-control
-// instruction from its source operand values. It is the single definition of
-// ALU semantics shared by the functional emulator and by any component that
-// needs to re-execute an instruction with different (speculative) inputs.
-// Eval panics if the operation does not have pure ALU semantics.
-func Eval(o Op, a, b, imm int64) int64 {
-	switch o {
+// Decoded is an instruction decoded once for execution.
+type Decoded struct {
+	Instruction
+	NSrc    int    // how many entries of SrcRegs are meaningful
+	SrcRegs [2]Reg // the registers it reads (SrcRegs), R0 past NSrc
+	// DstReg is the register its result lands in: Dst, or Discard for an
+	// op that writes no register or writes R0.
+	DstReg Reg
+}
+
+// Discard is the register that takes the result of an op that writes
+// none, or writes R0, so that R0 stays zero without a test: a register
+// file of 256 words, indexed by any Reg, holds it. No instruction reads it.
+const Discard Reg = NumRegs
+
+// Decode returns every instruction of code decoded.
+func Decode(code []Instruction) []Decoded {
+	ds := make([]Decoded, len(code))
+	for pc, in := range code {
+		srcs, n := in.SrcRegs()
+		dst := in.Dst
+		if dst == R0 || !WritesReg(in.Op) {
+			dst = Discard
+		}
+		ds[pc] = Decoded{Instruction: in, NSrc: n, SrcRegs: srcs, DstReg: dst}
+	}
+	return ds
+}
+
+// Addr returns the word address a load or store accesses when its first
+// source register holds a.
+func (in Instruction) Addr(a int64) int64 { return a + in.Imm }
+
+// Execute executes in at pc on the values a and b of its source registers
+// (SrcRegs; 0 past their count) and returns its result (the value a
+// register-writing op produces; 0 for any other), the word address of a
+// load or store, whether a control transfer is taken, and the next PC. A
+// load's result is load, the word at its address (Addr), which the caller
+// reads: Execute touches no memory and no register. An invalid op executes
+// as a NOP; program.Validate rejects them.
+//
+// Execute is the one definition of the ISA's execution rules, a switch on
+// the opcode: the emulator, the replay cursor, Eval and BranchTaken all
+// execute through it.
+func Execute(in *Instruction, pc int, a, b, load int64) (dst, addr int64, taken bool, next int) {
+	next = pc + 1
+	switch in.Op {
 	case ADD:
-		return a + b
+		dst = a + b
 	case SUB:
-		return a - b
+		dst = a - b
 	case AND:
-		return a & b
+		dst = a & b
 	case OR:
-		return a | b
+		dst = a | b
 	case XOR:
-		return a ^ b
+		dst = a ^ b
 	case SHL:
-		return a << (uint64(b) & 63)
+		dst = a << (uint64(b) & 63)
 	case SHR:
-		return int64(uint64(a) >> (uint64(b) & 63))
+		dst = int64(uint64(a) >> (uint64(b) & 63))
 	case SRA:
-		return a >> (uint64(b) & 63)
+		dst = a >> (uint64(b) & 63)
 	case SLT:
 		if a < b {
-			return 1
+			dst = 1
 		}
-		return 0
 	case ADDI:
-		return a + imm
+		dst = a + in.Imm
 	case ANDI:
-		return a & imm
+		dst = a & in.Imm
 	case ORI:
-		return a | imm
+		dst = a | in.Imm
 	case XORI:
-		return a ^ imm
+		dst = a ^ in.Imm
 	case SHLI:
-		return a << (uint64(imm) & 63)
+		dst = a << (uint64(in.Imm) & 63)
 	case SHRI:
-		return int64(uint64(a) >> (uint64(imm) & 63))
+		dst = int64(uint64(a) >> (uint64(in.Imm) & 63))
 	case SLTI:
-		if a < imm {
-			return 1
+		if a < in.Imm {
+			dst = 1
 		}
-		return 0
 	case LDI:
-		return imm
+		dst = in.Imm
 	case MUL:
-		return a * b
+		dst = a * b
 	case DIV:
-		if b == 0 {
-			return 0
+		if b != 0 {
+			dst = a / b
 		}
-		return a / b
 	case REM:
-		if b == 0 {
-			return 0
+		if b != 0 {
+			dst = a % b
 		}
-		return a % b
+	case LD:
+		dst, addr = load, in.Addr(a)
+	case ST:
+		addr = in.Addr(a)
+	case BEQ:
+		if a == b {
+			taken, next = true, in.Target
+		}
+	case BNE:
+		if a != b {
+			taken, next = true, in.Target
+		}
+	case BLT:
+		if a < b {
+			taken, next = true, in.Target
+		}
+	case BGE:
+		if a >= b {
+			taken, next = true, in.Target
+		}
+	case JMP:
+		taken, next = true, in.Target
+	case JAL:
+		dst, taken, next = int64(pc+1), true, in.Target
+	case JR:
+		taken, next = true, int(a)
 	}
-	panic(fmt.Sprintf("isa.Eval: %v has no ALU semantics", o))
+	return dst, addr, taken, next
+}
+
+// Eval computes the result of a register-writing, non-memory, non-control
+// instruction from its source operand values, by Execute. Eval panics if
+// the operation does not have pure ALU semantics.
+func Eval(o Op, a, b, imm int64) int64 {
+	if c := ClassOf(o); !o.Valid() || c != ClassALU && c != ClassComplex {
+		panic(fmt.Sprintf("isa.Eval: %v has no ALU semantics", o))
+	}
+	dst, _, _, _ := Execute(&Instruction{Op: o, Imm: imm}, 0, a, b, 0)
+	return dst
 }
 
 // BranchTaken evaluates the direction of a conditional branch from its source
-// operand values. It panics if o is not a conditional branch.
+// operand values, by Execute. It panics if o is not a conditional branch.
 func BranchTaken(o Op, a, b int64) bool {
-	switch o {
-	case BEQ:
-		return a == b
-	case BNE:
-		return a != b
-	case BLT:
-		return a < b
-	case BGE:
-		return a >= b
+	if !IsCondBranch(o) {
+		panic(fmt.Sprintf("isa.BranchTaken: %v is not a conditional branch", o))
 	}
-	panic(fmt.Sprintf("isa.BranchTaken: %v is not a conditional branch", o))
+	_, _, taken, _ := Execute(&Instruction{Op: o}, 0, a, b, 0)
+	return taken
 }

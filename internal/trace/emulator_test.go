@@ -151,3 +151,40 @@ func BenchmarkRecordKernels(b *testing.B) {
 	b.ReportMetric(float64(records), "records/op")
 	b.ReportMetric(float64(bytes), "recording-bytes/op")
 }
+
+// replaySink keeps BenchmarkReplayKernels' reads observable to the
+// compiler.
+var replaySink int64
+
+// BenchmarkReplayKernels replays the eight kernels' default-scale
+// recordings, made outside the timer, through a fresh cursor each per
+// iteration: the replay cursor's cost, which every replayed spec pays per
+// record. Its work counter pins the records replayed.
+func BenchmarkReplayKernels(b *testing.B) {
+	var recs []*trace.Recording
+	for _, w := range bench.All() {
+		rec, err := emu.Record(w.Program())
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	var records, sink int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		records = 0
+		for _, rec := range recs {
+			src := rec.Source()
+			for r, ok := src.NextRef(); ok; r, ok = src.NextRef() {
+				sink += r.DstVal
+				records++
+			}
+			if err := src.Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	replaySink = sink
+	b.ReportMetric(float64(records), "records/op")
+}

@@ -119,7 +119,7 @@ func logOf(vals []int64) []byte {
 // recordOf returns the recording of recs, a run of code from its first
 // record's PC.
 func recordOf(code []isa.Instruction, recs []Record) *Recording {
-	return NewRecording(code, recs[0].PC, len(recs), logOf(loadVals(recs)))
+	return NewRecording(isa.Decode(code), recs[0].PC, len(recs), logOf(loadVals(recs)))
 }
 
 // TestRecordingRoundTrip replays recordings of hand-written runs: every
@@ -151,7 +151,7 @@ func TestRecordingRoundTrip(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
-	empty := NewRecording([]isa.Instruction{{Op: isa.HALT}}, 0, 0, nil).Source()
+	empty := NewRecording(isa.Decode([]isa.Instruction{{Op: isa.HALT}}), 0, 0, nil).Source()
 	if r, ok := empty.Next(); ok || empty.Err() != nil {
 		t.Errorf("empty recording: Next = %+v, %t; Err %v", r, ok, empty.Err())
 	}
@@ -170,15 +170,15 @@ func TestReplayChecksLoadLog(t *testing.T) {
 		rec  *Recording
 		want string
 	}{
-		{"last value dropped", NewRecording(code, 0, len(recs), logOf(kept)), "ran out"},
-		{"value appended", NewRecording(code, 0, len(recs), logOf(append(vals, 2))), "left after"},
-		{"truncated varint", NewRecording(code, 0, len(recs), append(logOf(kept), 0x80)), "ran out"},
+		{"last value dropped", NewRecording(isa.Decode(code), 0, len(recs), logOf(kept)), "ran out"},
+		{"value appended", NewRecording(isa.Decode(code), 0, len(recs), logOf(append(vals, 2))), "left after"},
+		{"truncated varint", NewRecording(isa.Decode(code), 0, len(recs), append(logOf(kept), 0x80)), "ran out"},
 		// A return address that is wrong sends control out of the code:
 		// patch the call's jr to read the loaded r2.
 		{"control leaves the code", func() *Recording {
 			c := append([]isa.Instruction(nil), callCode...)
 			c[5].Src1 = 2
-			return NewRecording(c, 0, len(callRecs), logOf(loadVals(callRecs)))
+			return NewRecording(isa.Decode(c), 0, len(callRecs), logOf(loadVals(callRecs)))
 		}(), "outside the code"},
 	} {
 		src := tc.rec.Source()
@@ -228,7 +228,7 @@ func TestMemorySourceIndependentCursors(t *testing.T) {
 
 // TestRecordingBytes checks the footprint accounting: a recording holds
 // its decoded code and one varint per load, whatever the run's length, so
-// a load-free loop costs its six templates and nothing per record.
+// a load-free loop costs its six decoded instructions and nothing per record.
 func TestRecordingBytes(t *testing.T) {
 	const n = 10000
 	for _, tc := range []struct {
@@ -243,10 +243,10 @@ func TestRecordingBytes(t *testing.T) {
 	} {
 		code, recs := tc.run()
 		rec := recordOf(code, recs)
-		want := int64(unsafe.Sizeof(Recording{})) + int64(len(code))*int64(unsafe.Sizeof(template{})) +
+		want := int64(unsafe.Sizeof(Recording{})) + int64(len(code))*int64(unsafe.Sizeof(isa.Decoded{})) +
 			int64(len(logOf(loadVals(recs))))
 		if rec.Bytes() != want {
-			t.Errorf("%s: Bytes = %d, want the header, %d templates and the load log: %d",
+			t.Errorf("%s: Bytes = %d, want the header, %d decoded instructions and the load log: %d",
 				tc.name, rec.Bytes(), len(code), want)
 		}
 		perRec := float64(rec.Bytes()) / float64(len(recs))

@@ -1,6 +1,6 @@
 // Package trace defines the dynamic-instruction record exchanged between the
-// functional emulator and the timing simulator, the executor (Exec) that
-// both the emulator and the replay cursor run on, the compact Recording
+// functional emulator and the timing simulator, the executor state (Exec)
+// that both the emulator and the replay cursor run, the compact Recording
 // that sweeps replay, the VSTR file format, and small utilities for
 // buffering and inspecting instruction streams.
 //
