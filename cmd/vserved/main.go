@@ -16,9 +16,10 @@
 //	vserved -worker -coordinator http://127.0.0.1:9090 -capacity 2
 //
 // A worker holds no durable state — SIGKILL it and its leases lapse, the
-// coordinator requeues the jobs, and nothing is lost. Run the coordinator
-// with -workers 0 to make it a pure scheduler that only remote workers
-// drain.
+// coordinator requeues the jobs, and nothing is lost — and no execution
+// settings: every job runs under the coordinator's -job-timeout and
+// -telemetry, which each lease carries. Run the coordinator with -workers 0
+// to make it a pure scheduler that only remote workers drain.
 //
 // Endpoints (see docs/SERVICE.md):
 //
@@ -60,14 +61,12 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:9090", "listen address (port 0 picks a free one)")
 		dataDir     = flag.String("data", "vserved-data", "durable state directory (jobs and results)")
 		workers     = flag.Int("workers", 2, "jobs executed concurrently in-process (0 = schedule only; fleet workers still drain)")
-		jobTimeout  = flag.Duration("job-timeout", 0, "per-job execution timeout (0 = unbounded; a request's timeout_seconds overrides)")
+		jobTimeout  = flag.Duration("job-timeout", 0, "per-job execution timeout, fleet runs included (0 = unbounded; a request's timeout_seconds overrides)")
 		maxRetries  = flag.Int("max-retries", 2, "re-queues of a failing job before it fails for good")
 		cacheBudget = flag.Int64("trace-cache-budget", 0, "byte budget of the shared trace cache (0 = unbounded)")
 		traceSpans  = flag.Int("trace-spans", obs.DefaultTracerSpans, "span-ring capacity for job tracing (0 disables tracing)")
 		tracePhases = flag.Bool("trace-phases", false, "record per-pipeline-phase wall time on every run span (adds per-cycle clock reads)")
-		telemetry   = flag.Bool("telemetry", false, "attach the pipeline instrument to every executed spec and store its snapshot (sim.* series + speculation-outcome breakdown) with the results")
-		telemetryIv = flag.Int64("telemetry-interval", jobs.DefaultTelemetryInterval, "telemetry sampling interval in simulated cycles (-telemetry)")
-		commitIv    = flag.Duration("commit-interval", 0, "journal group-commit staging window: all queue transitions within it share one fsync (0 = batch naturally at no added latency)")
+		telemetry   = flag.Bool("telemetry", false, "attach the pipeline instrument to every executed spec, fleet runs included, and store its snapshot (sim.* series + speculation-outcome breakdown) with the results")
 		leaseTTL    = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet lease lifetime between worker heartbeats; workers heartbeat every TTL×2/15")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text or json")
@@ -91,15 +90,7 @@ func main() {
 	defer stop()
 
 	if *workerMode {
-		runWorker(ctx, workerOptions{
-			coordinator: *coordinator,
-			id:          *workerID,
-			capacity:    *capacity,
-			jobTimeout:  *jobTimeout,
-			telemetry:   *telemetry,
-			telemetryIv: *telemetryIv,
-			logger:      logger,
-		})
+		runWorker(ctx, *coordinator, *workerID, *capacity, logger)
 		return
 	}
 
@@ -110,17 +101,15 @@ func main() {
 
 	reg := obs.NewSharedRegistry()
 	svc, err := jobs.Open(jobs.Config{
-		DataDir:           *dataDir,
-		Workers:           *workers,
-		JobTimeout:        *jobTimeout,
-		MaxRetries:        *maxRetries,
-		CommitInterval:    *commitIv,
-		Metrics:           reg,
-		Tracer:            tracer,
-		Logger:            logger,
-		TracePhases:       *tracePhases,
-		Telemetry:         *telemetry,
-		TelemetryInterval: *telemetryIv,
+		DataDir:     *dataDir,
+		Workers:     *workers,
+		JobTimeout:  *jobTimeout,
+		MaxRetries:  *maxRetries,
+		Metrics:     reg,
+		Tracer:      tracer,
+		Logger:      logger,
+		TracePhases: *tracePhases,
+		Telemetry:   *telemetry,
 	})
 	if err != nil {
 		logger.Error("opening job service", "err", err)

@@ -226,10 +226,13 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.count(MetricLeasesGranted, int64(n))
 	}
 	c.publishGauges()
+	timeout, telemetry := c.cfg.Service.RunSettings()
 	writeJSON(w, http.StatusOK, LeaseResponse{
 		Jobs:            leased,
 		TTLMillis:       c.cfg.LeaseTTL.Milliseconds(),
 		HeartbeatMillis: c.heartbeat().Milliseconds(),
+		JobTimeout:      timeout,
+		Telemetry:       telemetry,
 	})
 }
 
@@ -282,7 +285,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding complete: %w", err))
 		return
 	}
-	c.remoteRun(req.Job, req.Worker, req.RunMillis, received, "")
+	// The attempt is recorded before the settle, as the daemon records its
+	// own: its run lasts the worker's run_ms and ends at the report's arrival.
+	c.cfg.Service.RecordAttempt(req.Job, received.Add(-time.Duration(req.RunMillis)*time.Millisecond), received,
+		nil, obs.SpanAttr{Key: "worker", Value: req.Worker})
 	job, err := c.cfg.Service.CompleteLeased(req.Job, req.Token, req.Results)
 	if err != nil {
 		c.settleError(w, "complete", req.Worker, req.Job, err)
@@ -301,8 +307,10 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding fail: %w", err))
 		return
 	}
-	c.remoteRun(req.Job, req.Worker, req.RunMillis, received, req.Error)
-	job, err := c.cfg.Service.FailLeased(req.Job, req.Token, errors.New(req.Error))
+	cause := errors.New(req.Error)
+	c.cfg.Service.RecordAttempt(req.Job, received.Add(-time.Duration(req.RunMillis)*time.Millisecond), received,
+		cause, obs.SpanAttr{Key: "worker", Value: req.Worker})
+	job, err := c.cfg.Service.FailLeased(req.Job, req.Token, cause)
 	if err != nil {
 		c.settleError(w, "fail", req.Worker, req.Job, err)
 		return
@@ -311,28 +319,6 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	c.count(MetricRemoteFailures, 1)
 	c.publishGauges()
 	writeJSON(w, http.StatusOK, job)
-}
-
-// remoteRun records a worker's attempt (cause: its error, if it failed) as
-// the daemon records its own, before the settle: a jobs.run_ms sample and a
-// run span lasting the worker's run_ms and ending at the report's arrival.
-func (c *Coordinator) remoteRun(id, worker string, runMS int64, received time.Time, cause string) {
-	job, ok := c.cfg.Service.Job(id)
-	if !ok {
-		return // the settle reports the unknown job
-	}
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Observe(jobs.MetricRunMS, max(runMS, 0))
-	}
-	attrs := []obs.SpanAttr{
-		{Key: "spec_hash", Value: job.SpecHash},
-		{Key: "worker", Value: worker},
-		{Key: "attempt", Value: fmt.Sprint(job.Attempts)},
-	}
-	if cause != "" {
-		attrs = append(attrs, obs.SpanAttr{Key: "error", Value: cause})
-	}
-	c.cfg.Service.Tracer().Emit(id, jobs.SpanRun, received.Add(-time.Duration(runMS)*time.Millisecond), received, attrs...)
 }
 
 // settleError maps a completion-path error to its status: a stale lease is

@@ -6,8 +6,10 @@
 // The protocol is four POSTs and one GET:
 //
 //	POST /lease      worker asks for up to Capacity jobs; each comes fenced
-//	                 by a lease token and a TTL. An empty request is held
-//	                 until a job is queued or a heartbeat cadence passes
+//	                 by a lease token and a TTL, and the answer carries the
+//	                 job timeout and telemetry switch to run them under. An
+//	                 empty request is held until a job is queued or a
+//	                 heartbeat cadence passes
 //	POST /heartbeat  worker renews its leases and pushes an algebraic delta
 //	                 of its local metrics registry plus per-job progress
 //	POST /complete   worker returns a finished job's results, fenced by the
@@ -18,10 +20,14 @@
 // The lease is the job service's one state machine: the daemon's own
 // workers hold leases too (ones that never expire, from the same
 // jobs.Queue.Lease) and settle through the same token-fenced calls
-// /complete and /fail reach, and both run jobs through the shared
-// jobs.Executor. A worker that stops heartbeating loses its leases, the
-// coordinator requeues the jobs (without charging the retry budget), and
-// the next lease hands them out under a fresh token. A zombie worker's late
+// /complete and /fail reach. Both run jobs through the shared
+// jobs.Executor under the coordinator's settings (jobs.Service.RunSettings,
+// handed out with every lease), so a worker has no execution flags of its
+// own, and both record each attempt through jobs.Service.RecordAttempt.
+//
+// A worker that stops heartbeating loses its leases, the coordinator
+// requeues the jobs (without charging the retry budget), and the next
+// lease hands them out under a fresh token. A zombie worker's late
 // POST /complete carries the rotated-away token and is rejected with 409;
 // because the store is content-addressed and the simulator deterministic,
 // even a raced duplicate write is byte-identical and harmless.
@@ -34,6 +40,8 @@
 package fleet
 
 import (
+	"time"
+
 	"valuespec/internal/harness"
 	"valuespec/internal/jobs"
 	"valuespec/internal/obs"
@@ -73,11 +81,15 @@ type LeaseRequest struct {
 // LeaseResponse hands out leased jobs. Each job carries its full Request
 // (the specs to run), its lease token, and its expiry; TTLMillis and
 // HeartbeatMillis tell the worker the coordinator's lease length and the
-// cadence it must renew at.
+// cadence it must renew at. JobTimeout and Telemetry are the coordinator's
+// jobs.Service.RunSettings, which the worker runs these jobs under; a
+// request's timeout_seconds still overrides the timeout.
 type LeaseResponse struct {
-	Jobs            []jobs.Job `json:"jobs"`
-	TTLMillis       int64      `json:"ttl_ms"`
-	HeartbeatMillis int64      `json:"heartbeat_ms"`
+	Jobs            []jobs.Job    `json:"jobs"`
+	TTLMillis       int64         `json:"ttl_ms"`
+	HeartbeatMillis int64         `json:"heartbeat_ms"`
+	JobTimeout      time.Duration `json:"job_timeout_ns,omitempty"`
+	Telemetry       bool          `json:"telemetry,omitempty"`
 }
 
 // JobProgress is one job's live progress snapshot, pushed with heartbeats.

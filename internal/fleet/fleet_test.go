@@ -363,6 +363,67 @@ func TestFleetWorkerFailure(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerRunsUnderCoordinatorSettings: a worker that sets nothing
+// but its coordinator, identity and executor runs each leased job under the
+// coordinator's service settings, which the lease carries: a job that
+// hangs fails at the service's JobTimeout, and a job that returns stores
+// one telemetry snapshot per spec.
+func TestFleetWorkerRunsUnderCoordinatorSettings(t *testing.T) {
+	svc, err := jobs.Open(jobs.Config{
+		DataDir: t.TempDir(), Workers: 0, MaxRetries: 0,
+		JobTimeout: 100 * time.Millisecond, Telemetry: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(CoordinatorConfig{Service: svc, LeaseTTL: 5 * time.Second})
+	coord.Start()
+	srv := httptest.NewServer(coord.Handler())
+	defer func() { coord.Close(); srv.Close(); svc.Close() }()
+
+	// A job of scale 1 runs until its context ends; any other returns.
+	simulate := func(ctx context.Context, specs []harness.Spec, p *harness.Progress) ([]harness.Result, error) {
+		if specs[0].Scale == 1 {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return fakeSimulate(ctx, specs, p)
+	}
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "bare", Simulate: simulate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	hang, _, err := svc.Submit(jobs.Request{Name: "hang", Specs: []jobs.SimSpec{{Workload: "compress", Scale: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quick, _, err := svc.Submit(jobs.Request{Name: "quick", Specs: []jobs.SimSpec{
+		{Workload: "compress", Scale: 2}, {Workload: "xlisp", Scale: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &testFleet{svc: svc}
+	if failed := waitState(t, f, hang.ID, jobs.StateFailed, 5*time.Second); !strings.Contains(failed.Error, context.DeadlineExceeded.Error()) {
+		t.Errorf("hung job failed with %q, want the coordinator's deadline", failed.Error)
+	}
+	waitState(t, f, quick.ID, jobs.StateDone, 5*time.Second)
+	rs, err := svc.Result(quick.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs.Results {
+		if r.Telemetry == nil {
+			t.Errorf("result %d of a fleet run carries no telemetry snapshot", i)
+		}
+	}
+}
+
 // TestFleetViewProgress: heartbeats carry per-job progress and the /fleet
 // snapshot serves it.
 func TestFleetViewProgress(t *testing.T) {

@@ -29,13 +29,6 @@ type WorkerConfig struct {
 	ID string
 	// Capacity is how many jobs run concurrently; <= 0 means 1.
 	Capacity int
-	// JobTimeout bounds one job execution; 0 means no bound. A job whose
-	// request carries TimeoutSeconds > 0 uses that instead.
-	JobTimeout time.Duration
-	// Telemetry and TelemetryInterval mirror jobs.Config: when the
-	// coordinator stores telemetry, its workers must sample it too.
-	Telemetry         bool
-	TelemetryInterval int64
 	// Metrics is the worker's local registry: harness progress publishes
 	// into it and each heartbeat pushes its delta to the coordinator. nil
 	// allocates a private one.
@@ -51,11 +44,11 @@ type WorkerConfig struct {
 }
 
 // Worker leases jobs from a coordinator, runs them through the simulation
-// harness, and streams results back. It holds no durable state: SIGKILL a
-// worker and its leases lapse, the coordinator requeues, nothing is lost.
+// harness under the timeout and telemetry switch each lease carries, and
+// streams results back. It holds no durable state: SIGKILL a worker and its
+// leases lapse, the coordinator requeues, nothing is lost.
 type Worker struct {
-	cfg  WorkerConfig
-	exec jobs.Executor
+	cfg WorkerConfig
 
 	mu   sync.Mutex
 	runs map[string]*workerRun // job id -> live run
@@ -80,6 +73,7 @@ type Worker struct {
 type workerRun struct {
 	job      jobs.Job
 	token    string
+	exec     jobs.Executor      // the coordinator's settings, from the lease
 	cancel   context.CancelFunc // set once the run starts; nil before
 	progress *harness.Progress
 	started  time.Time
@@ -115,13 +109,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Logger = obs.NopLogger()
 	}
 	w := &Worker{
-		cfg: cfg,
-		exec: jobs.Executor{
-			Simulate:          cfg.Simulate,
-			JobTimeout:        cfg.JobTimeout,
-			Telemetry:         cfg.Telemetry,
-			TelemetryInterval: cfg.TelemetryInterval,
-		},
+		cfg:       cfg,
 		runs:      make(map[string]*workerRun),
 		free:      cfg.Capacity,
 		wake:      make(chan struct{}, 1),
@@ -204,6 +192,7 @@ func (w *Worker) lease(ctx context.Context, free int) ([]jobs.Job, error) {
 		return nil, err
 	}
 	now := time.Now()
+	exec := jobs.Executor{Simulate: w.cfg.Simulate, JobTimeout: resp.JobTimeout, Telemetry: resp.Telemetry}
 	w.mu.Lock()
 	if hb := time.Duration(resp.HeartbeatMillis) * time.Millisecond; hb > 0 && hb != w.heartbeat {
 		if hb < w.heartbeat {
@@ -216,6 +205,7 @@ func (w *Worker) lease(ctx context.Context, free int) ([]jobs.Job, error) {
 		w.runs[job.ID] = &workerRun{
 			job:      job,
 			token:    job.LeaseToken,
+			exec:     exec,
 			progress: harness.NewProgress(obs.NewSharedRegistry()),
 			started:  now,
 		}
@@ -250,7 +240,7 @@ func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
 	w.cfg.Logger.Info("job leased to this worker",
 		"worker", w.cfg.ID, "job", job.ID, "spec_hash", job.SpecHash, "specs", len(job.Request.Specs))
 
-	results, _, err := w.exec.Execute(runCtx, job.Request, run.progress)
+	results, _, err := run.exec.Execute(runCtx, job.Request, run.progress)
 	w.mu.Lock()
 	run.reporting = true
 	w.mu.Unlock()

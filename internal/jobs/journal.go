@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // journalName is the queue's append-only log file under its directory.
@@ -19,7 +18,7 @@ const journalName = "journal.log"
 // last-record-wins and idempotent), and a single committer goroutine turns
 // all records staged since the last commit into ONE write+fsync — the VSA
 // coalescing applied to durability: O(transitions) work becomes Θ(commits)
-// fsyncs, no matter how many jobs move per interval.
+// fsyncs, however many jobs move while one commit is in flight.
 //
 // Writers stage under the lock and, when they need a durable acknowledgment
 // (submit, complete, fail), block in wait until the committer's synced
@@ -27,8 +26,7 @@ const journalName = "journal.log"
 // crash (pop, lease renewal) stage without waiting, which keeps them off the
 // fsync latency path entirely.
 type journal struct {
-	path     string
-	interval time.Duration // extra staging window per commit; 0 = commit as soon as the committer is free
+	path string
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast on: staged work, commit completion, close
@@ -52,7 +50,7 @@ type journal struct {
 // crash mid-write, and starts the committer. snapshot, when non-nil, is the
 // compaction source: it must return one encoded record (newline-terminated)
 // per live job, consistent with everything staged so far.
-func openJournal(dir string, interval time.Duration, apply func(Job), snapshot func() [][]byte) (*journal, error) {
+func openJournal(dir string, apply func(Job), snapshot func() [][]byte) (*journal, error) {
 	path := filepath.Join(dir, journalName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -64,7 +62,7 @@ func openJournal(dir string, interval time.Duration, apply func(Job), snapshot f
 		f.Close()
 		return nil, fmt.Errorf("jobs: journal: %w", err)
 	}
-	j := &journal{path: path, interval: interval, f: f, compact: snapshot, done: make(chan struct{})}
+	j := &journal{path: path, f: f, compact: snapshot, done: make(chan struct{})}
 	j.cond = sync.NewCond(&j.mu)
 
 	// Replay. A torn last line (crash mid-append) is expected and truncated
@@ -194,15 +192,8 @@ func (j *journal) commitLoop() {
 			j.mu.Lock()
 			continue
 		}
-		// Let more writers pile into this commit: the configured interval is
-		// the explicit staging window; with interval 0 the fsync itself is
-		// the window (whatever staged while the last batch was in flight
-		// rides the next one).
-		if j.interval > 0 && !j.closed {
-			j.mu.Unlock()
-			time.Sleep(j.interval)
-			j.mu.Lock()
-		}
+		// The fsync itself is the staging window: whatever staged while the
+		// last batch was in flight rides this one.
 		buf, seq := j.buf, j.staged
 		j.buf = nil
 		j.mu.Unlock()

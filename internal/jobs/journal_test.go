@@ -4,48 +4,50 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestJournalGroupCommit pins the Θ(commits) coalescing claim: N concurrent
-// durable submissions must complete in far fewer fsync batches than N,
-// because every record staged during a commit interval (or an in-flight
-// fsync) rides the same batch. An explicit interval makes the staging
-// window deterministic — with interval 0 the coalescing degree depends on
-// fsync latency vs goroutine scheduling and can legitimately hit 1 on a
+// TestJournalGroupCommit pins the Θ(commits) coalescing claim: records
+// staged while the committer cannot take the buffer, as concurrent durable
+// submissions stage while a commit's fsync is in flight, ride one commit
+// rather than one each. Staging them under one hold of the journal lock
+// makes that window deterministic; left to the scheduler, the coalescing
+// degree depends on fsync latency and can legitimately hit 1 on a
 // single-CPU machine with a fast disk.
 func TestJournalGroupCommit(t *testing.T) {
-	q, err := OpenQueueCommit(t.TempDir(), 2*time.Millisecond)
+	q, err := OpenQueue(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
 
 	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := testRequest(fmt.Sprintf("j%d", i), 0)
-			if _, err := q.Submit(req, hashFor(t, req)); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	j := q.journal
+	j.mu.Lock()
+	for i := 1; i <= n; i++ {
+		rec, err := encodeRecord(&Job{ID: fmt.Sprintf("j%06d", i), Seq: int64(i), State: StateQueued})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.buf = append(j.buf, rec...)
+		j.staged++
 	}
-	wg.Wait()
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	if err := j.wait(n); err != nil {
+		t.Fatal(err)
+	}
 
 	commits := q.Commits()
 	if commits == 0 {
 		t.Fatal("no group commits ran")
 	}
 	if commits >= n {
-		t.Errorf("%d submissions took %d commits; group commit should coalesce", n, commits)
+		t.Errorf("%d staged records took %d commits; group commit should coalesce", n, commits)
 	}
-	t.Logf("%d durable submissions in %d group commits", n, commits)
+	t.Logf("%d durable records in %d group commits", n, commits)
 }
 
 // TestJournalTornTail: a crash mid-append leaves a partial last line; the

@@ -12,9 +12,39 @@ import (
 // Service-level lease orchestration: the one job state machine. The queue
 // grants every run as a lease through Queue.Lease — to the daemon's own
 // workers, and through LeaseJobs to fleet workers (internal/fleet wraps
-// these calls in HTTP) — and every run settles through CompleteLeased or
-// FailLeased, fenced by its token, with the same metrics, spans and logs,
-// so a job's timeline reads identically wherever it ran.
+// these calls in HTTP) — every run executes under RunSettings, every
+// attempt is recorded by RecordAttempt, and every run settles through
+// CompleteLeased or FailLeased, fenced by its token, so a job's timeline
+// reads identically wherever it ran.
+
+// RunSettings returns how every job runs, in process or on a fleet worker:
+// the attempt timeout and whether each spec samples telemetry. The fleet
+// coordinator hands both out with each lease.
+func (s *Service) RunSettings() (timeout time.Duration, telemetry bool) {
+	return s.exec.JobTimeout, s.exec.Telemetry
+}
+
+// RecordAttempt records one execution attempt of the named job, wherever
+// it ran: one jobs.run_ms sample and a run span from began to ended,
+// carrying the job's spec_hash and attempt, then attrs, then cause as its
+// error when the attempt failed. The daemon's workers call it as a run
+// ends and the fleet coordinator as a worker's report arrives, each before
+// settling the job.
+func (s *Service) RecordAttempt(id string, began, ended time.Time, cause error, attrs ...obs.SpanAttr) {
+	job, ok := s.queue.Get(id)
+	if !ok {
+		return // the settle reports the unknown job
+	}
+	s.observe(MetricRunMS, ended.Sub(began).Milliseconds())
+	attrs = append([]obs.SpanAttr{
+		{Key: "spec_hash", Value: job.SpecHash},
+		{Key: "attempt", Value: fmt.Sprint(job.Attempts)},
+	}, attrs...)
+	if cause != nil {
+		attrs = append(attrs, obs.SpanAttr{Key: "error", Value: cause.Error()})
+	}
+	s.cfg.Tracer.Emit(id, SpanRun, began, ended, attrs...)
+}
 
 // LeaseJobs leases up to max pending jobs to worker for ttl, charging one
 // attempt each; like Queue.Lease, it waits for work until ctx ends, and
@@ -101,7 +131,6 @@ func (s *Service) CompleteLeased(id, token string, results []SpecResult) (Job, e
 		return done, err
 	}
 	s.publish()
-	s.finishJob(done, "done")
 	s.cfg.Logger.Info("job done",
 		"job", done.ID, "spec_hash", done.SpecHash, "attempt", done.Attempts)
 	return done, nil
@@ -119,6 +148,12 @@ func (s *Service) FailLeased(id, token string, cause error) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("jobs: unknown job %q", id)
 	}
+	if err := checkLease(&job, token); err != nil {
+		return job, err
+	}
+	// Counted before the settle, so a reader who sees the job failed also
+	// sees its last attempt's error.
+	s.count(MetricAttemptErrors, 1)
 	// While token fences the job its attempt count cannot change, so the
 	// choice made here holds for the fenced settle below.
 	settle := s.queue.FailLease
@@ -129,10 +164,8 @@ func (s *Service) FailLeased(id, token string, cause error) (Job, error) {
 	if err != nil {
 		return job, err
 	}
-	s.count(MetricAttemptErrors, 1)
 	if job.State == StateFailed {
 		s.publish()
-		s.finishJob(job, "failed")
 		s.cfg.Logger.Error("job failed",
 			"job", job.ID, "spec_hash", job.SpecHash,
 			"attempts", job.Attempts, "err", cause)

@@ -119,9 +119,10 @@ type Queue struct {
 	recovered int
 
 	// onTerminal, when set, runs under mu as a transition moves a job into
-	// a terminal state, so whatever it publishes is visible no later than
-	// the state itself.
-	onTerminal func(State)
+	// a terminal state, handed the job as it now stands (FinishedAt set), so
+	// whatever it publishes is visible no later than the state itself. It
+	// must not call back into the queue.
+	onTerminal func(Job)
 }
 
 // compactMinRecords is the journal length below which compaction never
@@ -136,23 +137,15 @@ const (
 // its jobs: records found queued or running — a running job at open time
 // means the previous process died mid-run, an outstanding lease that its
 // coordinator never settled — go back to the pending queue, terminal records
-// are kept for listing and result serving. Journal records group-commit with
-// no extra staging window; use OpenQueueCommit to tune it.
+// are kept for listing and result serving. Journal records group-commit:
+// whatever stages while a commit's fsync is in flight rides the next batch.
 func OpenQueue(dir string) (*Queue, error) {
-	return OpenQueueCommit(dir, 0)
-}
-
-// OpenQueueCommit is OpenQueue with an explicit group-commit interval: every
-// record staged within the same interval shares one append+fsync. 0 still
-// group-commits — whatever stages while a commit's fsync is in flight rides
-// the next batch — but adds no artificial latency.
-func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: queue: %w", err)
 	}
 	q := &Queue{jobs: make(map[string]*Job), nextSeq: 1}
 
-	j, err := openJournal(dir, commitInterval, func(job Job) {
+	j, err := openJournal(dir, func(job Job) {
 		q.applyRecord(job)
 	}, q.snapshotRecords)
 	if err != nil {
@@ -552,7 +545,7 @@ func (q *Queue) update(id string, mutate func(*Job) error) (Job, error) {
 		return job, err
 	}
 	if q.onTerminal != nil && !was.Terminal() && j.State.Terminal() {
-		q.onTerminal(j.State)
+		q.onTerminal(*j)
 	}
 	seq, err := q.stageLocked(j)
 	job := *j

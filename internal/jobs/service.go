@@ -59,8 +59,9 @@ type Config struct {
 	// accepts and serves jobs without executing any (useful to stage work
 	// for a later daemon, and in tests).
 	Workers int
-	// JobTimeout bounds one execution attempt; 0 means no bound. A request
-	// with TimeoutSeconds > 0 overrides it for that job.
+	// JobTimeout bounds one execution attempt, in process or on a fleet
+	// worker (each lease carries it); 0 means no bound. A request with
+	// TimeoutSeconds > 0 overrides it for that job.
 	JobTimeout time.Duration
 	// MaxRetries is how many times a failed attempt is re-queued before the
 	// job fails for good.
@@ -68,12 +69,6 @@ type Config struct {
 	// RetryBackoff delays the first retry, doubling per attempt; 0 selects
 	// DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// CommitInterval is the journal's group-commit staging window: every
-	// queue/lease state transition within one interval shares a single
-	// append+fsync. 0 still batches (records accumulate while each fsync is
-	// in flight) without adding latency; raise it to trade acknowledgment
-	// latency for fewer fsyncs under sustained load.
-	CommitInterval time.Duration
 	// Metrics, when non-nil, receives the jobs.* counters and gauges.
 	Metrics *obs.SharedRegistry
 	// Tracer, when non-nil, records one span per lifecycle stage of every
@@ -88,14 +83,12 @@ type Config struct {
 	// clock reads per simulated cycle, so it is opt-in.
 	TracePhases bool
 	// Telemetry attaches the per-spec pipeline instrument (cpu.Telemetry) to
-	// every executed spec and stores the compact snapshot — per-interval
-	// pipeline series plus the speculation-outcome breakdown — alongside
-	// each result. Telemetry does not participate in the request hash, so a
-	// deduped submission may be served a stored result recorded without it.
+	// every executed spec, in process or on a fleet worker (each lease
+	// carries it), and stores the compact snapshot — per-interval pipeline
+	// series plus the speculation-outcome breakdown — alongside each result.
+	// Telemetry does not participate in the request hash, so a deduped
+	// submission may be served a stored result recorded without it.
 	Telemetry bool
-	// TelemetryInterval is the sampling interval in simulated cycles when
-	// Telemetry is on; <= 0 selects DefaultTelemetryInterval.
-	TelemetryInterval int64
 	// Simulate overrides the batch executor; nil selects
 	// harness.SimulateBatch.
 	Simulate SimulateFunc
@@ -104,13 +97,13 @@ type Config struct {
 // DefaultRetryBackoff is the first-retry delay when Config leaves it zero.
 const DefaultRetryBackoff = 500 * time.Millisecond
 
-// DefaultTelemetryInterval is the sampling interval (simulated cycles)
-// used when Config.Telemetry is on and TelemetryInterval is unset, and
-// TelemetrySeriesCap bounds each stored series: capacity is fixed, so long
-// runs decimate to coarser strides instead of growing the stored result.
+// TelemetryInterval is the sampling interval (simulated cycles) when
+// Config.Telemetry is on, and TelemetrySeriesCap bounds each stored series:
+// capacity is fixed, so long runs decimate to coarser strides instead of
+// growing the stored result.
 const (
-	DefaultTelemetryInterval = 1024
-	TelemetrySeriesCap       = 512
+	TelemetryInterval  = 1024
+	TelemetrySeriesCap = 512
 )
 
 // ErrFinished is returned by Cancel for jobs already in a terminal state.
@@ -156,7 +149,7 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	queue, err := OpenQueueCommit(cfg.DataDir+"/jobs", cfg.CommitInterval)
+	queue, err := OpenQueue(cfg.DataDir + "/jobs")
 	if err != nil {
 		return nil, err
 	}
@@ -167,34 +160,39 @@ func Open(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg: cfg,
 		exec: Executor{
-			Simulate:          cfg.Simulate,
-			JobTimeout:        cfg.JobTimeout,
-			Phases:            cfg.TracePhases,
-			Telemetry:         cfg.Telemetry,
-			TelemetryInterval: cfg.TelemetryInterval,
+			Simulate:   cfg.Simulate,
+			JobTimeout: cfg.JobTimeout,
+			Phases:     cfg.TracePhases,
+			Telemetry:  cfg.Telemetry,
 		},
 		queue:   queue,
 		store:   store,
 		running: make(map[string]*runningJob),
 		timers:  make(map[string]*time.Timer),
 	}
-	queue.onTerminal = s.countTerminal
+	queue.onTerminal = s.terminal
 	s.publish()
 	return s, nil
 }
 
-// countTerminal bumps the counter of the terminal state a job just entered.
-// The queue calls it under its lock, as part of the transition, so a reader
-// who sees the terminal state also sees the count.
-func (s *Service) countTerminal(st State) {
-	switch st {
+// terminal records a job's end as it enters a terminal state: the state's
+// counter, the whole-lifecycle job span and, for a done job, its end-to-end
+// latency. The queue calls it under its lock, as part of the transition, so
+// a reader who sees the terminal state also sees all three.
+func (s *Service) terminal(job Job) {
+	switch job.State {
 	case StateDone:
 		s.count(MetricCompleted, 1)
+		s.observe(MetricE2EMS, job.FinishedAt.Sub(job.SubmittedAt).Milliseconds())
 	case StateFailed:
 		s.count(MetricFailed, 1)
 	case StateCanceled:
 		s.count(MetricCanceled, 1)
 	}
+	s.cfg.Tracer.Emit(job.ID, SpanJob, job.SubmittedAt, job.FinishedAt,
+		obs.SpanAttr{Key: "spec_hash", Value: job.SpecHash},
+		obs.SpanAttr{Key: "state", Value: string(job.State)},
+		obs.SpanAttr{Key: "attempts", Value: fmt.Sprint(job.Attempts)})
 }
 
 // Start launches the worker pool. Each worker leases one job at a time
@@ -354,7 +352,6 @@ func (s *Service) Cancel(id string) (Job, error) {
 	}
 	s.mu.Unlock()
 	s.publish()
-	s.finishJob(job, "canceled")
 	s.cfg.Logger.Warn("job canceled",
 		"job", job.ID, "spec_hash", job.SpecHash, "attempts", job.Attempts)
 	return job, nil
@@ -393,26 +390,20 @@ func (s *Service) runJob(job Job) {
 	// is approximate; it still separates warm reruns from cold decodes.
 	cacheHits0 := harness.DefaultTraceCache().Hits()
 	cacheMiss0 := harness.DefaultTraceCache().Misses()
-	run := s.cfg.Tracer.Start(job.ID, SpanRun)
-	run.Attr("spec_hash", job.SpecHash)
-	run.Attr("attempt", fmt.Sprint(job.Attempts))
-	run.Attr("specs", fmt.Sprint(len(job.Request.Specs)))
 	runBegan := time.Now()
 
 	results, phases, runErr := s.exec.Execute(ctx, job.Request, progress)
 
-	snap := progress.Snapshot()
-	run.Attr("cycles", fmt.Sprint(snap.CyclesTotal))
-	run.Attr("cache_hits", fmt.Sprint(harness.DefaultTraceCache().Hits()-cacheHits0))
-	run.Attr("cache_misses", fmt.Sprint(harness.DefaultTraceCache().Misses()-cacheMiss0))
+	attrs := []obs.SpanAttr{
+		{Key: "specs", Value: fmt.Sprint(len(job.Request.Specs))},
+		{Key: "cycles", Value: fmt.Sprint(progress.Snapshot().CyclesTotal)},
+		{Key: "cache_hits", Value: fmt.Sprint(harness.DefaultTraceCache().Hits() - cacheHits0)},
+		{Key: "cache_misses", Value: fmt.Sprint(harness.DefaultTraceCache().Misses() - cacheMiss0)},
+	}
 	if phases != "" {
-		run.Attr("phases", phases)
+		attrs = append(attrs, obs.SpanAttr{Key: "phases", Value: phases})
 	}
-	if runErr != nil {
-		run.Attr("error", runErr.Error())
-	}
-	run.End()
-	s.observe(MetricRunMS, time.Since(runBegan).Milliseconds())
+	s.RecordAttempt(job.ID, runBegan, time.Now(), runErr, attrs...)
 
 	s.mu.Lock()
 	delete(s.running, job.ID)
@@ -437,22 +428,6 @@ func (s *Service) runJob(job Job) {
 	}
 }
 
-// finishJob closes a job's timeline: one whole-lifecycle span plus the
-// end-to-end latency observation. done is the terminal job record as the
-// queue returned it (zero timestamps are skipped defensively).
-func (s *Service) finishJob(done Job, state string) {
-	if done.SubmittedAt.IsZero() || done.FinishedAt.IsZero() {
-		return
-	}
-	if state == "done" {
-		s.observe(MetricE2EMS, done.FinishedAt.Sub(done.SubmittedAt).Milliseconds())
-	}
-	s.cfg.Tracer.Emit(done.ID, SpanJob, done.SubmittedAt, done.FinishedAt,
-		obs.SpanAttr{Key: "spec_hash", Value: done.SpecHash},
-		obs.SpanAttr{Key: "state", Value: state},
-		obs.SpanAttr{Key: "attempts", Value: fmt.Sprint(done.Attempts)})
-}
-
 // Executor runs one job's specs. The daemon's own workers and fleet workers
 // share it, so a job's results are byte-identical wherever it runs: same
 // spec conversion, same timeout, same telemetry attachment, same result
@@ -466,10 +441,8 @@ type Executor struct {
 	// Phases turns on the per-pipeline-stage wall-time breakdown.
 	Phases bool
 	// Telemetry attaches a cpu.Telemetry sampler to every spec, sampling
-	// every TelemetryInterval simulated cycles (<= 0 selects
-	// DefaultTelemetryInterval).
-	Telemetry         bool
-	TelemetryInterval int64
+	// every TelemetryInterval simulated cycles.
+	Telemetry bool
 }
 
 // Execute runs req's specs. Context errors win over per-spec errors so
@@ -489,14 +462,10 @@ func (e Executor) Execute(ctx context.Context, req Request, progress *harness.Pr
 	if err != nil {
 		return nil, "", err
 	}
-	interval := e.TelemetryInterval
-	if interval <= 0 {
-		interval = DefaultTelemetryInterval
-	}
 	for i := range specs {
 		specs[i].Phases = e.Phases
 		if e.Telemetry {
-			specs[i].Telemetry = cpu.NewTelemetry(interval, TelemetrySeriesCap)
+			specs[i].Telemetry = cpu.NewTelemetry(TelemetryInterval, TelemetrySeriesCap)
 		}
 	}
 	simulate := e.Simulate

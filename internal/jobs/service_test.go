@@ -119,10 +119,9 @@ func TestServiceTelemetry(t *testing.T) {
 	w := bench.All()[0]
 	model := core.Great()
 	s, err := Open(Config{
-		DataDir:           t.TempDir(),
-		Workers:           1,
-		Telemetry:         true,
-		TelemetryInterval: 256,
+		DataDir:   t.TempDir(),
+		Workers:   1,
+		Telemetry: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +149,8 @@ func TestServiceTelemetry(t *testing.T) {
 		if tl == nil {
 			t.Fatalf("result %d has no telemetry snapshot", i)
 		}
-		if tl.Interval != 256 {
-			t.Errorf("result %d telemetry interval %d, want 256", i, tl.Interval)
+		if tl.Interval != TelemetryInterval {
+			t.Errorf("result %d telemetry interval %d, want %d", i, tl.Interval, TelemetryInterval)
 		}
 		if !tl.Outcomes.Reconciled() {
 			t.Errorf("result %d outcomes do not reconcile: %+v", i, tl.Outcomes)

@@ -29,13 +29,13 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"valuespec/internal/bench"
 	"valuespec/internal/core"
 	"valuespec/internal/cpu"
 	"valuespec/internal/harness"
 	"valuespec/internal/mem"
+	"valuespec/internal/report"
 )
 
 // SimSpec is one simulation, fully described by value: the serializable
@@ -351,17 +351,14 @@ type ResultSet struct {
 
 // WriteCSV writes the result set as CSV: one row per spec, the spec's
 // identifying columns followed by every Stats counter in its stable order.
+// It goes through report.Table's writer, so a cell a client chose, such as
+// a model's name, is quoted wherever encoding/csv needs it.
 func (rs *ResultSet) WriteCSV(w io.Writer) error {
-	header := []string{"workload", "scale", "config", "model", "setting"}
-	var names []string
+	t := &report.Table{Header: []string{"workload", "scale", "config", "model", "setting"}}
 	if len(rs.Results) > 0 {
 		for _, c := range rs.Results[0].Stats.Counters() {
-			names = append(names, c.Name)
+			t.Header = append(t.Header, c.Name)
 		}
-	}
-	header = append(header, names...)
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
 	}
 	for _, r := range rs.Results {
 		model, setting := "base", ""
@@ -380,9 +377,7 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 		for _, c := range r.Stats.Counters() {
 			row = append(row, strconv.FormatInt(c.Value, 10))
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, row)
 	}
-	return nil
+	return t.WriteCSV(w)
 }

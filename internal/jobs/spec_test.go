@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -214,31 +215,47 @@ func TestSimSpecHarnessRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultSetWriteCSV: one row per spec under the header, each as wide as
+// the header when read back through encoding/csv, even where a client named
+// its model with a comma and quotes.
 func TestResultSetWriteCSV(t *testing.T) {
 	w := testWorkload(t)
 	res, err := harness.SimulateAll([]harness.Spec{{Workload: w, Scale: 2, Config: cpu.Config8x48()}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	odd := core.Great()
+	odd.Name = `great, "v2"`
 	rs := &ResultSet{
 		SpecHash: strings.Repeat("a", 64),
-		Results:  []SpecResult{{Spec: SimSpec{Workload: w.Name, Scale: 2}, Stats: res[0].Stats}},
+		Results: []SpecResult{
+			{Spec: SimSpec{Workload: w.Name, Scale: 2}, Stats: res[0].Stats},
+			{Spec: SimSpec{Workload: w.Name, Scale: 2, Model: &odd}, Stats: res[0].Stats},
+		},
 	}
 	var buf bytes.Buffer
 	if err := rs.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("CSV has %d lines, want header + 1 row", len(lines))
+	if !strings.HasPrefix(buf.String(), "workload,scale,config,model,setting,") {
+		t.Errorf("header = %q", strings.SplitN(buf.String(), "\n", 2)[0])
 	}
-	if !strings.HasPrefix(lines[0], "workload,scale,config,model,setting,") {
-		t.Errorf("header = %q", lines[0])
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("result CSV does not parse: %v", err)
 	}
-	if !strings.HasPrefix(lines[1], w.Name+",2,") {
-		t.Errorf("row = %q", lines[1])
+	if len(rows) != 3 {
+		t.Fatalf("CSV has %d rows, want header + 2", len(rows))
 	}
-	if got, want := strings.Count(lines[1], ","), strings.Count(lines[0], ","); got != want {
-		t.Errorf("row has %d columns, header has %d", got+1, want+1)
+	for i, row := range rows[1:] {
+		if len(row) != len(rows[0]) {
+			t.Errorf("row %d has %d cells, header has %d", i+1, len(row), len(rows[0]))
+		}
+	}
+	if rows[1][0] != w.Name || rows[1][1] != "2" {
+		t.Errorf("row 1 = %q", rows[1][:5])
+	}
+	if rows[2][3] != odd.Name {
+		t.Errorf("model cell = %q, want %q", rows[2][3], odd.Name)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,11 +61,6 @@ func TestServiceSpanTimeline(t *testing.T) {
 		t.Fatalf("job finished %s (%s), want done", job.State, job.Error)
 	}
 
-	// The job span is emitted right after Complete; give the worker a beat.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(tracer.Spans(job.ID)) < 5 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
 	got := spanNames(tracer, job.ID)
 	want := []string{SpanSubmit, SpanQueueWait, SpanRun, SpanStore, SpanJob}
 	if len(got) != len(want) {
@@ -138,14 +134,6 @@ func TestServiceSpanDedupAndFailure(t *testing.T) {
 	if job.State != StateFailed {
 		t.Fatalf("job finished %s, want failed", job.State)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if names := spanNames(tracer, job.ID); len(names) > 0 && names[len(names)-1] == SpanJob {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
 	spans := tracer.Spans(job.ID)
 	var runs, stores int
 	for _, sp := range spans {
@@ -198,6 +186,81 @@ func TestServiceSpanDedupAndFailure(t *testing.T) {
 	if v, _ := dspans[0].Attr("deduped"); v != "true" {
 		t.Errorf("dedup submit span deduped = %q, want true", v)
 	}
+}
+
+// TestServiceTerminalRecordsWithState: the terminal transition itself
+// writes the job span and, for a done job, its jobs.e2e_ms sample, so a
+// reader who first sees a job terminal already finds them, whether the job
+// completed, failed or was cancelled.
+func TestServiceTerminalRecordsWithState(t *testing.T) {
+	const n = 260
+	tracer := obs.NewTracer(8 * n)
+	reg := obs.NewSharedRegistry()
+	s, err := Open(Config{
+		DataDir: t.TempDir(), Workers: 4, Metrics: reg, Tracer: tracer,
+		Simulate: func(ctx context.Context, specs []harness.Spec, p *harness.Progress) ([]harness.Result, error) {
+			if specs[0].Config.MaxCycles%20 == 0 {
+				return nil, errors.New("scripted failure")
+			}
+			return fastSimulate(ctx, specs, p)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ids := make([]string, n)
+	for i := range ids {
+		job, _, err := s.Submit(propRequest(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = job.ID
+	}
+
+	counts := make(map[State]int)
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		seen := make([]bool, n)
+		deadline := time.Now().Add(30 * time.Second)
+		for left := n; left > 0; {
+			if time.Now().After(deadline) {
+				t.Errorf("%d jobs still live after 30s", left)
+				return
+			}
+			for i, id := range ids {
+				job, _ := s.Job(id)
+				if seen[i] || !job.State.Terminal() {
+					continue
+				}
+				seen[i] = true
+				left--
+				counts[job.State]++
+				if names := spanNames(tracer, id); !slices.Contains(names, SpanJob) {
+					t.Errorf("%s reads %s, but its spans are %v", id, job.State, names)
+				}
+				if job.State != StateDone {
+					continue
+				}
+				if got := reg.Snapshot().Histogram(MetricE2EMS).Count(); got < uint64(counts[StateDone]) {
+					t.Errorf("%s reads done as the %dth done job, but %s counts %d",
+						id, counts[StateDone], MetricE2EMS, got)
+				}
+			}
+		}
+	}()
+	s.Start()
+	for i := n - 1; i >= 0; i -= 13 { // from the back, where jobs still wait
+		if _, err := s.Cancel(ids[i]); err != nil && !errors.Is(err, ErrFinished) {
+			t.Error(err)
+		}
+	}
+	<-read
+	if counts[StateDone] < 200 || counts[StateFailed] == 0 || counts[StateCanceled] == 0 {
+		t.Errorf("jobs ended %v, want at least 200 done and some failed and canceled", counts)
+	}
+	t.Logf("jobs ended %v", counts)
 }
 
 // TestServiceTracePhases checks the opt-in per-phase breakdown: the config

@@ -143,73 +143,15 @@ type seriesTick struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// sseFrame wraps a JSON-marshalable body into one SSE data frame.
-func sseFrame(v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, 0, len(body)+8)
-	frame = append(frame, "data: "...)
-	frame = append(frame, body...)
-	frame = append(frame, '\n', '\n')
-	return frame, nil
-}
-
 // handleSeries serves the full tracked history as JSON.
 func (s *Server) handleSeries(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.series.snapshot(s.cfg.StreamInterval.Milliseconds()))
 }
 
-// handleSeriesStream serves one SSE subscriber of the metric series: a full
-// backfill frame first so clients render history immediately, then one
-// delta frame per broadcast tick, with heartbeat comments keeping idle
-// proxies from reaping the connection. Slow clients skip to the newest
-// frame (the shared broadcaster semantics) instead of blocking the loop.
+// handleSeriesStream serves the metric series feed: a full backfill frame
+// first so clients render history immediately, then one delta frame per
+// broadcast tick.
 func (s *Server) handleSeriesStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	frame, err := sseFrame(s.series.snapshot(s.cfg.StreamInterval.Milliseconds()))
-	if err != nil {
-		return
-	}
-	if _, err := w.Write(frame); err != nil {
-		return
-	}
-	fl.Flush()
-
-	hb := time.NewTicker(s.cfg.HeartbeatInterval)
-	defer hb.Stop()
-	ch := s.seriesBC.subscribe()
-	defer s.seriesBC.unsubscribe(ch)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.stop:
-			return
-		case <-hb.C:
-			if _, err := w.Write(heartbeatFrame); err != nil {
-				return
-			}
-			fl.Flush()
-		case frame := <-ch:
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	s.serveSSE(w, r, s.series.snapshot(s.cfg.StreamInterval.Milliseconds()), s.seriesBC)
 }
-
-// heartbeatFrame is the SSE comment written on heartbeat ticks; clients
-// ignore comment lines, proxies see traffic.
-var heartbeatFrame = []byte(": hb\n\n")

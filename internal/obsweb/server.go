@@ -369,13 +369,21 @@ func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(s.cfg.Progress())
 }
 
-// handleStream serves one SSE subscriber: an immediate frame so clients see
-// state without waiting an interval, then one frame per broadcast tick. The
-// subscriber's buffer holds a single frame — when the client reads slower
-// than the tick, the broadcaster replaces the stale frame with the newest
-// and counts the drop, so no client ever applies backpressure to the
-// broadcast loop or to other clients.
+// handleStream serves the progress feed: the current snapshot at once, so
+// clients see state without waiting an interval, then one frame per
+// broadcast tick.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	s.serveSSE(w, r, s.cfg.Progress(), s.bc)
+}
+
+// serveSSE serves one subscriber of an SSE feed: first as an immediate
+// frame, then each frame bc broadcasts, with heartbeat comments keeping
+// idle proxies from reaping the connection, until the client leaves or the
+// server stops. The subscriber's buffer holds a single frame — when the
+// client reads slower than the tick, the broadcaster replaces the stale
+// frame with the newest and counts the drop, so no client ever applies
+// backpressure to the broadcast loop or to other clients.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, first any, bc *broadcaster) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -385,7 +393,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	frame, err := s.frame()
+	frame, err := sseFrame(first)
 	if err != nil {
 		return
 	}
@@ -396,8 +404,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	hb := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer hb.Stop()
-	ch := s.bc.subscribe()
-	defer s.bc.unsubscribe(ch)
+	ch := bc.subscribe()
+	defer bc.unsubscribe(ch)
 	for {
 		select {
 		case <-r.Context().Done():
@@ -417,6 +425,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// sseFrame wraps a JSON-marshalable body into one SSE data frame.
+func sseFrame(v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 0, len(body)+8)
+	frame = append(frame, "data: "...)
+	frame = append(frame, body...)
+	frame = append(frame, '\n', '\n')
+	return frame, nil
+}
+
+// heartbeatFrame is the SSE comment written on heartbeat ticks; clients
+// ignore comment lines, proxies see traffic.
+var heartbeatFrame = []byte(": hb\n\n")
 
 // streamLoop drives both SSE feeds on one ticker: it samples the metric
 // registry into the series tracker every interval (so /series carries
@@ -442,26 +467,11 @@ func (s *Server) streamLoop() {
 			if s.bc == nil || s.bc.empty() {
 				continue
 			}
-			frame, err := s.frame()
-			if err != nil {
-				continue
+			if frame, err := sseFrame(s.cfg.Progress()); err == nil {
+				s.bc.publish(frame)
 			}
-			s.bc.publish(frame)
 		}
 	}
-}
-
-// frame renders the current progress snapshot as one SSE frame.
-func (s *Server) frame() ([]byte, error) {
-	body, err := json.Marshal(s.cfg.Progress())
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, 0, len(body)+8)
-	frame = append(frame, "data: "...)
-	frame = append(frame, body...)
-	frame = append(frame, '\n', '\n')
-	return frame, nil
 }
 
 // onDroppedFrame publishes the drop count so streaming health shows up in

@@ -11,7 +11,11 @@
 #   3. fleet of 3: three workers drain the sharded sweep, and one worker is
 #      SIGKILLed while it holds a lease — the lease lapses, the coordinator
 #      requeues, the survivors finish (timed, T3);
-#   4. gates: all three legs' fig3.csv byte-identical (deterministic
+#   4. coordinator settings: a coordinator started with -telemetry, drained
+#      by a worker started like the others (no execution flags), stores a
+#      telemetry snapshot with every spec of a small job, because each lease
+#      carries the coordinator's settings;
+#   5. gates: all three sweep legs' fig3.csv byte-identical (deterministic
 #      simulation, exactly-once results); the kill leg's lease-expiration
 #      counter is >= 1 (the requeue really happened); and on hosts with >= 4
 #      CPUs, T1/T3 >= 2 (near-linear fleet speedup; report-only on smaller
@@ -44,18 +48,22 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-# start_daemon <data-dir> <log>: pure coordinator (-workers 0) on an
-# ephemeral port with a short lease TTL; sets $addr from its serving line.
+# start_daemon <data-dir> <log> [flag...]: pure coordinator (-workers 0) on
+# an ephemeral port with a short lease TTL, plus any extra flags; sets $addr
+# from its serving line.
 start_daemon() {
-	"$served" -addr 127.0.0.1:0 -data "$1" -workers 0 -lease-ttl 2s >"$2" 2>&1 &
+	ddata=$1
+	dlog=$2
+	shift 2
+	"$served" -addr 127.0.0.1:0 -data "$ddata" -workers 0 -lease-ttl 2s "$@" >"$dlog" 2>&1 &
 	pid=$!
 	addr=
 	deadline=$(($(date +%s) + 30))
 	while [ -z "$addr" ]; do
-		addr=$(sed -n 's|^serving jobs on http://\([^ ]*\).*|\1|p' "$2")
+		addr=$(sed -n 's|^serving jobs on http://\([^ ]*\).*|\1|p' "$dlog")
 		[ -n "$addr" ] && break
-		kill -0 "$pid" 2>/dev/null || fail "vserved exited before serving ($2)"
-		[ "$(date +%s)" -lt "$deadline" ] || fail "no 'serving jobs' line within 30s ($2)"
+		kill -0 "$pid" 2>/dev/null || fail "vserved exited before serving ($dlog)"
+		[ "$(date +%s)" -lt "$deadline" ] || fail "no 'serving jobs' line within 30s ($dlog)"
 		sleep 0.1
 	done
 }
@@ -172,7 +180,30 @@ expired=$(metric valuespec_fleet_lease_expirations_total)
 echo "fleet_smoke: coordinator requeued $expired lapsed lease(s); results stayed byte-identical (T3=${t3}s)"
 stop_all
 
-# --- 4. speedup gate (adaptive: enforced only with >= 4 CPUs) --------------
+# --- 4. the coordinator's settings reach a worker that sets none -----------
+echo "fleet_smoke: a -telemetry coordinator drained by a worker with no execution flags"
+start_daemon "$dir/datat" "$dir/daemont.log" -telemetry
+start_worker fwt "$dir/workert.log" >/dev/null
+req='{"name":"telemetry","specs":[{"workload":"compress","scale":1},{"workload":"xlisp","scale":1}]}'
+id=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "http://$addr/jobs" |
+	sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p' | head -1)
+[ -n "$id" ] || fail "the telemetry job was not accepted"
+deadline=$(($(date +%s) + 60))
+state=
+while [ "$state" != done ]; do
+	state=$(curl -fsS "http://$addr/jobs/$id" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' | head -1)
+	case $state in failed | canceled) fail "telemetry job $id finished $state" ;; esac
+	[ "$(date +%s)" -lt "$deadline" ] || fail "telemetry job $id not done within 60s (state '$state')"
+	sleep 0.2
+done
+curl -fsS "http://$addr/jobs/$id/result" >"$dir/telemetry.json" || fail "GET /jobs/$id/result failed"
+snaps=$(grep -c '"telemetry": {' "$dir/telemetry.json" || true)
+[ "$snaps" -eq 2 ] ||
+	fail "job $id stored $snaps telemetry snapshots, want one per spec (2): the worker ignored the coordinator's -telemetry"
+echo "fleet_smoke: the worker sampled telemetry for both specs under the coordinator's -telemetry"
+stop_all
+
+# --- 5. speedup gate (adaptive: enforced only with >= 4 CPUs) --------------
 ncpu=$(nproc 2>/dev/null || echo 1)
 speedup=$(awk -v a="$t1" -v b="$t3" 'BEGIN { if (b < 1) b = 1; printf "%.2f", a / b }')
 if [ "$ncpu" -ge 4 ]; then
@@ -183,4 +214,4 @@ else
 	echo "fleet_smoke: speedup T1/T3 = ${speedup}x (report-only: $ncpu CPU(s), workers time-slice one core)"
 fi
 
-echo "fleet_smoke: OK (byte-identical across legs + idle start + requeue after worker SIGKILL)"
+echo "fleet_smoke: OK (byte-identical across legs + idle start + requeue after worker SIGKILL + coordinator settings)"
